@@ -12,8 +12,6 @@ from .core import (
     eval_constraints,
     eval_objective,
     perturbed_instance,
-    sample_constraint_pair,
-    sample_objective_subgradient,
 )
 from .diagnostics import (
     MetricsRecord,
@@ -22,9 +20,6 @@ from .diagnostics import (
     kkt_residual,
     lyapunov_adam,
     lyapunov_momentum,
-    merit_H,
-    merit_L,
-    penalty_g,
     u_adam,
     u_momentum,
 )
@@ -36,9 +31,7 @@ from .geometry import (
     NonnegativeOrthant,
     WholeSpace,
     normal_cone_distance,
-    project,
     prox_preconditioned,
-    sample_point,
 )
 from .lagrangian import (
     LagrangianState,
@@ -52,7 +45,6 @@ from .lagrangian import (
     regu,
     run,
     track_correction,
-    track_exact,
 )
 from .methods import (
     EmbeddedMethodState,

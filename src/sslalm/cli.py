@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import inspect
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
-from .core import NoiseModel
 from .diagnostics import exact_penalty_margin
-from .lagrangian import RunResult, SolverConfig, StepSchedule, run
-from .methods import MethodConfig
+from .lagrangian import RunResult, SolverConfig, run
 from .problems import RECIPES, ProblemRecipe, make_recipe
 
 
@@ -27,40 +27,41 @@ class ConfigError(ValueError):
     """Invalid configuration file; maps to exit code 2."""
 
 
-_TOP_KEYS = {"problem", "solver", "output_path", "record_every", "repetitions", "kkt_probe"}
-_SOLVER_KEYS = {
-    "method",
-    "rho",
-    "beta",
-    "theta",
-    "eta",
-    "tracker",
-    "dual",
-    "noise",
-    "max_iters",
-    "seed",
+# JSON tables under "solver" that hold flat SolverConfig fields: a table's
+# "kind" sets the field named like the table, its other keys keep their names
+_SOLVER_TABLES = {
+    "tracker": ("tau_tilde",),
+    "dual": ("beta_tilde", "sigma", "theta_tilde", "inner_steps"),
 }
-_METHOD_KEYS = {"kind", "tau", "alpha", "tau1", "tau2", "eps"}
-_SCHEDULE_KEYS = {"kind", "c", "epoch_len", "exponent"}
-_TRACKER_KEYS = {"kind", "tau_tilde"}
-_DUAL_KEYS = {"kind", "beta_tilde", "sigma", "theta_tilde", "inner_steps"}
-_NOISE_KEYS = {"kind", "bound", "seed"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     problem: dict
-    solver: SolverConfig
+    solver: SolverConfig = field(default_factory=SolverConfig)
     output_path: str = "out"
     record_every: int = 10
     repetitions: int = 1
     kkt_probe: float | None = 1e-3
 
     def __post_init__(self):
+        problem = self.problem
+        if not isinstance(problem, dict) or "kind" not in problem:
+            raise ConfigError("problem: needs a 'kind' key")
+        if problem["kind"] not in RECIPES:
+            raise ConfigError(
+                f"problem.kind: unknown kind {problem['kind']!r}; known: {sorted(RECIPES)}"
+            )
+        sig = inspect.signature(RECIPES[problem["kind"]])
+        extra = set(problem) - {"kind"} - set(sig.parameters)
+        if extra:
+            raise ConfigError(f"problem: unknown keys {sorted(extra)} for kind {problem['kind']!r}")
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        if self.kkt_probe is not None and not self.kkt_probe > 0:
+            raise ConfigError("kkt_probe must be positive or null")
 
 
 def _check_keys(table: dict, allowed: set, path: str):
@@ -71,89 +72,74 @@ def _check_keys(table: dict, allowed: set, path: str):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-def _schedule(table, path: str, default: StepSchedule) -> StepSchedule:
-    if table is None:
-        return default
-    _check_keys(table, _SCHEDULE_KEYS, path)
+def _solver_fields(table: dict) -> dict:
+    """The solver table with its tracker and dual tables spread into flat fields;
+    a bare string stands for the table's kind."""
+    flat = dict(table)
+    for name, extra in _SOLVER_TABLES.items():
+        sub = flat.pop(name, None)
+        if isinstance(sub, str):
+            sub = {"kind": sub}
+        if sub is not None:
+            _check_keys(sub, {"kind", *extra}, f"solver.{name}")
+            flat.update((name if key == "kind" else key, value) for key, value in sub.items())
+    return flat
+
+
+@functools.cache
+def _schema(cls):
+    """JSON keys, required keys and field types of a config dataclass; cached,
+    since resolving the annotations costs more than a whole parse."""
+    types = get_type_hints(cls)
+    keys = {f.name for f in fields(cls)}
+    if cls is SolverConfig:
+        keys -= {key for extra in _SOLVER_TABLES.values() for key in extra}
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    return keys, required, {f.name: types[f.name] for f in fields(cls)}
+
+
+def _coerce(hint, value):
+    if hint == float | None:
+        return None if value is None else float(value)
+    return hint(value) if hint in (int, float, str) else value
+
+
+def _from_table(cls, table, path: str):
+    """Build the config dataclass ``cls`` from a JSON table keyed by its fields.
+
+    Nested dataclass fields read nested tables, where an absent or null table
+    keeps the field's default. The scalars of the run and solver tables are
+    coerced to their annotated types; the inner tables pass theirs as written.
+    """
+    label = path or "config"
+    keys, required, hints = _schema(cls)
+    _check_keys(table, keys, label)
+    if cls is SolverConfig:
+        table = _solver_fields(table)
+    for name in required:
+        if name not in table:
+            raise ConfigError(f"{label}: missing required key {name!r}")
+    coerce = cls in (RunConfig, SolverConfig)
+    kwargs = {}
     try:
-        return StepSchedule(**table)
+        for name, value in table.items():
+            if is_dataclass(hints[name]):
+                if value is not None:
+                    sub_path = f"{path}.{name}" if path else name
+                    kwargs[name] = _from_table(hints[name], value, sub_path)
+            else:
+                kwargs[name] = _coerce(hints[name], value) if coerce else value
+        return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    _check_keys(raw, _TOP_KEYS, "config")
-    if "problem" not in raw:
-        raise ConfigError("config: missing required key 'problem'")
-    problem = raw["problem"]
-    if not isinstance(problem, dict) or "kind" not in problem:
-        raise ConfigError("problem: needs a 'kind' key")
-    if problem["kind"] not in RECIPES:
-        raise ConfigError(
-            f"problem.kind: unknown kind {problem['kind']!r}; known: {sorted(RECIPES)}"
-        )
-    sig = inspect.signature(RECIPES[problem["kind"]])
-    extra = set(problem) - {"kind"} - set(sig.parameters)
-    if extra:
-        raise ConfigError(f"problem: unknown keys {sorted(extra)} for kind {problem['kind']!r}")
-
-    solver_raw = dict(raw.get("solver", {}))
-    _check_keys(solver_raw, _SOLVER_KEYS, "solver")
-    method_raw = solver_raw.pop("method", {"kind": "prox_sgd"})
-    _check_keys(method_raw, _METHOD_KEYS, "solver.method")
-    try:
-        method = MethodConfig(**method_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver.method: {exc}") from exc
-
-    theta = _schedule(solver_raw.pop("theta", None), "solver.theta", StepSchedule("constant", 0.5))
-    eta = _schedule(solver_raw.pop("eta", None), "solver.eta", StepSchedule("inv_sqrt_epoch", 0.1))
-
-    tracker_raw = solver_raw.pop("tracker", {"kind": "exact"})
-    if isinstance(tracker_raw, str):
-        tracker_raw = {"kind": tracker_raw}
-    _check_keys(tracker_raw, _TRACKER_KEYS, "solver.tracker")
-    dual_raw = solver_raw.pop("dual", {"kind": "regu"})
-    if isinstance(dual_raw, str):
-        dual_raw = {"kind": dual_raw}
-    _check_keys(dual_raw, _DUAL_KEYS, "solver.dual")
-    noise_raw = solver_raw.pop("noise", {"kind": "none"})
-    _check_keys(noise_raw, _NOISE_KEYS, "solver.noise")
-    try:
-        noise = NoiseModel(**noise_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver.noise: {exc}") from exc
-
-    try:
-        solver = SolverConfig(
-            method=method,
-            rho=float(solver_raw.pop("rho", 0.0)),
-            beta=float(solver_raw.pop("beta", 1.0)),
-            theta=theta,
-            eta=eta,
-            tracker=tracker_raw.get("kind", "exact"),
-            tau_tilde=float(tracker_raw.get("tau_tilde", 1.0)),
-            dual=dual_raw.get("kind", "regu"),
-            beta_tilde=float(dual_raw.get("beta_tilde", 1.0)),
-            sigma=float(dual_raw.get("sigma", 2.0)),
-            theta_tilde=float(dual_raw.get("theta_tilde", 1.0)),
-            inner_steps=int(dual_raw.get("inner_steps", 1)),
-            noise=noise,
-            max_iters=int(solver_raw.pop("max_iters", 1000)),
-            seed=int(solver_raw.pop("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
-
-    kkt_probe = raw.get("kkt_probe", 1e-3)
-    return RunConfig(
-        problem=dict(problem),
-        solver=solver,
-        output_path=str(raw.get("output_path", "out")),
-        record_every=int(raw.get("record_every", 10)),
-        repetitions=int(raw.get("repetitions", 1)),
-        kkt_probe=None if kkt_probe is None else float(kkt_probe),
-    )
+    return _from_table(RunConfig, raw, "")
 
 
 def parse_config(path) -> RunConfig:
@@ -170,49 +156,11 @@ def parse_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> dict:
     """Canonical dict with every default filled; parsing it back round-trips."""
-    s = cfg.solver
-    return {
-        "problem": dict(cfg.problem),
-        "solver": {
-            "method": {
-                "kind": s.method.kind,
-                "tau": s.method.tau,
-                "alpha": s.method.alpha,
-                "tau1": s.method.tau1,
-                "tau2": s.method.tau2,
-                "eps": s.method.eps,
-            },
-            "rho": s.rho,
-            "beta": s.beta,
-            "theta": {
-                "kind": s.theta.kind,
-                "c": s.theta.c,
-                "epoch_len": s.theta.epoch_len,
-                "exponent": s.theta.exponent,
-            },
-            "eta": {
-                "kind": s.eta.kind,
-                "c": s.eta.c,
-                "epoch_len": s.eta.epoch_len,
-                "exponent": s.eta.exponent,
-            },
-            "tracker": {"kind": s.tracker, "tau_tilde": s.tau_tilde},
-            "dual": {
-                "kind": s.dual,
-                "beta_tilde": s.beta_tilde,
-                "sigma": s.sigma,
-                "theta_tilde": s.theta_tilde,
-                "inner_steps": s.inner_steps,
-            },
-            "noise": {"kind": s.noise.kind, "bound": s.noise.bound, "seed": s.noise.seed},
-            "max_iters": s.max_iters,
-            "seed": s.seed,
-        },
-        "output_path": cfg.output_path,
-        "record_every": cfg.record_every,
-        "repetitions": cfg.repetitions,
-        "kkt_probe": cfg.kkt_probe,
-    }
+    raw = asdict(cfg)
+    solver = raw["solver"]
+    for name, extra in _SOLVER_TABLES.items():
+        solver[name] = {"kind": solver[name], **{key: solver.pop(key) for key in extra}}
+    return raw
 
 
 def build_recipe(cfg: RunConfig) -> ProblemRecipe:

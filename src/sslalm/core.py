@@ -134,22 +134,6 @@ def eval_objective(prob: ProblemInstance, x) -> float:
     return val
 
 
-def sample_objective_subgradient(
-    prob: ProblemInstance,
-    x,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> Array:
-    """One subgradient selection at ``x``, plus a bounded noise draw if requested."""
-    x = as_vector(x, prob.dim_primal)
-    d = as_vector(prob.objective_subgradient(x), prob.dim_primal, "subgradient")
-    if noise is not None and noise.kind != "none":
-        if rng is None:
-            rng = noise.stream()
-        d = d + noise.draw(rng, prob.dim_primal)
-    return d
-
-
 def eval_constraints(prob: ProblemInstance, x) -> Array:
     """Constraint value ``c(x)`` in R^p."""
     x = as_vector(x, prob.dim_primal)
@@ -168,27 +152,6 @@ def eval_constraint_jacobian(prob: ProblemInstance, x) -> Array:
     if not np.isfinite(J).all():
         raise OracleError("jacobian oracle returned non-finite entries")
     return J
-
-
-def sample_constraint_pair(
-    sprob: StochasticProblemInstance, x, x_next, rng: np.random.Generator
-):
-    """Constraint samples at two points under one shared token, plus an
-    independent Jacobian selection under a fresh token.
-
-    The shared token is what lets a correction-style tracker cancel the
-    sampling noise between consecutive iterates.
-    """
-    x = as_vector(x, sprob.dim_primal)
-    x_next = as_vector(x_next, sprob.dim_primal, "x_next")
-    tok = sprob.draw_constraint_sample(rng)
-    c_x = as_vector(sprob.constraint_sample(x, tok), sprob.dim_constraint, "C(x)")
-    c_xn = as_vector(sprob.constraint_sample(x_next, tok), sprob.dim_constraint, "C(x_next)")
-    tok_jac = sprob.draw_constraint_sample(rng)
-    J = np.asarray(sprob.constraint_jacobian_sample(x, tok_jac), dtype=np.float64)
-    if J.shape != (sprob.dim_primal, sprob.dim_constraint):
-        raise OracleError("sampled jacobian has wrong shape")
-    return c_x, c_xn, J
 
 
 def as_stochastic(prob: ProblemInstance) -> StochasticProblemInstance:

@@ -1,17 +1,17 @@
-"""Computable diagnostics: penalty and merit values, projected stationarity
-residuals, auxiliary functions with closed-form gradients, Lyapunov values,
-and an empirical estimator of the constraint regularity constant.
+"""Computable diagnostics: the per-iteration metrics record (penalty and
+merit values), projected stationarity residuals, auxiliary functions with
+closed-form gradients, Lyapunov values, and an empirical estimator of the
+constraint regularity constant.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import ProblemInstance, as_vector, eval_constraint_jacobian, eval_constraints, eval_objective
-from .geometry import FeasibleSet, normal_cone_distance, project, prox_preconditioned
+from .geometry import FeasibleSet, normal_cone_distance, prox_preconditioned
 
 
 @dataclass(frozen=True)
@@ -43,29 +43,6 @@ def _quad(rho: float, feas: float) -> float:
     return 0.5 * rho * feas * feas if rho != 0.0 else 0.0
 
 
-def penalty_g(prob: ProblemInstance, x, beta: float, rho: float) -> float:
-    """Exact penalty value ``f + beta*||c|| + (rho/2)*||c||^2``."""
-    f = eval_objective(prob, x)
-    feas = float(np.linalg.norm(eval_constraints(prob, x)))
-    return f + beta * feas + _quad(rho, feas)
-
-
-def merit_L(prob: ProblemInstance, x, lam, rho: float) -> float:
-    """Augmented Lagrangian value ``f + <lam, c> + (rho/2)*||c||^2``."""
-    c = eval_constraints(prob, x)
-    lam = as_vector(lam, prob.dim_constraint, "lam")
-    return eval_objective(prob, x) + float(lam @ c) + _quad(rho, float(np.linalg.norm(c)))
-
-
-def merit_H(prob: ProblemInstance, x, lam, rho: float, beta: float) -> float:
-    """Modified merit: the augmented Lagrangian minus ``||c||*||lam||^2/(2*beta)``,
-    strongly concave in the multiplier wherever the constraint is violated."""
-    c = eval_constraints(prob, x)
-    lam = as_vector(lam, prob.dim_constraint, "lam")
-    L = eval_objective(prob, x) + float(lam @ c) + _quad(rho, float(np.linalg.norm(c)))
-    return L - float(np.linalg.norm(c)) * float(lam @ lam) / (2.0 * beta)
-
-
 def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3) -> float:
     """Projected-subgradient stationarity residual with the fixed selections.
 
@@ -79,7 +56,7 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3) -> floa
     lam = as_vector(lam, prob.dim_constraint, "lam")
     d = as_vector(prob.objective_subgradient(x), prob.dim_primal, "subgradient")
     J = eval_constraint_jacobian(prob, x)
-    step = project(prob.feasible_set, x - eta_probe * (d + J @ lam))
+    step = prob.feasible_set.project(x - eta_probe * (d + J @ lam))
     return float(np.linalg.norm(x - step)) / eta_probe
 
 
@@ -91,7 +68,7 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float) -> float:
     """
     x = as_vector(x, fset.dim)
     y = as_vector(y, fset.dim, "y")
-    w = project(fset, x - y / alpha)
+    w = fset.project(x - y / alpha)
     d = w - x
     return float(d @ y) + 0.5 * alpha * float(d @ d)
 
@@ -119,15 +96,14 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
     return value, grad_x, grad_y, grad_v
 
 
-def lyapunov_momentum(
-    h: Callable[[np.ndarray], float], fset: FeasibleSet, x, y, tau: float, alpha: float
-) -> float:
-    """Descent certificate ``h(x) - u_momentum(x, y)/tau`` for momentum runs."""
-    return float(h(np.asarray(x, dtype=np.float64))) - u_momentum(fset, x, y, alpha) / tau
+def lyapunov_momentum(h_x: float, fset: FeasibleSet, x, y, tau: float, alpha: float) -> float:
+    """Descent certificate ``h(x) - u_momentum(x, y)/tau`` for momentum runs,
+    given the penalty value ``h_x = h(x)``."""
+    return float(h_x) - u_momentum(fset, x, y, alpha) / tau
 
 
 def lyapunov_adam(
-    h: Callable[[np.ndarray], float],
+    h_x: float,
     fset: FeasibleSet,
     x,
     y,
@@ -136,9 +112,10 @@ def lyapunov_adam(
     alpha: float,
     eps: float,
 ) -> float:
-    """Descent certificate ``h(x) - u_adam(x, y, v)/tau1`` for ADAM runs."""
+    """Descent certificate ``h(x) - u_adam(x, y, v)/tau1`` for ADAM runs,
+    given the penalty value ``h_x = h(x)``."""
     value, _, _, _ = u_adam(fset, x, y, v, alpha, eps)
-    return float(h(np.asarray(x, dtype=np.float64))) - value / tau1
+    return float(h_x) - value / tau1
 
 
 def exact_penalty_margin(prob: ProblemInstance, beta: float) -> float | None:
@@ -182,10 +159,12 @@ def assemble_record(
     beta: float,
     rho: float,
     kkt_probe: float | None,
-    lyapunov: float | None,
 ) -> MetricsRecord:
-    """Build one metrics record; ``g_val`` uses the same floats as ``f_val``
-    and ``feas`` so the penalty identity holds bitwise on re-parse."""
+    """Build one metrics record, the one place where the penalty ``g``, the
+    merits ``L`` and ``H`` are computed; ``g_val`` uses the same floats as
+    ``f_val`` and ``feas`` so the penalty identity holds bitwise on re-parse.
+    The Lyapunov value is left unset; momentum and ADAM runs fill it in from
+    ``g_val``."""
     f_val = eval_objective(prob, x)
     c = eval_constraints(prob, x)
     feas = float(np.linalg.norm(c))
@@ -203,5 +182,4 @@ def assemble_record(
         lambda_norm=float(np.linalg.norm(lam)),
         kkt_residual=kkt,
         tracker_err=float(np.linalg.norm(w - c)),
-        lyapunov=lyapunov,
     )

@@ -268,11 +268,6 @@ def _check_dim(fset: FeasibleSet, x: np.ndarray, name: str = "x") -> np.ndarray:
     return x
 
 
-def project(fset: FeasibleSet, x) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``fset``."""
-    return fset.project(_check_dim(fset, x))
-
-
 def prox_preconditioned(fset: FeasibleSet, x, y, v) -> np.ndarray:
     """Minimize ``<y, z - x> + 0.5 * <v * (z - x), z - x>`` over ``z`` in the set.
 
@@ -295,10 +290,3 @@ def normal_cone_distance(fset: FeasibleSet, x, v) -> float:
         raise ValueError("x is not in the feasible set (beyond tolerance)")
     return fset.normal_cone_distance(x, v)
 
-
-def contains(fset: FeasibleSet, x, tol: float = MEMBERSHIP_TOL) -> bool:
-    return fset.contains(_check_dim(fset, x), tol)
-
-
-def sample_point(fset: FeasibleSet, rng: np.random.Generator) -> np.ndarray:
-    return fset.sample(rng)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (
     NoiseModel,
-    ProblemInstance,
     StochasticProblemInstance,
     as_vector,
     eval_constraints,
@@ -25,7 +24,6 @@ from .core import (
 from .diagnostics import MetricsRecord, assemble_record, lyapunov_adam, lyapunov_momentum
 from .methods import (
     PROX_ADAM,
-    PROX_SGD,
     PROX_SGDM,
     EmbeddedMethodState,
     MethodConfig,
@@ -203,11 +201,6 @@ def dual_step_ialm(
     return lam + min(theta_tilde / nrm, cap) * c_next
 
 
-def track_exact(prob: ProblemInstance, x_next) -> np.ndarray:
-    """Tracker that simply evaluates the constraint at the new point."""
-    return eval_constraints(prob, x_next)
-
-
 def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.ndarray:
     """Single-timescale tracker with a shared-sample correction term:
     ``w - tau~*eta*(w - C(x)) + C(x_next) - C(x)``."""
@@ -324,37 +317,22 @@ class _Driver:
             None,
         )
 
-    def lyapunov(self, state: LagrangianState) -> float | None:
-        cfg = self.config
-        if cfg.method.kind == PROX_SGD:
-            return None
-
-        def h(z):
-            c = eval_constraints(self.mean, z)
-            feas = float(np.linalg.norm(c))
-            quad = 0.5 * cfg.rho * feas * feas if cfg.rho != 0.0 else 0.0
-            return self.mean.objective(z) + cfg.beta * feas + quad
-
-        ms = state.method_state
-        if cfg.method.kind == PROX_SGDM:
-            return lyapunov_momentum(h, self.fset, ms.x, ms.y, cfg.method.tau, cfg.method.alpha)
-        m, v = split_adam_state(ms.y)
-        return lyapunov_adam(
-            h, self.fset, ms.x, m, v, cfg.method.tau1, cfg.method.alpha, cfg.method.eps
-        )
-
     def metrics(self, state: LagrangianState, kkt_probe: float | None) -> MetricsRecord:
-        return assemble_record(
-            self.mean,
-            state.k,
-            state.method_state.x,
-            state.lam,
-            state.w,
-            self.config.beta,
-            self.config.rho,
-            kkt_probe,
-            self.lyapunov(state),
+        cfg = self.config
+        ms = state.method_state
+        rec = assemble_record(
+            self.mean, state.k, ms.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe
         )
+        # the Lyapunov value reuses the record's penalty value g(x)
+        mc = cfg.method
+        if mc.kind == PROX_SGDM:
+            lyap = lyapunov_momentum(rec.g_val, self.fset, ms.x, ms.y, mc.tau, mc.alpha)
+        elif mc.kind == PROX_ADAM:
+            m, v = split_adam_state(ms.y)
+            lyap = lyapunov_adam(rec.g_val, self.fset, ms.x, m, v, mc.tau1, mc.alpha, mc.eps)
+        else:
+            return rec
+        return replace(rec, lyapunov=lyap)
 
 
 def init_state(prob, config: SolverConfig, x0=None, rng=None) -> LagrangianState:

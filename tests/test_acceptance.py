@@ -1,10 +1,12 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
-Solver runs executed here are registered in a module-level ledger so the
-multiplier-contraction and determinism criteria can quantify over every
-acceptance run.
+The solver runs of criteria 1, 3, 4 and 8 are made once, in a module-scoped
+ledger, so the multiplier-contraction and determinism criteria can quantify
+over every acceptance run, also when they are selected alone.
 """
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,18 +14,17 @@ import sslalm as m
 from sslalm.cli import cmd_compare, config_from_dict
 from sslalm.diagnostics import lyapunov_adam, lyapunov_momentum, u_adam
 
-# ledger of runs executed by this module: key -> (blob, prob, cfg, run kwargs)
-RUNS = {}
-SLACKS = []
+
+class LedgerRun(NamedTuple):
+    result: m.RunResult
+    blob: bytes  # the records as JSON lines
+    prob: object
+    cfg: m.SolverConfig
+    kw: dict
 
 
-def tracked_run(key, prob, cfg, **kw):
-    res = m.run(prob, cfg, **kw)
-    blob = "\n".join(r.to_json_line() for r in res.records).encode()
-    RUNS[key] = (blob, prob, cfg, kw)
-    if cfg.dual == "regu":
-        SLACKS.append((key, res.max_contraction_slack, res.max_dual_excess))
-    return res
+def records_blob(res) -> bytes:
+    return "\n".join(r.to_json_line() for r in res.records).encode()
 
 
 def report(criterion, ok, detail):
@@ -48,12 +49,7 @@ def affine_method_config(kind):
     return m.MethodConfig(kind=kind, tau1=1.0, tau2=0.1, alpha=0.05, eps=1e-8)
 
 
-def test_criterion_1_oracle_convergence():
-    # three embedded methods on ten random affine-L1 instances against the
-    # brute-force oracle: feasibility <= 1e-2 and relative objective gap
-    # <= 1e-2 within 5e4 iterations, each run within the 30 s budget
-    failures = []
-    max_wall = 0.0
+def criterion_1_runs(add):
     for kind in ["prox_sgd", "prox_sgdm", "prox_adam"]:
         for n, p, seed in affine_instances():
             rec = m.make_affine_l1(n=n, p=p, seed=seed)
@@ -67,10 +63,75 @@ def test_criterion_1_oracle_convergence():
                 max_iters=50000,
                 seed=100 + seed,
             )
-            res = tracked_run(
-                f"c1/{kind}/{n}/{p}/{seed}", rec.instance, cfg,
-                x0=rec.start, record_every=50000, kkt_probe=None,
-            )
+            add(f"c1/{kind}/{n}/{p}/{seed}", rec.instance, cfg,
+                x0=rec.start, record_every=50000, kkt_probe=None)
+
+
+def criterion_3_runs(add):
+    rec = m.make_exactness_1d(slope=2.0)
+    cfg = m.SolverConfig(
+        method=m.MethodConfig(kind="prox_sgdm", tau=1.0, alpha=0.05),
+        rho=1.0,
+        beta=3.0,
+        theta=m.StepSchedule("constant", 0.5),
+        eta=m.StepSchedule("inv_sqrt_epoch", 0.5, 1),
+        max_iters=20000,
+        seed=0,
+    )
+    add("c3/sgdm_exactness", rec.instance, cfg, x0=rec.start,
+        record_every=20000, kkt_probe=None)
+
+
+def criterion_4_runs(add):
+    rec = m.make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=0)
+    cfg = m.SolverConfig(
+        method=m.MethodConfig(kind="prox_sgd"),
+        rho=0.1,
+        beta=1.0,
+        theta=m.StepSchedule("constant", 0.5),
+        eta=m.StepSchedule("inv_sqrt_epoch", 0.1, 100),
+        tracker="correction",
+        tau_tilde=1.0,
+        max_iters=100000,
+        seed=7,
+    )
+    add("c4/tracker_affine", rec.instance, cfg, x0=rec.start,
+        record_every=1, kkt_probe=None)
+
+
+def criterion_8_runs(add):
+    rec = m.make_slack_l1_net()
+    for method_kind in ["sgdm", "adam"]:
+        for dual in ["regu", "ialm"]:
+            cfg = _net_run_config(method_kind, dual)
+            add(f"c8/{method_kind}_{dual}", rec.instance, cfg.solver,
+                x0=rec.start, record_every=10, kkt_probe=None)
+
+
+@pytest.fixture(scope="module")
+def ledger():
+    """Every solver run of criteria 1, 3, 4 and 8, made once per module."""
+    runs = {}
+
+    def add(key, prob, cfg, **kw):
+        res = m.run(prob, cfg, **kw)
+        runs[key] = LedgerRun(res, records_blob(res), prob, cfg, kw)
+
+    for make_runs in (criterion_1_runs, criterion_3_runs, criterion_4_runs, criterion_8_runs):
+        make_runs(add)
+    return runs
+
+
+def test_criterion_1_oracle_convergence(ledger):
+    # three embedded methods on ten random affine-L1 instances against the
+    # brute-force oracle: feasibility <= 1e-2 and relative objective gap
+    # <= 1e-2 within 5e4 iterations, each run within the 30 s budget
+    failures = []
+    max_wall = 0.0
+    for kind in ["prox_sgd", "prox_sgdm", "prox_adam"]:
+        for n, p, seed in affine_instances():
+            rec = m.make_affine_l1(n=n, p=p, seed=seed)
+            res = ledger[f"c1/{kind}/{n}/{p}/{seed}"].result
             fstar = rec.oracle_solution.f
             final = res.final
             gap_tol = 1e-2 * (1.0 + abs(fstar))
@@ -85,10 +146,9 @@ def test_criterion_1_oracle_convergence():
     assert ok
 
 
-def test_criterion_3_exact_penalty_threshold():
+def test_criterion_3_exact_penalty_threshold(ledger):
     # dense-grid penalty minimizer flips from infeasible to feasible at the
     # threshold weight, and the momentum solver drives the iterate to zero
-    rec = m.make_exactness_1d(slope=2.0)
     grid = np.linspace(-1.0, 1.0, 200001)
     step = grid[1] - grid[0]
     grid_ok = True
@@ -98,40 +158,17 @@ def test_criterion_3_exact_penalty_threshold():
     for beta in [2.1, 2.5]:
         xmin = grid[int(np.argmin(-2.0 * grid + beta * np.abs(grid) + 0.5 * grid**2))]
         grid_ok &= abs(xmin) <= step
-    cfg = m.SolverConfig(
-        method=m.MethodConfig(kind="prox_sgdm", tau=1.0, alpha=0.05),
-        rho=1.0,
-        beta=3.0,
-        theta=m.StepSchedule("constant", 0.5),
-        eta=m.StepSchedule("inv_sqrt_epoch", 0.5, 1),
-        max_iters=20000,
-        seed=0,
-    )
-    res = tracked_run("c3/sgdm_exactness", rec.instance, cfg, x0=rec.start,
-                      record_every=20000, kkt_probe=None)
+    res = ledger["c3/sgdm_exactness"].result
     run_ok = not res.aborted and abs(res.state.x[0]) <= 1e-2
     ok = grid_ok and run_ok
     report(3, ok, f"grid switch at the threshold, final |x| = {abs(res.state.x[0]):.2e}")
     assert ok
 
 
-def test_criterion_4_tracker_convergence():
+def test_criterion_4_tracker_convergence(ledger):
     # correction tracker on the sampled affine instance: mean error over the
     # last 10% of 1e5 iterations at most 0.05
-    rec = m.make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=0)
-    cfg = m.SolverConfig(
-        method=m.MethodConfig(kind="prox_sgd"),
-        rho=0.1,
-        beta=1.0,
-        theta=m.StepSchedule("constant", 0.5),
-        eta=m.StepSchedule("inv_sqrt_epoch", 0.1, 100),
-        tracker="correction",
-        tau_tilde=1.0,
-        max_iters=100000,
-        seed=7,
-    )
-    res = tracked_run("c4/tracker_affine", rec.instance, cfg, x0=rec.start,
-                      record_every=1, kkt_probe=None)
+    res = ledger["c4/tracker_affine"].result
     tail = [r.tracker_err for r in res.records[-10000:]]
     mean_err = float(np.mean(tail))
     ok = not res.aborted and mean_err <= 0.05
@@ -150,7 +187,7 @@ def test_criterion_5_weighted_aux_gradients():
             fset = m.Box(-np.ones(n), np.ones(n))
         else:
             fset = m.Ball(rng.uniform(-0.3, 0.3, n), float(rng.uniform(0.5, 2.0)))
-        x = m.sample_point(fset, rng)
+        x = fset.sample(rng)
         y = rng.uniform(-2, 2, n)
         v = rng.uniform(0.0, 2.0, n)
         alpha = float(rng.uniform(0.3, 1.5))
@@ -209,18 +246,18 @@ def _lyapunov_ratio(kind):
     if kind == "sgdm":
         cfg = m.MethodConfig(kind="prox_sgdm", tau=0.4, alpha=1.0)
         y = np.zeros(1)
-        vals = [lyapunov_momentum(h, fset, x, y, cfg.tau, cfg.alpha)]
+        vals = [lyapunov_momentum(h(x), fset, x, y, cfg.tau, cfg.alpha)]
         for _ in range(10000):
             x, y = m.step_prox_sgdm(fset, np.sign(x - 0.3), x, y, eta, cfg)
-            vals.append(lyapunov_momentum(h, fset, x, y, cfg.tau, cfg.alpha))
+            vals.append(lyapunov_momentum(h(x), fset, x, y, cfg.tau, cfg.alpha))
     else:
         cfg = m.MethodConfig(kind="prox_adam", tau1=0.4, tau2=0.1, alpha=1.0, eps=1e-8)
         y = np.zeros(1)
         v = np.zeros(1)
-        vals = [lyapunov_adam(h, fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps)]
+        vals = [lyapunov_adam(h(x), fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps)]
         for _ in range(10000):
             x, y, v = m.step_prox_adam(fset, np.sign(x - 0.3), x, y, v, eta, cfg)
-            vals.append(lyapunov_adam(h, fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps))
+            vals.append(lyapunov_adam(h(x), fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps))
     diffs = np.diff(np.array(vals))
     increase = float(diffs[diffs > 0].sum())
     decrease = float(-diffs[diffs < 0].sum())
@@ -274,20 +311,15 @@ def _net_run_config(method_kind, dual):
     )
 
 
-def test_criterion_8_training_protocol_analog(tmp_path):
+def test_criterion_8_training_protocol_analog(ledger, tmp_path):
     # epoch-schedule training on the slack-reformulated network: the
     # single-loop runs halve the constraint violation and reduce the loss;
     # the classical-ascent baselines complete and the comparison table lands
-    rec = m.make_slack_l1_net()
-    results = {}
-    for method_kind in ["sgdm", "adam"]:
-        for dual in ["regu", "ialm"]:
-            cfg = _net_run_config(method_kind, dual)
-            res = tracked_run(
-                f"c8/{method_kind}_{dual}", rec.instance, cfg.solver,
-                x0=rec.start, record_every=10, kkt_probe=None,
-            )
-            results[(method_kind, dual)] = res
+    results = {
+        (method_kind, dual): ledger[f"c8/{method_kind}_{dual}"].result
+        for method_kind in ["sgdm", "adam"]
+        for dual in ["regu", "ialm"]
+    }
     ok = True
     details = []
     for method_kind in ["sgdm", "adam"]:
@@ -307,24 +339,25 @@ def test_criterion_8_training_protocol_analog(tmp_path):
     assert ok
 
 
-def test_criterion_2_dual_boundedness():
+def test_criterion_2_dual_boundedness(ledger):
     # per-step contraction of the multiplier norm toward the dual ball held
     # exactly (within 1e-12) on every normalized-dual acceptance run above
-    if not SLACKS:
-        pytest.skip("requires the acceptance runs earlier in this module")
-    worst_slack = max(s for _, s, _ in SLACKS)
-    worst_excess = max(e for _, _, e in SLACKS)
+    slacks = [
+        (key, run.result.max_contraction_slack, run.result.max_dual_excess)
+        for key, run in ledger.items()
+        if run.cfg.dual == "regu"
+    ]
+    worst_slack = max(s for _, s, _ in slacks)
+    worst_excess = max(e for _, _, e in slacks)
     ok = worst_slack <= 1e-12 and worst_excess <= 1e-9
-    report(2, ok, f"max contraction slack {worst_slack:.1e} over {len(SLACKS)} runs; "
+    report(2, ok, f"max contraction slack {worst_slack:.1e} over {len(slacks)} runs; "
            f"max norm excess after burn-in {worst_excess:.1e}")
     assert ok
 
 
-def test_criterion_9_determinism():
+def test_criterion_9_determinism(ledger):
     # representative runs from every family above rerun byte-identically,
     # and the pure computations of criteria 5-7 are reproducible exactly
-    if not RUNS:
-        pytest.skip("requires the acceptance runs earlier in this module")
     keys = [
         "c1/prox_sgd/10/1/0",
         "c1/prox_sgdm/10/1/0",
@@ -336,10 +369,8 @@ def test_criterion_9_determinism():
     ]
     ok = True
     for key in keys:
-        blob, prob, cfg, kw = RUNS[key]
-        res = m.run(prob, cfg, **kw)
-        blob2 = "\n".join(r.to_json_line() for r in res.records).encode()
-        if blob2 != blob:
+        run = ledger[key]
+        if records_blob(m.run(run.prob, run.cfg, **run.kw)) != run.blob:
             ok = False
     dev1, x1 = _adam_equivalence_deviation()
     dev2, x2 = _adam_equivalence_deviation()

@@ -357,6 +357,22 @@ class TestMainEntry:
         assert main(["run", "--config", str(path)]) == 2
         assert "theta_max < beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"record_every": "x"},
+            {"kkt_probe": "abc"},
+            {"kkt_probe": 0},
+            {"repetitions": [1]},
+            {"solver": {"method": {"kind": "prox_sgd"}, "rho": [1]}},
+        ],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
+        # malformed scalars are config errors, not tracebacks of aborted runs
+        path = minimal_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(path), "--quiet"]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_run_and_sweep_through_main(self, tmp_path):
         path = minimal_config(tmp_path)
         assert main(["run", "--config", str(path), "--quiet"]) == 0

@@ -9,8 +9,6 @@ from sslalm.core import (
     eval_constraints,
     eval_objective,
     perturbed_instance,
-    sample_constraint_pair,
-    sample_objective_subgradient,
 )
 from sslalm.geometry import Box, WholeSpace
 from sslalm.problems import make_affine_l1, make_slack_l1_net, make_stochastic_affine
@@ -70,20 +68,12 @@ class TestEvalObjective:
 
 class TestSubgradientOracle:
     def test_sign_selection_off_kinks(self):
-        d = sample_objective_subgradient(l1_problem(), [2.0, -3.0])
+        d = l1_problem().objective_subgradient(np.array([2.0, -3.0]))
         assert np.array_equal(d, [1.0, -1.0])
 
     def test_zero_selection_at_kink(self):
-        d = sample_objective_subgradient(l1_problem(n=1), [0.0])
+        d = l1_problem(n=1).objective_subgradient(np.array([0.0]))
         assert np.array_equal(d, [0.0])
-
-    def test_noise_stays_within_bound(self):
-        noise = NoiseModel("uniform_box", 0.1, seed=3)
-        rng = noise.stream()
-        base = sample_objective_subgradient(l1_problem(), [2.0, -3.0])
-        for _ in range(100):
-            d = sample_objective_subgradient(l1_problem(), [2.0, -3.0], noise, rng)
-            assert np.max(np.abs(d - base)) <= 0.1
 
     def test_matches_finite_differences_at_smooth_points(self):
         # central differences on the built-in piecewise-linear objectives,
@@ -139,10 +129,13 @@ class TestSampleConstraintPair:
         sprob = as_stochastic(prob)
         rng = np.random.default_rng(0)
         x = np.array([0.5, 0.2])
-        x2 = np.array([0.4, 0.1])
-        c_x, c_x2, J = sample_constraint_pair(sprob, x, x2, rng)
-        assert np.array_equal(c_x, prob.constraint(x))
-        assert np.array_equal(c_x2, prob.constraint(x2))
+        tok_f = sprob.draw_objective_sample(rng)
+        tok_c = sprob.draw_constraint_sample(rng)
+        assert sprob.objective_sample(x, tok_f) == prob.objective(x)
+        d = sprob.objective_subgradient_sample(x, tok_f)
+        assert np.array_equal(d, prob.objective_subgradient(x))
+        assert np.array_equal(sprob.constraint_sample(x, tok_c), prob.constraint(x))
+        J = sprob.constraint_jacobian_sample(x, tok_c)
         assert np.array_equal(J, prob.constraint_jacobian(x))
 
     def test_affine_pair_differs_by_matrix_action(self):

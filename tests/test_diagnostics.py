@@ -13,13 +13,10 @@ from sslalm.diagnostics import (
     kkt_residual,
     lyapunov_adam,
     lyapunov_momentum,
-    merit_H,
-    merit_L,
-    penalty_g,
     u_adam,
     u_momentum,
 )
-from sslalm.geometry import Ball, Box, WholeSpace, sample_point
+from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.problems import make_affine_l1, make_exactness_1d
 
 
@@ -36,31 +33,36 @@ def line_problem():
     )
 
 
+def record_at(prob, x, lam=(0.0,), beta=1.0, rho=0.0):
+    """The metrics record at ``x``, where the penalty and merit values live."""
+    x = np.asarray(x, dtype=float)
+    return assemble_record(prob, 0, x, np.asarray(lam, dtype=float), prob.constraint(x),
+                           beta, rho, kkt_probe=None)
+
+
 class TestPenaltyAndMerit:
     def test_penalty_arithmetic(self):
-        assert penalty_g(line_problem(), [0.0], beta=2.0, rho=1.0) == pytest.approx(2.5)
+        assert record_at(line_problem(), [0.0], beta=2.0, rho=1.0).g_val == pytest.approx(2.5)
 
     def test_penalty_collapses_on_feasible_point(self):
         prob = line_problem()
-        assert penalty_g(prob, [1.0], beta=3.0, rho=2.0) == pytest.approx(1.0)
+        assert record_at(prob, [1.0], beta=3.0, rho=2.0).g_val == pytest.approx(1.0)
 
     def test_penalty_reduces_to_objective(self):
-        prob = line_problem()
-        assert penalty_g(prob, [-0.4], beta=0.0, rho=0.0) == pytest.approx(0.4)
+        # without the quadratic term and the multiplier, L is the objective
+        # and g adds only beta*||c||
+        r = record_at(line_problem(), [-0.4], beta=2.0, rho=0.0)
+        assert r.L_val == r.f_val == pytest.approx(0.4)
+        assert r.g_val == pytest.approx(0.4 + 2.0 * 1.4)
 
     def test_merits_coincide_at_zero_multiplier(self):
-        prob = line_problem()
-        x = [0.3]
-        L = merit_L(prob, x, [0.0], rho=1.5)
-        H = merit_H(prob, x, [0.0], rho=1.5, beta=2.0)
-        assert L == pytest.approx(H)
-        assert L == pytest.approx(0.3 + 0.75 * 0.49)
+        r = record_at(line_problem(), [0.3], [0.0], beta=2.0, rho=1.5)
+        assert r.L_val == pytest.approx(r.H_val)
+        assert r.L_val == pytest.approx(0.3 + 0.75 * 0.49)
 
     def test_merits_coincide_on_feasible_point(self):
-        prob = line_problem()
-        L = merit_L(prob, [1.0], [0.7], rho=1.5)
-        H = merit_H(prob, [1.0], [0.7], rho=1.5, beta=2.0)
-        assert L == H == pytest.approx(1.0)
+        r = record_at(line_problem(), [1.0], [0.7], beta=2.0, rho=1.5)
+        assert r.L_val == r.H_val == pytest.approx(1.0)
 
     def test_merit_identity_everywhere(self):
         prob = line_problem()
@@ -71,8 +73,11 @@ class TestPenaltyAndMerit:
             lam = rng.uniform(-3, 3, 1)
             rho = float(rng.uniform(0, 2))
             c = prob.constraint(x)
-            expected = merit_L(prob, x, lam, rho) - np.linalg.norm(c) * (lam @ lam) / (2 * beta)
-            assert merit_H(prob, x, lam, rho, beta) == pytest.approx(expected, abs=1e-12)
+            r = record_at(prob, x, lam, beta, rho)
+            L = abs(x[0]) + lam @ c + 0.5 * rho * (c @ c)
+            assert r.L_val == pytest.approx(L, abs=1e-12)
+            expected = L - np.linalg.norm(c) * (lam @ lam) / (2 * beta)
+            assert r.H_val == pytest.approx(expected, abs=1e-12)
 
     def test_dual_maximizer_by_grid_search(self):
         # at fixed infeasible x the concave-in-lambda merit peaks at beta*c/|c|
@@ -80,7 +85,7 @@ class TestPenaltyAndMerit:
         x = [0.2]  # c = -0.8
         beta = 2.0
         lams = np.linspace(-3 * beta, 3 * beta, 120001)
-        vals = [merit_H(prob, x, [l], rho=1.0, beta=beta) for l in lams]
+        vals = [record_at(prob, x, [l], beta, rho=1.0).H_val for l in lams]
         best = lams[int(np.argmax(vals))]
         assert best == pytest.approx(-beta, abs=1e-3)
 
@@ -190,7 +195,7 @@ class TestAuxAdam:
         fset = Ball(np.zeros(3), 1.0)
         rng = np.random.default_rng(4)
         for _ in range(20):
-            x = sample_point(fset, rng)
+            x = fset.sample(rng)
             y = rng.uniform(-2, 2, 3)
             v = rng.uniform(0, 2, 3)
             alpha, eps = 0.8, 0.6
@@ -208,7 +213,7 @@ class TestAuxAdam:
                 fset = Box(-np.ones(n), np.ones(n))
             else:
                 fset = Ball(rng.uniform(-0.3, 0.3, n), float(rng.uniform(0.5, 2.0)))
-            x = sample_point(fset, rng)
+            x = fset.sample(rng)
             y = rng.uniform(-2, 2, n)
             v = rng.uniform(0.0, 2.0, n)
             alpha = float(rng.uniform(0.3, 1.5))
@@ -252,9 +257,9 @@ class TestAuxAdam:
 class TestLyapunov:
     def test_reduces_to_objective_when_u_zero(self):
         fset = Box(np.array([-1.0]), np.array([1.0]))
-        h = lambda z: float(z[0] ** 2)
-        assert lyapunov_momentum(h, fset, [0.5], [0.0], tau=2.0, alpha=1.0) == pytest.approx(0.25)
-        assert lyapunov_adam(h, fset, [0.5], [0.0], [0.0], 2.0, 1.0, 0.5) == pytest.approx(0.25)
+        h_x = 0.5**2
+        assert lyapunov_momentum(h_x, fset, [0.5], [0.0], tau=2.0, alpha=1.0) == pytest.approx(0.25)
+        assert lyapunov_adam(h_x, fset, [0.5], [0.0], [0.0], 2.0, 1.0, 0.5) == pytest.approx(0.25)
 
     def test_dominates_objective(self):
         fset = Box(np.array([-1.0]), np.array([1.0]))
@@ -264,8 +269,8 @@ class TestLyapunov:
             x = rng.uniform(-1, 1, 1)
             y = rng.uniform(-3, 3, 1)
             v = rng.uniform(0, 2, 1)
-            assert lyapunov_momentum(h, fset, x, y, 0.7, 1.2) >= h(x) - 1e-12
-            assert lyapunov_adam(h, fset, x, y, v, 0.7, 1.2, 0.3) >= h(x) - 1e-12
+            assert lyapunov_momentum(h(x), fset, x, y, 0.7, 1.2) >= h(x) - 1e-12
+            assert lyapunov_adam(h(x), fset, x, y, v, 0.7, 1.2, 0.3) >= h(x) - 1e-12
 
 
 class TestEstimateRegularity:
@@ -325,7 +330,8 @@ def test_exact_penalty_threshold_demonstration():
         vals = -2.0 * grid + beta * np.abs(grid) + 0.5 * grid**2
         xmin = grid[int(np.argmin(vals))]
         assert xmin == pytest.approx(expected, abs=1e-4)
-        assert penalty_g(prob, [xmin], beta, 1.0) == pytest.approx(vals.min(), abs=1e-12)
+        g_val = record_at(prob, [xmin], beta=beta, rho=1.0).g_val
+        assert g_val == pytest.approx(vals.min(), abs=1e-12)
 
 
 class TestMetricsRecord:
@@ -336,8 +342,7 @@ class TestMetricsRecord:
             x = rng.uniform(-1, 1, 3)
             lam = rng.standard_normal(1)
             w = rng.standard_normal(1)
-            r = assemble_record(rec.instance, 0, x, lam, w, beta=2.0, rho=0.7,
-                                kkt_probe=1e-3, lyapunov=None)
+            r = assemble_record(rec.instance, 0, x, lam, w, beta=2.0, rho=0.7, kkt_probe=1e-3)
             assert r.g_val == r.f_val + 2.0 * r.feas + 0.5 * 0.7 * r.feas * r.feas
             assert r.H_val == pytest.approx(
                 r.L_val - r.feas * r.lambda_norm**2 / 4.0, abs=1e-12

@@ -9,11 +9,8 @@ from sslalm.geometry import (
     Box,
     NonnegativeOrthant,
     WholeSpace,
-    contains,
     normal_cone_distance,
-    project,
     prox_preconditioned,
-    sample_point,
 )
 
 
@@ -32,22 +29,22 @@ ALL_SETS = [
 
 class TestProject:
     def test_box_clamp(self):
-        assert project(unit_box(1), [1.5]) == pytest.approx([1.0])
+        assert unit_box(1).project(np.array([1.5])) == pytest.approx([1.0])
 
     def test_whole_space_identity(self):
         x = np.array([3.0, -7.0])
-        assert np.array_equal(project(WholeSpace(2), x), x)
+        assert np.array_equal(WholeSpace(2).project(x), x)
 
     def test_ball_radial_scaling(self):
-        z = project(Ball(np.zeros(2), 1.0), [3.0, 4.0])
+        z = Ball(np.zeros(2), 1.0).project(np.array([3.0, 4.0]))
         assert z == pytest.approx([0.6, 0.8])
 
     def test_orthant(self):
-        assert project(NonnegativeOrthant(2), [-1.0, 2.0]) == pytest.approx([0.0, 2.0])
+        assert NonnegativeOrthant(2).project(np.array([-1.0, 2.0])) == pytest.approx([0.0, 2.0])
 
     def test_product_blockwise(self):
         fset = BlockProduct((unit_box(2), NonnegativeOrthant(1)))
-        z = project(fset, [2.0, -2.0, -1.0])
+        z = fset.project(np.array([2.0, -2.0, -1.0]))
         assert z == pytest.approx([1.0, -1.0, 0.0])
 
     @pytest.mark.parametrize("fset", ALL_SETS)
@@ -55,8 +52,8 @@ class TestProject:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = 3.0 * rng.standard_normal(fset.dim)
-            once = project(fset, x)
-            twice = project(fset, once)
+            once = fset.project(x)
+            twice = fset.project(once)
             assert np.array_equal(once, twice)
 
     @pytest.mark.parametrize("fset", ALL_SETS)
@@ -65,7 +62,7 @@ class TestProject:
         for _ in range(1000):
             x = 3.0 * rng.standard_normal(fset.dim)
             y = 3.0 * rng.standard_normal(fset.dim)
-            lhs = np.linalg.norm(project(fset, x) - project(fset, y))
+            lhs = np.linalg.norm(fset.project(x) - fset.project(y))
             assert lhs <= np.linalg.norm(x - y) + 1e-12
 
     @pytest.mark.parametrize("fset", ALL_SETS)
@@ -73,15 +70,15 @@ class TestProject:
         rng = np.random.default_rng(2)
         for _ in range(200):
             x = 5.0 * rng.standard_normal(fset.dim)
-            assert contains(fset, project(fset, x))
+            assert fset.contains(fset.project(x))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
 def test_box_projection_idempotent_hypothesis(vals):
     fset = unit_box(2)
-    once = project(fset, vals)
-    assert np.array_equal(project(fset, once), once)
+    once = fset.project(np.array(vals))
+    assert np.array_equal(fset.project(once), once)
 
 
 class TestProxPreconditioned:
@@ -112,7 +109,7 @@ class TestProxPreconditioned:
         feasible = np.linalg.norm(candidates, axis=1) <= 1.0 + 1e-12
         best = objective(candidates[feasible]).min()
         assert objective(z[None, :])[0] == pytest.approx(best, abs=1e-6)
-        assert contains(fset, z)
+        assert fset.contains(z)
 
     def test_unit_weights_reduce_to_projection(self):
         rng = np.random.default_rng(3)
@@ -121,13 +118,13 @@ class TestProxPreconditioned:
                 x = rng.standard_normal(fset.dim)
                 y = rng.standard_normal(fset.dim)
                 lhs = prox_preconditioned(fset, x, y, np.ones(fset.dim))
-                rhs = project(fset, x - y)
+                rhs = fset.project(x - y)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     @pytest.mark.parametrize("fset", ALL_SETS)
     def test_optimality_against_sampled_points(self, fset):
         rng = np.random.default_rng(4)
-        x = sample_point(fset, rng)
+        x = fset.sample(rng)
         y = rng.standard_normal(fset.dim)
         v = rng.uniform(0.5, 3.0, fset.dim)
         z = prox_preconditioned(fset, x, y, v)
@@ -139,7 +136,7 @@ class TestProxPreconditioned:
         obj_z = objective(z)
         grad = y + v * (z - x)
         for _ in range(1000):
-            w = sample_point(fset, rng)
+            w = fset.sample(rng)
             assert obj_z <= objective(w) + 1e-9
             # variational inequality: -(y + v*(z-x)) lies in the normal cone
             assert float(grad @ (w - z)) >= -1e-8
@@ -185,7 +182,7 @@ def test_sample_points_are_feasible():
     rng = np.random.default_rng(5)
     for fset in ALL_SETS:
         for _ in range(200):
-            assert contains(fset, sample_point(fset, rng))
+            assert fset.contains(fset.sample(rng))
 
 
 def test_box_validation():
@@ -200,12 +197,12 @@ def test_nested_block_product():
     outer = BlockProduct((inner, Ball(np.zeros(2), 1.0)))
     assert outer.dim == 4
     x = np.array([2.0, -3.0, 3.0, 4.0])
-    z = project(outer, x)
+    z = outer.project(x)
     assert z == pytest.approx([1.0, 0.0, 0.6, 0.8])
-    assert contains(outer, z)
+    assert outer.contains(z)
     rng = np.random.default_rng(0)
     for _ in range(100):
-        assert contains(outer, sample_point(outer, rng))
+        assert outer.contains(outer.sample(rng))
 
 
 def test_ball_prox_interior_shortcut():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslalm.core import NoiseModel, ProblemInstance, as_stochastic
-from sslalm.geometry import Ball, Box, WholeSpace, project
+from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import (
     LagrangianState,
     SolverConfig,
@@ -16,7 +16,6 @@ from sslalm.lagrangian import (
     regu,
     run,
     track_correction,
-    track_exact,
 )
 from sslalm.methods import EmbeddedMethodState, MethodConfig
 from sslalm.problems import make_affine_l1, make_stochastic_affine
@@ -133,9 +132,16 @@ class TestDualStepIalm:
 
 class TestTrackers:
     def test_exact_matches_constraint_bitwise(self):
-        prob = scalar_problem()
-        x = np.array([0.37])
-        assert np.array_equal(track_exact(prob, x), prob.constraint(x))
+        # the exact tracker holds c(x) of the new iterate, bit for bit
+        prob = scalar_problem(subgrad=lambda x: np.sin(3.0 * x) + 0.1)
+        cfg = SolverConfig(rho=0.3, noise=NoiseModel("uniform_box", 0.1), max_iters=10)
+        rng = np.random.default_rng(0)
+        state = init_state(prob, cfg, x0=[0.37])
+        for _ in range(10):
+            x_prev = state.x
+            state, _ = iterate(prob, state, cfg, rng)
+            assert not np.array_equal(state.x, x_prev)
+            assert np.array_equal(state.w, prob.constraint(state.x))
 
     def test_correction_hand_value(self):
         w = track_correction(np.array([1.0]), np.array([0.8]), np.array([0.9]), 1.0, 0.1)
@@ -271,11 +277,11 @@ class TestRun:
         rng = np.random.default_rng(9)
         fset = prob.feasible_set
         J = prob.constraint_jacobian(rec.start)
-        x = project(fset, rec.start)
+        x = fset.project(rec.start)
         for k in range(200):
             d = prob.objective_subgradient(x)
             ell = d + J @ np.zeros(2) + noise.draw(rng, 4)
-            x = project(fset, x - cfg.eta(k) * ell)
+            x = fset.project(x - cfg.eta(k) * ell)
         assert np.array_equal(res.state.x, x)
         assert np.array_equal(res.state.lam, np.zeros(2))
 

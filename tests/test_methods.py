@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sslalm.geometry import Ball, Box, WholeSpace, contains
+from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.methods import (
     EmbeddedMethodState,
     MethodConfig,
@@ -158,7 +158,7 @@ def test_feasibility_and_displacement_contract(kind, set_name):
         if kind == "prox_adam":
             eta = min(eta, 1.0 / cfg.tau2)
         nxt = method_step(fset, state, g, eta, cfg)
-        assert contains(fset, nxt.x)
+        assert fset.contains(nxt.x)
         bound = method_displacement_bound(cfg, fset, g, state.x, state.y)
         assert state_distance(nxt, state) <= eta * bound + 1e-9
 

@@ -4,7 +4,6 @@ from scipy.optimize import linprog
 
 from sslalm.core import eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
-from sslalm.geometry import contains
 from sslalm.problems import (
     l1_affine_oracle,
     make_affine_l1,
@@ -73,7 +72,7 @@ class TestAffineL1Recipe:
         for seed in range(8):
             rec = make_affine_l1(n=5, p=2, seed=seed)
             sol = rec.oracle_solution
-            assert contains(rec.instance.feasible_set, sol.x)
+            assert rec.instance.feasible_set.contains(sol.x)
             assert np.linalg.norm(eval_constraints(rec.instance, sol.x)) <= 1e-9
             assert eval_objective(rec.instance, sol.x) == pytest.approx(sol.f, abs=1e-9)
 
@@ -90,7 +89,7 @@ class TestAffineL1Recipe:
 
     def test_start_is_feasible_for_the_set(self):
         rec = make_affine_l1(n=4, p=1, seed=2)
-        assert contains(rec.instance.feasible_set, rec.start)
+        assert rec.instance.feasible_set.contains(rec.start)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
