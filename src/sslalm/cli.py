@@ -100,10 +100,17 @@ def _schema(cls):
     return keys, required, {f.name: types[f.name] for f in fields(cls)}
 
 
-def _coerce(hint, value):
+def _coerce(name: str, hint, value):
     if hint == float | None:
         return None if value is None else float(value)
-    return hint(value) if hint in (int, float, str) else value
+    if hint not in (int, float, str):
+        return value
+    if value is None:
+        raise ValueError(f"{name} must not be null")
+    # int() would truncate 2.5 to 2; integral floats such as 5.0 are fine
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return hint(value)
 
 
 def _from_table(cls, table, path: str):
@@ -130,7 +137,7 @@ def _from_table(cls, table, path: str):
                     sub_path = f"{path}.{name}" if path else name
                     kwargs[name] = _from_table(hints[name], value, sub_path)
             else:
-                kwargs[name] = _coerce(hints[name], value) if coerce else value
+                kwargs[name] = _coerce(name, hints[name], value) if coerce else value
         return cls(**kwargs)
     except ConfigError:
         raise
@@ -328,12 +335,15 @@ def cmd_sweep(cfg: RunConfig, parameter: str, values: list, out=None, quiet=Fals
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     aborted = False
+    # values of a solver or run parameter share one problem
+    sweeps_problem = parameter == "problem" or parameter.startswith("problem.")
+    recipe = None if sweeps_problem else build_recipe(cfg)
     for value in values:
         raw = copy.deepcopy(serialize_config(cfg))
         _set_dotted(raw, parameter, value)
         cfg_v = config_from_dict(raw)
-        recipe = build_recipe(cfg_v)
-        result = run_repetition(cfg_v, recipe, 0, base_seed=seed)
+        recipe_v = build_recipe(cfg_v) if sweeps_problem else recipe
+        result = run_repetition(cfg_v, recipe_v, 0, base_seed=seed)
         aborted = aborted or result.aborted
         initial_feas = result.records[0].feas
         final = result.final

@@ -7,6 +7,7 @@ that runs are reproducible from a single seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -21,8 +22,9 @@ class OracleError(RuntimeError):
     """An oracle returned a non-finite or mis-shaped value."""
 
 
-def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
-    """Validate and return ``x`` as a finite float64 vector."""
+def as_vector(x, dim: int | None = None, name: str = "x", finite: bool = True) -> Array:
+    """Validate and return ``x`` as a float64 vector, finite unless ``finite``
+    is False (then only the shape is checked)."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -30,9 +32,21 @@ def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
         raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} has dimension {v.size}, expected {dim}")
-    if not np.isfinite(v).all():
+    if finite and not np.isfinite(v).all():
         raise OracleError(f"{name} contains non-finite entries")
     return v
+
+
+def _norm(v: Array) -> float:
+    """Euclidean norm of a 1-d float64 vector, bitwise equal to
+    ``float(np.linalg.norm(v))``, which computes ``sqrt(v.dot(v))`` itself."""
+    return math.sqrt(v.dot(v))
+
+
+def _all_finite(v: Array) -> bool:
+    """``np.isfinite(v).all()``: a finite sum of squares has only finite terms,
+    so one dot product settles the common case; an overflow falls back."""
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,9 @@ class NoiseModel:
         if self.bound < 0:
             raise ValueError("noise bound must be >= 0")
 
-    def draw(self, rng: np.random.Generator, n: int) -> Array:
+    def draw(self, rng: np.random.Generator, n) -> Array:
+        """A draw of shape ``n`` (an int or a shape tuple). numpy fills a
+        ``(K, n)`` draw from the same stream as K successive draws of size n."""
         if self.kind == "none" or self.bound == 0.0:
             return np.zeros(n)
         if self.kind == "uniform_box":

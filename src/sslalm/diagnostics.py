@@ -10,7 +10,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, as_vector, eval_constraint_jacobian, eval_constraints, eval_objective
+from .core import (
+    ProblemInstance,
+    _norm,
+    as_vector,
+    eval_constraint_jacobian,
+    eval_constraints,
+    eval_objective,
+)
 from .geometry import FeasibleSet, normal_cone_distance, prox_preconditioned
 
 
@@ -159,15 +166,18 @@ def assemble_record(
     beta: float,
     rho: float,
     kkt_probe: float | None,
+    c: np.ndarray | None = None,
 ) -> MetricsRecord:
     """Build one metrics record, the one place where the penalty ``g``, the
     merits ``L`` and ``H`` are computed; ``g_val`` uses the same floats as
     ``f_val`` and ``feas`` so the penalty identity holds bitwise on re-parse.
+    ``c`` is the constraint value ``c(x)`` when the caller already holds it.
     The Lyapunov value is left unset; momentum and ADAM runs fill it in from
     ``g_val``."""
     f_val = eval_objective(prob, x)
-    c = eval_constraints(prob, x)
-    feas = float(np.linalg.norm(c))
+    if c is None:
+        c = eval_constraints(prob, x)
+    feas = _norm(c)
     g_val = f_val + beta * feas + _quad(rho, feas)
     L_val = f_val + float(lam @ c) + _quad(rho, feas)
     H_val = L_val - feas * float(lam @ lam) / (2.0 * beta)
@@ -179,7 +189,7 @@ def assemble_record(
         g_val=g_val,
         L_val=L_val,
         H_val=H_val,
-        lambda_norm=float(np.linalg.norm(lam)),
+        lambda_norm=_norm(lam),
         kkt_residual=kkt,
-        tracker_err=float(np.linalg.norm(w - c)),
+        tracker_err=_norm(w - c),
     )

@@ -18,6 +18,8 @@ import numpy as np
 from .core import (
     NoiseModel,
     StochasticProblemInstance,
+    _all_finite,
+    _norm,
     as_vector,
     eval_constraints,
 )
@@ -35,6 +37,9 @@ from .methods import (
 )
 
 REGU_ZERO_TOL = 1e-14
+
+# run() draws the noise of deterministic problems this many rows at a time
+NOISE_CHUNK = 256
 
 TRACKER_KINDS = ("exact", "correction")
 DUAL_KINDS = ("regu", "ialm")
@@ -57,6 +62,8 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.c < 0:
             raise ValueError("schedule scale must be nonnegative")
+        if isinstance(self.epoch_len, float) and not self.epoch_len.is_integer():
+            raise ValueError("epoch_len must be an integer")
         if self.epoch_len < 1:
             raise ValueError("epoch_len must be >= 1")
         if self.kind == "power" and not (0.5 < self.exponent <= 1.0):
@@ -164,7 +171,7 @@ class RunResult:
 def regu(y, zero_tol: float = REGU_ZERO_TOL) -> np.ndarray:
     """Normalize to the unit sphere; vectors with norm <= zero_tol map to 0."""
     y = np.asarray(y, dtype=np.float64)
-    nrm = float(np.linalg.norm(y))
+    nrm = _norm(y)
     if nrm <= zero_tol:
         return np.zeros_like(y)
     return y / nrm
@@ -191,7 +198,7 @@ def dual_step_ialm(
         raise ValueError("ialm dual requires beta_tilde > 0 and sigma > 1")
     lam = np.asarray(lam, dtype=np.float64)
     c_next = np.asarray(c_next, dtype=np.float64)
-    nrm = float(np.linalg.norm(c_next))
+    nrm = _norm(c_next)
     if nrm <= REGU_ZERO_TOL:
         return lam.copy()
     if k * math.log(sigma) > 700.0:
@@ -227,6 +234,8 @@ class _Driver:
         self.max_contraction_slack = float("nan") if config.dual == "ialm" else -math.inf
         self.max_dual_excess = float("nan") if config.dual == "ialm" else -math.inf
         self._burned_in = False
+        # the last regu multiplier and its norm, reused as the next step's ||lam||
+        self._lam_norm = (None, 0.0)
 
     def initial_state(self, x0, rng) -> LagrangianState:
         if x0 is None:
@@ -241,7 +250,14 @@ class _Driver:
             w0 = eval_constraints(self.mean, x0)
         return LagrangianState(method_state=ms, lam=lam0, w=w0, k=0)
 
-    def step(self, state: LagrangianState, rng, check_displacement: bool = False):
+    def constraint(self, x) -> np.ndarray:
+        """``c(x)`` at a finite iterate the driver made: the oracle's output is
+        shape-checked here and checked for finiteness with the new state."""
+        return as_vector(self.mean.constraint(x), self.p, "constraint value", finite=False)
+
+    def step(self, state: LagrangianState, rng, check_displacement: bool = False, noise=None):
+        """One iteration; ``noise`` is this step's pre-drawn noise row, drawn
+        from ``rng`` here when it is None."""
         cfg = self.config
         k = state.k
         eta = cfg.eta(k)
@@ -259,7 +275,7 @@ class _Driver:
 
         direction = d + J @ (lam + cfg.rho * w)
         if self.use_noise:
-            direction = direction + cfg.noise.draw(rng, self.n)
+            direction = direction + (cfg.noise.draw(rng, self.n) if noise is None else noise)
         if not np.isfinite(direction).all():
             return state, "non-finite primal direction"
 
@@ -272,23 +288,31 @@ class _Driver:
             if moved > eta * bound + 1e-9:
                 return state, "displacement bound violated"
         x_next = ms_next.x
+        # each part of the new state is checked for finiteness once, before
+        # anything is computed from it
+        if not _all_finite(x_next):
+            return state, "non-finite state"
 
         if cfg.tracker == "exact":
-            w_next = eval_constraints(self.mean, x_next)
+            w_next = self.constraint(x_next)
         else:
             if self.stochastic:
                 c_x = np.asarray(self.prob.constraint_sample(x, tok_c), dtype=np.float64)
                 c_xn = np.asarray(self.prob.constraint_sample(x_next, tok_c), dtype=np.float64)
             else:
-                c_x = eval_constraints(self.mean, x)
-                c_xn = eval_constraints(self.mean, x_next)
+                c_x = self.constraint(x)
+                c_xn = self.constraint(x_next)
             w_next = track_correction(w, c_x, c_xn, cfg.tau_tilde, eta)
+        if not _all_finite(w_next):
+            return state, "non-finite state"
 
         if cfg.dual == "regu":
             theta = cfg.theta(k)
             lam_next = dual_step_regu(lam, w_next, theta, cfg.beta)
-            pre = float(np.linalg.norm(lam))
-            post = float(np.linalg.norm(lam_next))
+            last_lam, last_norm = self._lam_norm
+            pre = last_norm if last_lam is lam else _norm(lam)
+            post = _norm(lam_next)
+            self._lam_norm = (lam_next, post)
             slack = (post - cfg.beta) - (1.0 - theta / cfg.beta) * (pre - cfg.beta)
             if slack > self.max_contraction_slack:
                 self.max_contraction_slack = slack
@@ -296,20 +320,16 @@ class _Driver:
                 self._burned_in = True
             if self._burned_in and post - cfg.beta > self.max_dual_excess:
                 self.max_dual_excess = post - cfg.beta
+            # a finite norm has only finite entries under it
+            lam_finite = math.isfinite(post) or bool(np.isfinite(lam_next).all())
+        elif (k + 1) % cfg.inner_steps == 0:
+            n_dual = (k + 1) // cfg.inner_steps - 1
+            lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma, n_dual)
+            lam_finite = _all_finite(lam_next)
         else:
-            if (k + 1) % cfg.inner_steps == 0:
-                n_dual = (k + 1) // cfg.inner_steps - 1
-                lam_next = dual_step_ialm(
-                    lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma, n_dual
-                )
-            else:
-                lam_next = lam
-
-        if not (
-            np.isfinite(x_next).all()
-            and np.isfinite(w_next).all()
-            and np.isfinite(lam_next).all()
-        ):
+            lam_next = lam
+            lam_finite = True
+        if not lam_finite:
             return state, "non-finite state"
 
         return (
@@ -320,8 +340,10 @@ class _Driver:
     def metrics(self, state: LagrangianState, kkt_probe: float | None) -> MetricsRecord:
         cfg = self.config
         ms = state.method_state
+        # the exact tracker holds c(x) itself, bit for bit
+        c = state.w if cfg.tracker == "exact" else None
         rec = assemble_record(
-            self.mean, state.k, ms.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe
+            self.mean, state.k, ms.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe, c=c
         )
         # the Lyapunov value reuses the record's penalty value g(x)
         mc = cfg.method
@@ -370,6 +392,10 @@ def run(
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
     and at the final iterate. On a non-finite state the run stops and the
     partial trajectory is returned with ``aborted=True``.
+
+    On deterministic problems nothing but the noise draws from the generator,
+    so the noise is drawn ``NOISE_CHUNK`` rows at a time; the values are those
+    of one draw per step, as in ``iterate``.
     """
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
@@ -380,8 +406,16 @@ def run(
     records = [driver.metrics(state, kkt_probe)]
     aborted = False
     reason = None
+    chunked = driver.use_noise and not driver.stochastic
+    noise = None
     for k in range(config.max_iters):
-        state_next, err = driver.step(state, rng, check_displacement)
+        if chunked:
+            row = k % NOISE_CHUNK
+            if row == 0:
+                rows = min(NOISE_CHUNK, config.max_iters - k)
+                block = config.noise.draw(rng, (rows, driver.n))
+            noise = block[row]
+        state_next, err = driver.step(state, rng, check_displacement, noise)
         if err is not None:
             aborted = True
             reason = err

@@ -63,10 +63,6 @@ def split_adam_state(y: np.ndarray):
     return y[:n], y[n:]
 
 
-def pack_adam_state(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.concatenate([m, v])
-
-
 def step_prox_sgd(fset: FeasibleSet, g, x, eta: float) -> np.ndarray:
     if eta <= 0:
         raise ValueError("stepsize must be positive")
@@ -85,18 +81,20 @@ def step_prox_sgdm(fset: FeasibleSet, g, x, y, eta: float, cfg: MethodConfig):
     return x_next, y_next
 
 
-def step_prox_adam(fset: FeasibleSet, g, x, y, v, eta: float, cfg: MethodConfig):
+def step_prox_adam(fset: FeasibleSet, g, x, y, v, eta: float, cfg: MethodConfig, out=None):
     """First/second moment updates, then a weighted prox step.
 
-    ``eta * tau2 <= 1`` keeps the second moment nonnegative.
+    ``eta * tau2 <= 1`` keeps the second moment nonnegative. The new moments
+    are written into the two halves of ``out`` when it is given.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("ADAM stepsize must satisfy 0 < eta <= 1")
     if eta * cfg.tau2 > 1.0:
         raise ValueError("ADAM requires eta * tau2 <= 1 to keep v >= 0")
     g = np.asarray(g)
-    y_next = y - cfg.tau1 * eta * (y - g)
-    v_next = v - cfg.tau2 * eta * (v - g * g)
+    y_out, v_out = (None, None) if out is None else split_adam_state(out)
+    y_next = np.subtract(y, cfg.tau1 * eta * (y - g), out=y_out)
+    v_next = np.subtract(v, cfg.tau2 * eta * (v - g * g), out=v_out)
     weights = np.sqrt(v_next + cfg.eps) / cfg.alpha
     z = fset.prox_weighted(x, y_next, weights)
     x_next = (1.0 - eta) * x + eta * z
@@ -113,8 +111,9 @@ def method_step(
         x_next, y_next = step_prox_sgdm(fset, g, state.x, state.y, eta, cfg)
         return EmbeddedMethodState(x=x_next, y=y_next)
     m, v = split_adam_state(state.y)
-    x_next, m_next, v_next = step_prox_adam(fset, g, state.x, m, v, eta, cfg)
-    return EmbeddedMethodState(x=x_next, y=pack_adam_state(m_next, v_next))
+    y_next = np.empty_like(state.y)
+    x_next, _, _ = step_prox_adam(fset, g, state.x, m, v, eta, cfg, out=y_next)
+    return EmbeddedMethodState(x=x_next, y=y_next)
 
 
 def method_displacement_bound(

@@ -318,12 +318,24 @@ def make_slack_l1_net(
             J[n_w + i, i] = 1.0
         return J
 
+    # a record asks for the full-batch loss and its gradient at one x; a
+    # one-entry cache keyed on the bytes of x computes both in one pass
+    full_batch = {}
+
+    def full_batch_loss_and_grad(x):
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
+        if full_batch.get("key") != key:
+            full_batch["value"] = loss_and_grad(x, train_x, train_t)
+            full_batch["key"] = key
+        return full_batch["value"]
+
     fset = BlockProduct((Box(np.full(n_w, -1.0), np.full(n_w, 1.0)), NonnegativeOrthant(L)))
     mean = ProblemInstance(
         dim_primal=n,
         dim_constraint=L,
-        objective=lambda x: loss_and_grad(x, train_x, train_t)[0],
-        objective_subgradient=lambda x: loss_and_grad(x, train_x, train_t)[1],
+        objective=lambda x: full_batch_loss_and_grad(x)[0],
+        objective_subgradient=lambda x: full_batch_loss_and_grad(x)[1].copy(),
         constraint=constraint,
         constraint_jacobian=jacobian,
         feasible_set=fset,

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sslalm import cli
 from sslalm.cli import (
     ConfigError,
     cmd_compare,
@@ -17,7 +19,7 @@ from sslalm.cli import (
 from sslalm.core import ProblemInstance
 from sslalm.diagnostics import MetricsRecord
 from sslalm.geometry import WholeSpace
-from sslalm.problems import RECIPES, ProblemRecipe
+from sslalm.problems import RECIPES, ProblemRecipe, make_recipe
 
 
 def write_config(path: Path, table: dict) -> Path:
@@ -323,6 +325,23 @@ class TestCmdSweep:
         lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("parameter, values, builds", [
+        ("solver.rho", [0.0, 0.5, 1.0], 1),
+        ("problem.seed", [0, 1, 2], 3),
+    ])
+    def test_problem_built_once_unless_swept(self, tmp_path, monkeypatch, parameter, values, builds):
+        calls = []
+
+        def counting(kind, **params):
+            calls.append(params)
+            return make_recipe(kind, **params)
+
+        monkeypatch.setattr(cli, "make_recipe", counting)
+        cfg = parse_config(minimal_config(tmp_path))
+        assert cmd_sweep(cfg, parameter, values, out=str(tmp_path / "s"), quiet=True) == 0
+        assert len(calls) == builds
+        assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == len(values) + 1
+
     def test_admissible_selection_rule(self, tmp_path):
         cfg = self._net_config(tmp_path)
         cmd_sweep(cfg, "solver.rho", [1e-2, 1e-5], out=str(tmp_path / "sel"), quiet=True)
@@ -365,6 +384,14 @@ class TestMainEntry:
             {"kkt_probe": 0},
             {"repetitions": [1]},
             {"solver": {"method": {"kind": "prox_sgd"}, "rho": [1]}},
+            {"output_path": None},
+            {"record_every": 2.5},
+            {"repetitions": 1.5},
+            {"solver": {"method": {"kind": "prox_sgd"}, "max_iters": 5.7}},
+            {"solver": {"method": {"kind": "prox_sgd"}, "seed": 2.9}},
+            {"solver": {"method": {"kind": "prox_sgd"}, "dual": {"kind": "ialm", "inner_steps": 2.5}}},
+            {"solver": {"method": {"kind": "prox_sgd"},
+                        "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 2.5}}},
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
@@ -372,6 +399,40 @@ class TestMainEntry:
         path = minimal_config(tmp_path, **overrides)
         assert main(["run", "--config", str(path), "--quiet"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_integral_floats_accepted(self, tmp_path):
+        path = minimal_config(
+            tmp_path, record_every=2.0, repetitions=1.0,
+            solver={"method": {"kind": "prox_sgd"}, "max_iters": 5.0, "seed": 3.0},
+        )
+        cfg = parse_config(path)
+        assert (cfg.record_every, cfg.repetitions) == (2, 1)
+        assert (cfg.solver.max_iters, cfg.solver.seed) == (5, 3)
+        assert isinstance(cfg.solver.max_iters, int)
+
+    def test_nonfinite_constraint_aborts_with_outputs(self, tmp_path, monkeypatch):
+        # a constraint oracle that turns non-finite mid-run ends the run with
+        # exit code 1, and the records taken so far are still written
+        def broken_recipe(kind, **params):
+            recipe = make_recipe(kind, **params)
+            inst = recipe.instance
+            calls = [0]
+
+            def constraint(x):
+                calls[0] += 1
+                return inst.constraint(x) if calls[0] <= 20 else np.full(inst.dim_constraint, np.inf)
+
+            return replace(recipe, instance=replace(inst, constraint=constraint))
+
+        monkeypatch.setattr(cli, "make_recipe", broken_recipe)
+        path = minimal_config(tmp_path, record_every=5)
+        assert main(["run", "--config", str(path), "--quiet"]) == 1
+        out = tmp_path / "out"
+        records = (out / "metrics_rep000.jsonl").read_text().splitlines()
+        assert [MetricsRecord.from_json_line(r).k for r in records] == [0, 5, 10, 15]
+        summary = (out / "summary.csv").read_text().splitlines()
+        header = summary[0].split(",")
+        assert summary[1].split(",")[header.index("aborted")] == "1"
 
     def test_run_and_sweep_through_main(self, tmp_path):
         path = minimal_config(tmp_path)

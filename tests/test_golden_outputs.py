@@ -54,6 +54,9 @@ def _cases():
     for path in sorted((ROOT / "configs").glob("*.json")):
         for method in METHODS:
             cases[f"run/{path.stem}/{method}"] = ("run", [_capped(_load(path.name), method)], [])
+    gaussian = _capped(_load("affine_l1_sgd.json"))
+    gaussian["solver"]["noise"]["kind"] = "truncated_gaussian"
+    cases["run/affine_l1_sgd/truncated_gaussian"] = ("run", [gaussian], [])
     net = []
     for method in ("prox_sgdm", "prox_adam"):
         for dual in ("regu", "ialm"):

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslalm.core import NoiseModel, ProblemInstance, as_stochastic
+from sslalm.core import NoiseModel, ProblemInstance, _all_finite, _norm, as_stochastic
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import (
+    NOISE_CHUNK,
     LagrangianState,
     SolverConfig,
     StepSchedule,
@@ -62,6 +65,13 @@ class TestStepSchedule:
     def test_max_value(self):
         assert StepSchedule("inv_sqrt_epoch", 0.7).max_value == 0.7
 
+    def test_fractional_epoch_len_rejected(self):
+        with pytest.raises(ValueError, match="epoch_len must be an integer"):
+            StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=2.5)
+        # an integral float keeps whole epochs
+        s = StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=2.0)
+        assert s(3) == StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=2)(3)
+
 
 class TestRegu:
     def test_zero_maps_to_zero(self):
@@ -78,6 +88,28 @@ class TestRegu:
     def test_output_norm_is_zero_or_one(self, vals):
         nrm = np.linalg.norm(regu(np.array(vals)))
         assert nrm == 0.0 or nrm == pytest.approx(1.0, abs=1e-12)
+
+
+class TestVectorHelpers:
+    vectors = st.lists(
+        st.floats(allow_nan=True, allow_infinity=True), min_size=0, max_size=40
+    )
+
+    @settings(max_examples=500, deadline=None)
+    @given(vectors)
+    def test_norm_matches_numpy_bitwise(self, vals):
+        v = np.array(vals, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            expected = float(np.linalg.norm(v))
+            got = _norm(v)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(vectors)
+    def test_all_finite_matches_isfinite(self, vals):
+        v = np.array(vals, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            assert _all_finite(v) == bool(np.isfinite(v).all())
 
 
 class TestDualStepRegu:
@@ -332,6 +364,50 @@ class TestRun:
         assert all(np.isfinite(r.feas) for r in res.records[:-1])
         assert not np.isfinite(res.records[-1].feas)
 
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    def test_nonfinite_constraint_aborts_keeping_trajectory(self, tracker):
+        # the constraint oracle turns non-finite after 20 calls: the run stops
+        # on the last finite state instead of raising
+        prob = counting_constraint_problem(lambda x, calls: x.copy() if calls <= 20 else np.array([np.inf]))
+        cfg = SolverConfig(
+            method=MethodConfig(kind="prox_sgd"), rho=0.5, eta=ETA_01,
+            tracker=tracker, max_iters=100,
+        )
+        with np.errstate(invalid="ignore"):  # the tracker sees inf - inf
+            res = run(prob, cfg, x0=np.array([0.5]), record_every=1000 if tracker == "correction" else 5)
+        assert res.aborted
+        assert res.abort_reason == "non-finite state"
+        assert 0 < res.state.k < 100
+        assert len(res.records) >= 1
+        assert np.isfinite(res.state.w).all() and np.isfinite(res.state.lam).all()
+
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    def test_misshapen_constraint_still_raises(self, tracker):
+        prob = counting_constraint_problem(lambda x, calls: x.copy() if calls <= 20 else np.zeros(2))
+        cfg = SolverConfig(
+            method=MethodConfig(kind="prox_sgd"), eta=ETA_01, tracker=tracker, max_iters=100,
+        )
+        with pytest.raises(ValueError, match="constraint value has dimension 2"):
+            run(prob, cfg, x0=np.array([0.5]), record_every=1000)
+
+    def test_overflowing_ialm_multiplier_leaves_regu_bookkeeping_unset(self):
+        # huge ialm steps overflow lam on the second dual update (c(x) = x
+        # keeps its sign on [0.5, 1]); the run aborts on that step and the
+        # regu-only statistics stay undefined
+        prob = scalar_problem(fset=Box(np.array([0.5]), np.array([1.0])))
+        cfg = SolverConfig(
+            method=MethodConfig(kind="prox_sgd"), eta=ETA_01,
+            dual="ialm", theta_tilde=1e308, beta_tilde=1e308, sigma=2.0, max_iters=10,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = run(prob, cfg, x0=np.array([0.5]), record_every=1000, kkt_probe=None)
+        assert res.aborted
+        assert res.abort_reason == "non-finite state"
+        assert res.state.k == 1
+        assert np.isfinite(res.state.lam).all() and abs(res.state.lam[0]) > 1e307
+        assert np.isnan(res.max_contraction_slack)
+        assert np.isnan(res.max_dual_excess)
+
     def test_displacement_check_passes_on_clean_run(self):
         rec = make_affine_l1(n=3, p=1, seed=3)
         cfg = SolverConfig(
@@ -344,6 +420,77 @@ class TestRun:
         )
         res = run(rec.instance, cfg, x0=rec.start, check_displacement=True)
         assert not res.aborted
+
+
+def counting_constraint_problem(constraint):
+    """1-d instance on [-1, 1] whose constraint oracle ``constraint(x, calls)``
+    also sees how many times it has been called."""
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return constraint(x, calls[0])
+
+    return ProblemInstance(
+        dim_primal=1,
+        dim_constraint=1,
+        objective=lambda x: float(x[0]),
+        objective_subgradient=lambda x: np.ones(1),
+        constraint=counted,
+        constraint_jacobian=lambda x: np.array([[1.0]]),
+        feasible_set=Box(np.array([-1.0]), np.array([1.0])),
+    )
+
+
+def iterate_loop(prob, cfg, x0, record_every):
+    """The iterates of ``run`` rebuilt from ``init_state`` and ``iterate`` on
+    one generator that draws the noise step by step."""
+    rng = np.random.default_rng(cfg.seed)
+    state = init_state(prob, cfg, x0=x0, rng=rng)
+    records = []
+    for k in range(cfg.max_iters):
+        state, rec = iterate(prob, state, cfg, rng)
+        if (k + 1) % record_every == 0 or k + 1 == cfg.max_iters:
+            records.append(rec)
+    return state, records
+
+
+class TestRunEqualsIterate:
+    # more than two noise chunks, the last one partial
+    ITERS = 2 * NOISE_CHUNK + 77
+
+    @pytest.mark.parametrize(
+        "recipe, method, noise_kind, tracker",
+        [
+            ("affine_l1", "prox_sgd", "uniform_box", "exact"),
+            ("affine_l1", "prox_sgd", "truncated_gaussian", "exact"),
+            ("affine_l1", "prox_adam", "uniform_box", "exact"),
+            ("affine_l1", "prox_adam", "truncated_gaussian", "correction"),
+            ("stochastic_affine", "prox_sgd", "uniform_box", "correction"),
+            ("stochastic_affine", "prox_adam", "truncated_gaussian", "correction"),
+        ],
+    )
+    def test_bitwise(self, recipe, method, noise_kind, tracker):
+        make = make_affine_l1 if recipe == "affine_l1" else make_stochastic_affine
+        rec = make(n=6, p=2, seed=4)
+        cfg = SolverConfig(
+            method=MethodConfig(kind=method, alpha=0.2),
+            rho=1.0, beta=3.0,
+            theta=StepSchedule("constant", 0.5),
+            eta=StepSchedule("inv_sqrt_epoch", 0.5),
+            tracker=tracker,
+            noise=NoiseModel(noise_kind, 0.1),
+            max_iters=self.ITERS, seed=13,
+        )
+        res = run(rec.instance, cfg, x0=rec.start, record_every=7)
+        state, records = iterate_loop(rec.instance, cfg, rec.start, record_every=7)
+        assert not res.aborted
+        assert res.state.k == state.k == self.ITERS
+        for a, b in [(res.state.x, state.x), (res.state.lam, state.lam), (res.state.w, state.w)]:
+            assert a.tobytes() == b.tobytes()
+        assert [r.to_json_line() for r in res.records[1:]] == [r.to_json_line() for r in records]
+        zero = run(rec.instance, replace(cfg, max_iters=0), x0=rec.start)
+        assert res.records[0] == zero.records[0]
 
 
 class TestExpectationConstrained:

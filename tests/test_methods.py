@@ -8,7 +8,6 @@ from sslalm.methods import (
     init_method_state,
     method_displacement_bound,
     method_step,
-    pack_adam_state,
     split_adam_state,
     state_distance,
     step_prox_adam,
@@ -137,7 +136,7 @@ def random_state(cfg, fset, rng):
     y = rng.standard_normal(cfg.aux_dim(fset.dim)) if cfg.aux_dim(fset.dim) else np.zeros(0)
     if cfg.kind == "prox_adam":
         m, v = split_adam_state(y)
-        y = pack_adam_state(m, np.abs(v))
+        y = np.concatenate([m, np.abs(v)])
     return EmbeddedMethodState(x=x, y=y)
 
 
