@@ -4,6 +4,7 @@ suite for penalty values, stationarity residuals, and tracker errors."""
 
 from .core import (
     NoiseModel,
+    NonFiniteError,
     OracleError,
     ProblemInstance,
     StochasticProblemInstance,

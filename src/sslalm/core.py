@@ -22,6 +22,10 @@ class OracleError(RuntimeError):
     """An oracle returned a non-finite or mis-shaped value."""
 
 
+class NonFiniteError(OracleError):
+    """An oracle output or an input vector holds a non-finite value."""
+
+
 def as_vector(x, dim: int | None = None, name: str = "x", finite: bool = True) -> Array:
     """Validate and return ``x`` as a float64 vector, finite unless ``finite``
     is False (then only the shape is checked)."""
@@ -32,8 +36,8 @@ def as_vector(x, dim: int | None = None, name: str = "x", finite: bool = True) -
         raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} has dimension {v.size}, expected {dim}")
-    if finite and not np.isfinite(v).all():
-        raise OracleError(f"{name} contains non-finite entries")
+    if finite and not _all_finite(v):
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return v
 
 
@@ -141,33 +145,46 @@ class StochasticProblemInstance:
         return self.mean.feasible_set
 
 
-def eval_objective(prob: ProblemInstance, x) -> float:
-    """Objective value at ``x``; raises on dimension mismatch or non-finite output."""
-    x = as_vector(x, prob.dim_primal)
+# The eval_* functions validate x; the _*_at helpers take an x their caller
+# has validated and check only the oracle's output.
+
+
+def _objective_at(prob: ProblemInstance, x: Array) -> float:
     val = float(prob.objective(x))
-    if not np.isfinite(val):
-        raise OracleError("objective oracle returned a non-finite value")
+    if not math.isfinite(val):
+        raise NonFiniteError("objective oracle returned a non-finite value")
     return val
 
 
-def eval_constraints(prob: ProblemInstance, x) -> Array:
-    """Constraint value ``c(x)`` in R^p."""
-    x = as_vector(x, prob.dim_primal)
+def _constraints_at(prob: ProblemInstance, x: Array) -> Array:
     return as_vector(prob.constraint(x), prob.dim_constraint, "constraint value")
 
 
-def eval_constraint_jacobian(prob: ProblemInstance, x) -> Array:
-    """One Jacobian selection at ``x``, shape ``(n, p)``."""
-    x = as_vector(x, prob.dim_primal)
+def _jacobian_at(prob: ProblemInstance, x: Array) -> Array:
     J = np.asarray(prob.constraint_jacobian(x), dtype=np.float64)
     if J.shape != (prob.dim_primal, prob.dim_constraint):
         raise OracleError(
             f"jacobian oracle returned shape {J.shape}, expected "
             f"({prob.dim_primal}, {prob.dim_constraint})"
         )
-    if not np.isfinite(J).all():
-        raise OracleError("jacobian oracle returned non-finite entries")
+    if not _all_finite(J.ravel("K")):
+        raise NonFiniteError("jacobian oracle returned non-finite entries")
     return J
+
+
+def eval_objective(prob: ProblemInstance, x) -> float:
+    """Objective value at ``x``; raises on dimension mismatch or non-finite output."""
+    return _objective_at(prob, as_vector(x, prob.dim_primal))
+
+
+def eval_constraints(prob: ProblemInstance, x) -> Array:
+    """Constraint value ``c(x)`` in R^p."""
+    return _constraints_at(prob, as_vector(x, prob.dim_primal))
+
+
+def eval_constraint_jacobian(prob: ProblemInstance, x) -> Array:
+    """One Jacobian selection at ``x``, shape ``(n, p)``."""
+    return _jacobian_at(prob, as_vector(x, prob.dim_primal))
 
 
 def as_stochastic(prob: ProblemInstance) -> StochasticProblemInstance:

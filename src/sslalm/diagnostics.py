@@ -6,25 +6,28 @@ constraint regularity constant.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     ProblemInstance,
+    _constraints_at,
+    _jacobian_at,
     _norm,
+    _objective_at,
     as_vector,
     eval_constraint_jacobian,
     eval_constraints,
-    eval_objective,
 )
-from .geometry import FeasibleSet, normal_cone_distance, prox_preconditioned
+from .geometry import FeasibleSet, _prox_positive, normal_cone_distance
 
 
-@dataclass(frozen=True)
+@dataclass
 class MetricsRecord:
     """Per-iteration diagnostics; ``g_val`` is always assembled from
-    ``f_val`` and ``feas`` through the exact penalty formula."""
+    ``f_val`` and ``feas`` through the exact penalty formula. Momentum and
+    ADAM runs set ``lyapunov`` on the record ``assemble_record`` built."""
 
     k: int
     f_val: float
@@ -38,7 +41,8 @@ class MetricsRecord:
     lyapunov: float | None = None
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self))
+        # the fields are plain numbers, so no deep copy is needed
+        return json.dumps(vars(self))
 
     @staticmethod
     def from_json_line(line: str) -> "MetricsRecord":
@@ -62,9 +66,9 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3) -> floa
     x = as_vector(x, prob.dim_primal)
     lam = as_vector(lam, prob.dim_constraint, "lam")
     d = as_vector(prob.objective_subgradient(x), prob.dim_primal, "subgradient")
-    J = eval_constraint_jacobian(prob, x)
+    J = _jacobian_at(prob, x)
     step = prob.feasible_set.project(x - eta_probe * (d + J @ lam))
-    return float(np.linalg.norm(x - step)) / eta_probe
+    return _norm(x - step) / eta_probe
 
 
 def u_momentum(fset: FeasibleSet, x, y, alpha: float) -> float:
@@ -80,23 +84,30 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float) -> float:
     return float(d @ y) + 0.5 * alpha * float(d @ d)
 
 
+def _u_adam_parts(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
+    """Validate the inputs once; return ``(x, y, root, z, d, value)`` with
+    ``root = sqrt(v + eps)``, the weighted prox point ``z`` and ``d = z - x``."""
+    x = as_vector(x, fset.dim)
+    y = as_vector(y, fset.dim, "y")
+    v = as_vector(v, fset.dim, "v")
+    if (v < 0).any():
+        raise ValueError("second-moment entries must be nonnegative")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    root = np.sqrt(v + eps)
+    z = _prox_positive(fset, x, y, root / alpha)
+    d = z - x
+    value = float(d @ y) + float(root @ (d * d)) / (2.0 * alpha)
+    return x, y, root, z, d, value
+
+
 def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
     """Weighted auxiliary value and its closed-form gradients.
 
     Returns ``(value, grad_x, grad_y, grad_v)`` for
     ``u(x,y,v) = min_z <z - x, y> + (1/(2*alpha)) <sqrt(v+eps)*(z-x), z-x>``.
     """
-    x = as_vector(x, fset.dim)
-    y = as_vector(y, fset.dim, "y")
-    v = as_vector(v, fset.dim, "v")
-    if np.any(v < 0):
-        raise ValueError("second-moment entries must be nonnegative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    root = np.sqrt(v + eps)
-    z = prox_preconditioned(fset, x, y, root / alpha)
-    d = z - x
-    value = float(d @ y) + float(root @ (d * d)) / (2.0 * alpha)
+    x, y, root, z, d, value = _u_adam_parts(fset, x, y, v, alpha, eps)
     grad_x = -y + root * (x - z) / alpha
     grad_y = d
     grad_v = (d * d) / (4.0 * alpha * root)
@@ -121,7 +132,7 @@ def lyapunov_adam(
 ) -> float:
     """Descent certificate ``h(x) - u_adam(x, y, v)/tau1`` for ADAM runs,
     given the penalty value ``h_x = h(x)``."""
-    value, _, _, _ = u_adam(fset, x, y, v, alpha, eps)
+    value = _u_adam_parts(fset, x, y, v, alpha, eps)[-1]
     return float(h_x) - value / tau1
 
 
@@ -174,12 +185,14 @@ def assemble_record(
     ``c`` is the constraint value ``c(x)`` when the caller already holds it.
     The Lyapunov value is left unset; momentum and ADAM runs fill it in from
     ``g_val``."""
-    f_val = eval_objective(prob, x)
+    x = as_vector(x, prob.dim_primal)
+    f_val = _objective_at(prob, x)
     if c is None:
-        c = eval_constraints(prob, x)
+        c = _constraints_at(prob, x)
     feas = _norm(c)
-    g_val = f_val + beta * feas + _quad(rho, feas)
-    L_val = f_val + float(lam @ c) + _quad(rho, feas)
+    quad = _quad(rho, feas)
+    g_val = f_val + beta * feas + quad
+    L_val = f_val + float(lam @ c) + quad
     H_val = L_val - feas * float(lam @ lam) / (2.0 * beta)
     kkt = kkt_residual(prob, x, lam, kkt_probe) if kkt_probe is not None else float("nan")
     return MetricsRecord(

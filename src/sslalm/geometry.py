@@ -232,31 +232,30 @@ class BlockProduct(FeasibleSet):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("product set needs at least one block")
-        offsets = np.cumsum([0] + [b.dim for b in self.blocks])
-        object.__setattr__(self, "_offsets", offsets)
+        # each block with the slice of its coordinates, built once
+        parts, start = [], 0
+        for b in self.blocks:
+            stop = start + int(b.dim)
+            parts.append((b, slice(start, stop)))
+            start = stop
+        object.__setattr__(self, "_parts", tuple(parts))
 
     @property
     def dim(self):
-        return int(self._offsets[-1])
-
-    def _slices(self):
-        o = self._offsets
-        return [slice(o[i], o[i + 1]) for i in range(len(self.blocks))]
+        return self._parts[-1][1].stop
 
     def project(self, x):
-        return np.concatenate([b.project(x[s]) for b, s in zip(self.blocks, self._slices())])
+        return np.concatenate([b.project(x[s]) for b, s in self._parts])
 
     def prox_weighted(self, x, y, v):
-        return np.concatenate(
-            [b.prox_weighted(x[s], y[s], v[s]) for b, s in zip(self.blocks, self._slices())]
-        )
+        return np.concatenate([b.prox_weighted(x[s], y[s], v[s]) for b, s in self._parts])
 
     def normal_cone_distance(self, x, v):
-        parts = [b.normal_cone_distance(x[s], v[s]) for b, s in zip(self.blocks, self._slices())]
+        parts = [b.normal_cone_distance(x[s], v[s]) for b, s in self._parts]
         return float(np.linalg.norm(parts))
 
     def contains(self, x, tol=MEMBERSHIP_TOL):
-        return all(b.contains(x[s], tol) for b, s in zip(self.blocks, self._slices()))
+        return all(b.contains(x[s], tol) for b, s in self._parts)
 
     def sample(self, rng):
         return np.concatenate([b.sample(rng) for b in self.blocks])
@@ -278,7 +277,13 @@ def prox_preconditioned(fset: FeasibleSet, x, y, v) -> np.ndarray:
     x = _check_dim(fset, x)
     y = _check_dim(fset, y, "y")
     v = _check_dim(fset, v, "v")
-    if np.any(v <= 0.0):
+    return _prox_positive(fset, x, y, v)
+
+
+def _prox_positive(fset: FeasibleSet, x, y, v) -> np.ndarray:
+    """``prox_preconditioned`` for ``x``, ``y`` and ``v`` whose shapes the
+    caller has checked: only the weights are checked here."""
+    if (v <= 0.0).any():
         raise ValueError("preconditioning weights must be positive")
     return fset.prox_weighted(x, y, v)
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
     NoiseModel,
+    NonFiniteError,
     StochasticProblemInstance,
     _all_finite,
     _norm,
@@ -348,13 +349,13 @@ class _Driver:
         # the Lyapunov value reuses the record's penalty value g(x)
         mc = cfg.method
         if mc.kind == PROX_SGDM:
-            lyap = lyapunov_momentum(rec.g_val, self.fset, ms.x, ms.y, mc.tau, mc.alpha)
+            rec.lyapunov = lyapunov_momentum(rec.g_val, self.fset, ms.x, ms.y, mc.tau, mc.alpha)
         elif mc.kind == PROX_ADAM:
             m, v = split_adam_state(ms.y)
-            lyap = lyapunov_adam(rec.g_val, self.fset, ms.x, m, v, mc.tau1, mc.alpha, mc.eps)
-        else:
-            return rec
-        return replace(rec, lyapunov=lyap)
+            rec.lyapunov = lyapunov_adam(
+                rec.g_val, self.fset, ms.x, m, v, mc.tau1, mc.alpha, mc.eps
+            )
+        return rec
 
 
 def init_state(prob, config: SolverConfig, x0=None, rng=None) -> LagrangianState:
@@ -390,8 +391,9 @@ def run(
     """Execute ``config.max_iters`` iterations from a fresh seeded generator.
 
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
-    and at the final iterate. On a non-finite state the run stops and the
-    partial trajectory is returned with ``aborted=True``.
+    and at the final iterate. On a non-finite state, or a non-finite value in
+    a later record (its own numbers, or an oracle it evaluates), the run stops
+    and the partial trajectory is returned with ``aborted=True``.
 
     On deterministic problems nothing but the noise draws from the generator,
     so the noise is drawn ``NOISE_CHUNK`` rows at a time; the values are those
@@ -422,7 +424,13 @@ def run(
             break
         state = state_next
         if (k + 1) % record_every == 0 or k + 1 == config.max_iters:
-            rec = driver.metrics(state, kkt_probe)
+            try:
+                rec = driver.metrics(state, kkt_probe)
+            except NonFiniteError:
+                # an oracle turned non-finite at x; the records so far stand
+                aborted = True
+                reason = "non-finite metrics"
+                break
             records.append(rec)
             # a diverging run can overflow its diagnostics while the raw state
             # is still representable; keep the offending record and stop

@@ -311,11 +311,15 @@ def make_slack_l1_net(
     def constraint(x):
         return layer_norms(x) + x[n_w:] - radius
 
+    # J[j, i] = sign(x_j) for the weights j of layer i and J[n_w + i, i] = 1;
+    # the slack entries are fixed, the weight entries sit at fixed flat indices
+    slack_jacobian = np.zeros((n, L))
+    slack_jacobian[n_w + np.arange(L), np.arange(L)] = 1.0
+    weight_cells = np.arange(n_w) * L + np.repeat(np.arange(L), sizes)
+
     def jacobian(x):
-        J = np.zeros((n, L))
-        for i in range(L):
-            J[offsets[i] : offsets[i + 1], i] = np.sign(x[offsets[i] : offsets[i + 1]])
-            J[n_w + i, i] = 1.0
+        J = slack_jacobian.copy()
+        J.reshape(-1)[weight_cells] = np.sign(x[:n_w])
         return J
 
     # a record asks for the full-batch loss and its gradient at one x; a

@@ -434,6 +434,32 @@ class TestMainEntry:
         header = summary[0].split(",")
         assert summary[1].split(",")[header.index("aborted")] == "1"
 
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    def test_nonfinite_objective_aborts_with_outputs(self, tmp_path, monkeypatch, tracker):
+        # the objective oracle turns inf on its fourth call, the record at
+        # k = 30: exit code 1, and the three records before it are written
+        def broken_recipe(kind, **params):
+            recipe = make_recipe(kind, **params)
+            inst = recipe.instance
+            calls = [0]
+
+            def objective(x):
+                calls[0] += 1
+                return inst.objective(x) if calls[0] <= 3 else float("inf")
+
+            return replace(recipe, instance=replace(inst, objective=objective))
+
+        monkeypatch.setattr(cli, "make_recipe", broken_recipe)
+        solver = {"method": {"kind": "prox_sgd"}, "max_iters": 50, "tracker": tracker}
+        path = minimal_config(tmp_path, record_every=10, solver=solver)
+        assert main(["run", "--config", str(path), "--quiet"]) == 1
+        out = tmp_path / "out"
+        records = (out / "metrics_rep000.jsonl").read_text().splitlines()
+        assert [MetricsRecord.from_json_line(r).k for r in records] == [0, 10, 20]
+        summary = (out / "summary.csv").read_text().splitlines()
+        header = summary[0].split(",")
+        assert summary[1].split(",")[header.index("aborted")] == "1"
+
     def test_run_and_sweep_through_main(self, tmp_path):
         path = minimal_config(tmp_path)
         assert main(["run", "--config", str(path), "--quiet"]) == 0

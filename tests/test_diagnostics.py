@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslalm.core import ProblemInstance
+from sslalm.core import NonFiniteError, OracleError, ProblemInstance
 from sslalm.diagnostics import (
     MetricsRecord,
     assemble_record,
@@ -17,7 +18,9 @@ from sslalm.diagnostics import (
     u_momentum,
 )
 from sslalm.geometry import Ball, Box, WholeSpace
-from sslalm.problems import make_affine_l1, make_exactness_1d
+from sslalm.lagrangian import SolverConfig, StepSchedule, init_state, iterate
+from sslalm.methods import MethodConfig, split_adam_state
+from sslalm.problems import make_affine_l1, make_exactness_1d, make_recipe
 
 
 def line_problem():
@@ -376,3 +379,147 @@ class TestExactPenaltyMargin:
         from sslalm.diagnostics import exact_penalty_margin
 
         assert exact_penalty_margin(line_problem(), beta=2.0) is None
+
+
+def _record_chain(recipe_name, method, steps=25):
+    """(mean problem, config, [(state, record)]) over ``steps`` iterate() calls."""
+    if recipe_name == "affine_l1":
+        rec = make_recipe("affine_l1", n=6, p=2, seed=3)
+    else:
+        rec = make_recipe("slack_l1_net", n_train=32, n_test=8, batch_size=8)
+    cfg = SolverConfig(
+        method=MethodConfig(kind=method, alpha=0.2, tau2=0.1),
+        rho=0.5, beta=2.0,
+        theta=StepSchedule("constant", 0.5),
+        eta=StepSchedule("inv_sqrt_epoch", 0.3),
+        seed=5,
+    )
+    rng = np.random.default_rng(cfg.seed)
+    state = init_state(rec.instance, cfg, x0=rec.start, rng=rng)
+    out = []
+    for _ in range(steps):
+        state, record = iterate(rec.instance, state, cfg, rng, kkt_probe=1e-3)
+        out.append((state, record))
+    inst = rec.instance
+    return getattr(inst, "mean", inst), cfg, out
+
+
+class TestRecordPathMatchesPublicFunctions:
+    """The records ``iterate()`` builds equal the public diagnostics bitwise."""
+
+    @pytest.mark.parametrize("recipe_name", ["affine_l1", "slack_l1_net"])
+    @pytest.mark.parametrize("method", ["prox_sgdm", "prox_adam"])
+    def test_kkt_and_lyapunov_bitwise(self, recipe_name, method):
+        mean, cfg, chain = _record_chain(recipe_name, method)
+        mc = cfg.method
+        for state, rec in chain:
+            x, y = state.x, state.method_state.y
+            kkt = kkt_residual(mean, x, state.lam, 1e-3)
+            assert np.float64(rec.kkt_residual).tobytes() == np.float64(kkt).tobytes()
+            if method == "prox_sgdm":
+                lyap = lyapunov_momentum(rec.g_val, mean.feasible_set, x, y, mc.tau, mc.alpha)
+            else:
+                m, v = split_adam_state(y)
+                lyap = lyapunov_adam(rec.g_val, mean.feasible_set, x, m, v, mc.tau1, mc.alpha,
+                                     mc.eps)
+            assert np.float64(rec.lyapunov).tobytes() == np.float64(lyap).tobytes()
+            assert np.isfinite(rec.kkt_residual) and np.isfinite(rec.lyapunov)
+
+    def test_lyapunov_adam_is_u_adam_value(self):
+        rng = np.random.default_rng(8)
+        fset = Box(np.full(4, -1.0), np.full(4, 1.0))
+        for _ in range(20):
+            x, y = rng.uniform(-1, 1, 4), rng.standard_normal(4)
+            v = rng.uniform(0, 2, 4)
+            value = u_adam(fset, x, y, v, 0.3, 1e-8)[0]
+            assert lyapunov_adam(1.5, fset, x, y, v, 2.0, 0.3, 1e-8) == 1.5 - value / 2.0
+
+
+class TestPublicChecks:
+    """Each public diagnostic still rejects bad inputs and bad oracle outputs."""
+
+    @staticmethod
+    def problem(subgrad=None, jacobian=None):
+        return ProblemInstance(
+            dim_primal=2,
+            dim_constraint=1,
+            objective=lambda x: float(x.sum()),
+            objective_subgradient=subgrad or (lambda x: np.ones(2)),
+            constraint=lambda x: x[:1] - 1.0,
+            constraint_jacobian=jacobian or (lambda x: np.array([[1.0], [0.0]])),
+            feasible_set=Box(np.full(2, -1.0), np.full(2, 1.0)),
+        )
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.inf]),
+                                     np.array([np.nan, 0.0])])
+    def test_bad_x(self, bad):
+        prob = self.problem()
+        fset = prob.feasible_set
+        err = OracleError if bad.shape == (2,) else ValueError
+        with pytest.raises(err):
+            kkt_residual(prob, bad, np.zeros(1))
+        with pytest.raises(err):
+            lyapunov_momentum(0.0, fset, bad, np.zeros(2), 1.0, 1.0)
+        with pytest.raises(err):
+            lyapunov_adam(0.0, fset, bad, np.zeros(2), np.ones(2), 1.0, 1.0, 1e-8)
+        with pytest.raises(err):
+            assemble_record(prob, 0, bad, np.zeros(1), np.zeros(1), 1.0, 0.0, None)
+
+    @pytest.mark.parametrize("bad", [np.zeros(2), np.array([np.inf])])
+    def test_bad_lam(self, bad):
+        with pytest.raises(ValueError if bad.size != 1 else OracleError):
+            kkt_residual(self.problem(), np.zeros(2), bad)
+
+    @pytest.mark.parametrize("name", ["y", "v"])
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.array([1.0, np.nan])])
+    def test_bad_moments(self, name, bad):
+        fset = self.problem().feasible_set
+        args = {"y": np.zeros(2), "v": np.ones(2)}
+        args[name] = bad
+        err = ValueError if bad.size != 2 else OracleError
+        with pytest.raises(err, match=f"^{name} "):
+            lyapunov_adam(0.0, fset, np.zeros(2), args["y"], args["v"], 1.0, 1.0, 1e-8)
+        with pytest.raises(err, match=f"^{name} "):
+            u_adam(fset, np.zeros(2), args["y"], args["v"], 1.0, 1e-8)
+        if name == "y":
+            with pytest.raises(err, match="^y "):
+                lyapunov_momentum(0.0, fset, np.zeros(2), bad, 1.0, 1.0)
+
+    def test_negative_second_moment(self):
+        fset = self.problem().feasible_set
+        v = np.array([1.0, -1e-300])
+        with pytest.raises(ValueError, match="nonnegative"):
+            lyapunov_adam(0.0, fset, np.zeros(2), np.zeros(2), v, 1.0, 1.0, 1e-8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            u_adam(fset, np.zeros(2), np.zeros(2), v, 1.0, 1e-8)
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.inf, -np.inf])
+    def test_nonpositive_prox_weights(self, alpha):
+        fset = self.problem().feasible_set
+        with pytest.raises(ValueError, match="weights must be positive"):
+            lyapunov_adam(0.0, fset, np.zeros(2), np.zeros(2), np.ones(2), 1.0, alpha, 1e-8)
+
+    @pytest.mark.parametrize("subgrad, err", [
+        (lambda x: np.array([1.0, np.inf]), "non-finite"),
+        (lambda x: np.array([np.nan, 1.0]), "non-finite"),
+        (lambda x: np.ones(3), "dimension 3"),
+    ])
+    def test_bad_subgradient(self, subgrad, err):
+        with pytest.raises((ValueError, RuntimeError), match=err):
+            kkt_residual(self.problem(subgrad=subgrad), np.zeros(2), np.zeros(1))
+
+    @pytest.mark.parametrize("jacobian, err", [
+        (lambda x: np.array([[1.0], [np.inf]]), "non-finite"),
+        (lambda x: np.array([[np.nan], [0.0]]), "non-finite"),
+        (lambda x: np.array([[1.0, 0.0]]), "shape"),
+        (lambda x: np.ones(2), "shape"),
+    ])
+    def test_bad_jacobian(self, jacobian, err):
+        expected = NonFiniteError if err == "non-finite" else OracleError
+        with pytest.raises(expected, match=err):
+            kkt_residual(self.problem(jacobian=jacobian), np.zeros(2), np.zeros(1))
+
+    def test_nonfinite_objective(self):
+        prob = replace(self.problem(), objective=lambda x: float("inf"))
+        with pytest.raises(NonFiniteError, match="objective"):
+            assemble_record(prob, 0, np.zeros(2), np.zeros(1), np.zeros(1), 1.0, 0.0, None)

@@ -205,6 +205,41 @@ def test_nested_block_product():
         assert outer.contains(outer.sample(rng))
 
 
+BLOCK_KINDS = {
+    "box": lambda d: Box(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 2.0, d)),
+    "orthant": NonnegativeOrthant,
+    "ball": lambda d: Ball(np.full(d, 0.5), 1.5),
+    "whole": WholeSpace,
+    "product": lambda d: BlockProduct((unit_box(d), NonnegativeOrthant(1))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(st.tuples(st.sampled_from(sorted(BLOCK_KINDS)), st.integers(1, 3)),
+                   min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_block_product_equals_per_block_concatenation(kinds, data):
+    blocks = tuple(BLOCK_KINDS[kind](d) for kind, d in kinds)
+    fset = BlockProduct(blocks)
+    n = sum(b.dim for b in blocks)
+    assert fset.dim == n
+    finite = st.floats(-5.0, 5.0, allow_nan=False)
+    x = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    v = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+    cuts = np.cumsum([0] + [b.dim for b in blocks])
+    parts = [slice(cuts[i], cuts[i + 1]) for i in range(len(blocks))]
+    proj = np.concatenate([b.project(x[s]) for b, s in zip(blocks, parts)])
+    prox = np.concatenate([b.prox_weighted(x[s], y[s], v[s]) for b, s in zip(blocks, parts)])
+    z = fset.project(x)
+    assert z.tobytes() == proj.tobytes()
+    assert fset.prox_weighted(x, y, v).tobytes() == prox.tobytes()
+    assert fset.project(z).tobytes() == z.tobytes()
+    assert fset.contains(z)
+
+
 def test_ball_prox_interior_shortcut():
     fset = Ball(np.zeros(2), 10.0)
     x = np.array([1.0, 2.0])

@@ -57,6 +57,11 @@ def _cases():
     gaussian = _capped(_load("affine_l1_sgd.json"))
     gaussian["solver"]["noise"]["kind"] = "truncated_gaussian"
     cases["run/affine_l1_sgd/truncated_gaussian"] = ("run", [gaussian], [])
+    for method in ("prox_sgdm", "prox_adam"):
+        # every record with the KKT probe and the Lyapunov value
+        table = _capped(_load("net_sgdm.json"), method, record_every=1)
+        table["kkt_probe"] = 1e-3
+        cases[f"run/net_sgdm/{method}/every_record"] = ("run", [table], [])
     net = []
     for method in ("prox_sgdm", "prox_adam"):
         for dual in ("regu", "ialm"):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslalm.core import NoiseModel, ProblemInstance, _all_finite, _norm, as_stochastic
+from sslalm.core import (
+    NoiseModel,
+    OracleError,
+    ProblemInstance,
+    _all_finite,
+    _norm,
+    as_stochastic,
+)
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import (
     NOISE_CHUNK,
@@ -380,6 +387,34 @@ class TestRun:
         assert 0 < res.state.k < 100
         assert len(res.records) >= 1
         assert np.isfinite(res.state.w).all() and np.isfinite(res.state.lam).all()
+
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    def test_nonfinite_objective_aborts_keeping_records(self, tracker):
+        # only records call the objective; it returns inf from its fourth
+        # call on, at the record of k = 30
+        calls = [0]
+
+        def objective(x):
+            calls[0] += 1
+            return float(x[0]) if calls[0] <= 3 else float("inf")
+
+        prob = scalar_problem(objective=objective, fset=Box(np.array([-1.0]), np.array([1.0])))
+        cfg = SolverConfig(
+            method=MethodConfig(kind="prox_sgd"), eta=ETA_01, tracker=tracker, max_iters=100,
+        )
+        res = run(prob, cfg, x0=np.array([0.5]), record_every=10)
+        assert res.aborted
+        assert res.abort_reason == "non-finite metrics"
+        assert [r.k for r in res.records] == [0, 10, 20]
+        assert res.state.k == 30
+        assert all(np.isfinite(r.f_val) for r in res.records)
+
+    def test_nonfinite_objective_at_start_raises(self):
+        # without a first record there is no trajectory to keep
+        prob = scalar_problem(objective=lambda x: float("nan"))
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=10)
+        with pytest.raises(OracleError, match="objective oracle returned a non-finite value"):
+            run(prob, cfg, x0=np.array([0.5]))
 
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
     def test_misshapen_constraint_still_raises(self, tracker):

@@ -124,6 +124,28 @@ class TestSlackL1NetRecipe:
         assert J[n_w + 0, 0] == 1.0 and J[n_w + 1, 1] == 1.0
         assert J[n_w + 0, 1] == 0.0 and J[n_w + 1, 0] == 0.0
 
+    @pytest.mark.parametrize("widths", [(2, 8, 2), (2, 3, 4, 2)])
+    def test_jacobian_equals_per_layer_loop(self, widths):
+        rec = make_slack_l1_net(layer_widths=widths, n_train=16, n_test=8, batch_size=8)
+        inst = rec.instance
+        n, n_w, L = inst.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
+        offsets = np.cumsum([0] + [widths[i] * widths[i + 1] for i in range(L)])
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = rng.uniform(-1, 1, n)
+            # exact zero weights (sign 0), of both signs
+            x[:n_w][rng.random(n_w) < 0.3] = 0.0
+            x[:n_w][rng.random(n_w) < 0.1] = -0.0
+            ref = np.zeros((n, L))
+            for i in range(L):
+                ref[offsets[i] : offsets[i + 1], i] = np.sign(x[offsets[i] : offsets[i + 1]])
+                ref[n_w + i, i] = 1.0
+            for J in (inst.mean.constraint_jacobian(x), inst.constraint_jacobian_sample(x, None)):
+                assert J.shape == ref.shape and J.dtype == ref.dtype
+                assert J.tobytes() == ref.tobytes()
+                J[:] = 5.0  # each call returns a fresh array
+        assert inst.mean.constraint_jacobian(x).tobytes() == ref.tobytes()
+
     def test_loss_subgradient_matches_finite_differences(self):
         # piecewise-linear in the parameters: central differences agree at
         # randomly drawn differentiable points
