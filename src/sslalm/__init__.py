@@ -1,6 +1,12 @@
 """Single-loop stochastic Lagrangian methods for nonsmooth equality-constrained
 problems, with embeddable proximal SGD / SGDM / ADAM steps and a diagnostics
-suite for penalty values, stationarity residuals, and tracker errors."""
+suite for penalty values, stationarity residuals, and tracker errors.
+
+The package namespace holds what a caller needs to write a problem, run the
+solver and check the result; everything else is imported from its module
+(``sslalm.core``, ``sslalm.geometry``, ``sslalm.methods``,
+``sslalm.lagrangian``, ``sslalm.diagnostics``, ``sslalm.problems``,
+``sslalm.cli``)."""
 
 from .core import (
     NoiseModel,
@@ -8,60 +14,13 @@ from .core import (
     OracleError,
     ProblemInstance,
     StochasticProblemInstance,
-    as_stochastic,
-    eval_constraint_jacobian,
-    eval_constraints,
-    eval_objective,
-    perturbed_instance,
 )
-from .diagnostics import (
-    MetricsRecord,
-    estimate_regularity,
-    exact_penalty_margin,
-    kkt_residual,
-    lyapunov_adam,
-    lyapunov_momentum,
-    u_adam,
-    u_momentum,
-)
-from .geometry import (
-    Ball,
-    BlockProduct,
-    Box,
-    FeasibleSet,
-    NonnegativeOrthant,
-    WholeSpace,
-    normal_cone_distance,
-    prox_preconditioned,
-)
-from .lagrangian import (
-    LagrangianState,
-    RunResult,
-    SolverConfig,
-    StepSchedule,
-    dual_step_ialm,
-    dual_step_regu,
-    init_state,
-    iterate,
-    regu,
-    run,
-    track_correction,
-)
-from .methods import (
-    EmbeddedMethodState,
-    MethodConfig,
-    init_method_state,
-    method_displacement_bound,
-    method_step,
-    step_prox_adam,
-    step_prox_sgd,
-    step_prox_sgdm,
-)
+from .diagnostics import MetricsRecord, estimate_regularity, exact_penalty_margin, kkt_residual
+from .geometry import Ball, BlockProduct, Box, FeasibleSet, NonnegativeOrthant, WholeSpace
+from .lagrangian import RunResult, SolverConfig, StepSchedule, run
+from .methods import MethodConfig, step_prox_adam, step_prox_sgdm
 from .problems import (
-    OracleSolution,
     ProblemRecipe,
-    RECIPES,
-    l1_affine_oracle,
     make_affine_l1,
     make_exactness_1d,
     make_recipe,

@@ -9,10 +9,10 @@ column of the summary are byte-identical across reruns of the same config.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import inspect
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -113,12 +113,20 @@ def _coerce(name: str, hint, value):
     return hint(value)
 
 
+def _finite(value) -> bool:
+    """False for a non-finite float, also one inside a list or a table."""
+    if isinstance(value, (list, dict)):
+        return all(map(_finite, value.values() if isinstance(value, dict) else value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _from_table(cls, table, path: str):
     """Build the config dataclass ``cls`` from a JSON table keyed by its fields.
 
     Nested dataclass fields read nested tables, where an absent or null table
     keeps the field's default. The scalars of the run and solver tables are
     coerced to their annotated types; the inner tables pass theirs as written.
+    A non-finite number anywhere is rejected.
     """
     label = path or "config"
     keys, required, hints = _schema(cls)
@@ -137,7 +145,10 @@ def _from_table(cls, table, path: str):
                     sub_path = f"{path}.{name}" if path else name
                     kwargs[name] = _from_table(hints[name], value, sub_path)
             else:
-                kwargs[name] = _coerce(name, hints[name], value) if coerce else value
+                value = _coerce(name, hints[name], value) if coerce else value
+                if not _finite(value):
+                    raise ConfigError(f"{label}: {name} must be finite, got {value!r}")
+                kwargs[name] = value
         return cls(**kwargs)
     except ConfigError:
         raise
@@ -178,9 +189,9 @@ def build_recipe(cfg: RunConfig) -> ProblemRecipe:
         raise ConfigError(f"problem: {exc}") from exc
 
 
-def run_repetition(cfg: RunConfig, recipe: ProblemRecipe, rep: int, base_seed=None) -> RunResult:
-    seed = (cfg.solver.seed if base_seed is None else base_seed) + rep
-    solver = replace(cfg.solver, seed=seed)
+def run_repetition(cfg: RunConfig, recipe: ProblemRecipe, seed=None) -> RunResult:
+    """One run of ``cfg`` on the recipe's problem; ``seed`` overrides the config's."""
+    solver = cfg.solver if seed is None else replace(cfg.solver, seed=seed)
     return run(
         recipe.instance,
         solver,
@@ -198,29 +209,39 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
+def _out_dir(out, cfg: RunConfig) -> Path:
     out_dir = Path(out if out is not None else cfg.output_path)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _write_csv(path: Path, header: list, rows: list):
+    """One line per row dict under ``header``; a key missing from a row
+    leaves its cell blank."""
+    lines = [",".join(header)] + [",".join(_fmt(row.get(k)) for k in header) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
+    out_dir = _out_dir(out, cfg)
     recipe = build_recipe(cfg)
     accuracy = recipe.metadata.get("accuracy")
     mean_prob = recipe.instance.mean if hasattr(recipe.instance, "mean") else recipe.instance
     margin = exact_penalty_margin(mean_prob, cfg.solver.beta)
     if margin is not None and not quiet:
         print(f"penalty exactness margin beta - M/nu = {margin:.4g}")
-    any_aborted = False
+    first_seed = cfg.solver.seed if seed is None else seed
     rows = []
     for rep in range(cfg.repetitions):
-        result = run_repetition(cfg, recipe, rep, base_seed=seed)
-        any_aborted = any_aborted or result.aborted
-        metrics_path = out_dir / f"metrics_rep{rep:03d}.jsonl"
-        with open(metrics_path, "w") as fh:
+        result = run_repetition(cfg, recipe, first_seed + rep)
+        with open(out_dir / f"metrics_rep{rep:03d}.jsonl", "w") as fh:
             for rec in result.records:
                 fh.write(rec.to_json_line() + "\n")
         final = result.final
         rows.append(
             {
                 "rep": rep,
-                "seed": (cfg.solver.seed if seed is None else seed) + rep,
+                "seed": first_seed + rep,
                 "final_f": final.f_val,
                 "final_feas": final.feas,
                 "final_kkt_residual": final.kkt_residual,
@@ -236,84 +257,51 @@ def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
                 f"rep {rep}: {status}  f={final.f_val:.6g}  ||c||={final.feas:.3g}  "
                 f"kkt={final.kkt_residual:.3g}"
             )
-    header = [
-        "rep",
-        "seed",
-        "final_f",
-        "final_feas",
-        "final_kkt_residual",
-        "initial_feas",
-        "aborted",
-        "wall_time_s",
-        "final_accuracy",
-    ]
-    with open(out_dir / "summary.csv", "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
+    _write_csv(out_dir / "summary.csv", list(rows[0]), rows)
     if not quiet:
         print(f"wrote {cfg.repetitions} metrics file(s) and summary.csv to {out_dir}")
-    return 1 if any_aborted else 0
+    return int(any(row["aborted"] for row in rows))
 
 
-def _label(cfg: RunConfig, idx: int, seen: dict) -> str:
+def _label(cfg: RunConfig, seen: dict) -> str:
     base = f"{cfg.solver.method.kind}_{cfg.solver.dual}"
-    if base in seen:
-        seen[base] += 1
-        return f"{base}_{seen[base]}"
-    seen[base] = 0
-    return base
+    seen[base] = seen.get(base, -1) + 1
+    return f"{base}_{seen[base]}" if seen[base] else base
 
 
 def cmd_compare(configs: list, out=None, quiet=False, seed=None) -> int:
     if not configs:
         raise ConfigError("compare needs at least one config")
-    first_problem = configs[0].problem
-    for cfg in configs[1:]:
-        if cfg.problem != first_problem:
-            raise ConfigError("compare: configs must reference the same problem")
-    out_dir = Path(out if out is not None else configs[0].output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if any(cfg.problem != configs[0].problem for cfg in configs[1:]):
+        raise ConfigError("compare: configs must reference the same problem")
+    out_dir = _out_dir(out, configs[0])
     seen: dict = {}
-    labels = [_label(c, i, seen) for i, c in enumerate(configs)]
+    labels = [_label(c, seen) for c in configs]
     recipe = build_recipe(configs[0])
-    columns = {}
-    aborted = False
-    for label, cfg in zip(labels, configs):
-        result = run_repetition(cfg, recipe, 0, base_seed=seed)
-        aborted = aborted or result.aborted
-        columns[label] = {rec.k: rec for rec in result.records}
-    steps = sorted(set().union(*(col.keys() for col in columns.values())))
+    results = [run_repetition(cfg, recipe, seed) for cfg in configs]
     header = ["step"]
-    for label in labels:
-        header += [f"{label}_loss", f"{label}_feas", f"{label}_kkt"]
-    lines = [",".join(header)]
-    for k in steps:
-        row = [str(k)]
-        for label in labels:
-            rec = columns[label].get(k)
-            if rec is None:
-                row += ["", "", ""]
-            else:
-                row += [repr(rec.f_val), repr(rec.feas), repr(rec.kkt_residual)]
-        lines.append(",".join(row))
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
+    by_step = {}
+    for label, result in zip(labels, results):
+        columns = (f"{label}_loss", f"{label}_feas", f"{label}_kkt")
+        header += columns
+        for rec in result.records:
+            by_step.setdefault(rec.k, {"step": rec.k}).update(
+                zip(columns, (rec.f_val, rec.feas, rec.kkt_residual))
+            )
+    rows = [by_step[k] for k in sorted(by_step)]
+    _write_csv(out_dir / "compare.csv", header, rows)
     if not quiet:
         widths = [max(len(h), 12) for h in header]
-        shown = steps if len(steps) <= 12 else steps[:6] + steps[-6:]
+        shown = rows if len(rows) <= 12 else rows[:6] + rows[-6:]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for k in shown:
-            row = [str(k)]
-            for label in labels:
-                rec = columns[label].get(k)
-                row += (
-                    [f"{rec.f_val:.5g}", f"{rec.feas:.4g}", f"{rec.kkt_residual:.4g}"]
-                    if rec is not None
-                    else ["", "", ""]
-                )
-            print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+        for row in shown:
+            cells = [str(row["step"])] + [
+                "" if h not in row else format(row[h], ".5g" if h.endswith("_loss") else ".4g")
+                for h in header[1:]
+            ]
+            print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
         print(f"wrote compare.csv to {out_dir}")
-    return 1 if aborted else 0
+    return int(any(result.aborted for result in results))
 
 
 def _set_dotted(table: dict, dotted: str, value):
@@ -331,53 +319,44 @@ def _set_dotted(table: dict, dotted: str, value):
 def cmd_sweep(cfg: RunConfig, parameter: str, values: list, out=None, quiet=False, seed=None) -> int:
     if not values:
         raise ConfigError("sweep: empty value list")
-    out_dir = Path(out if out is not None else cfg.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    aborted = False
+    out_dir = _out_dir(out, cfg)
     # values of a solver or run parameter share one problem
     sweeps_problem = parameter == "problem" or parameter.startswith("problem.")
     recipe = None if sweeps_problem else build_recipe(cfg)
+    rows = []
     for value in values:
-        raw = copy.deepcopy(serialize_config(cfg))
+        raw = serialize_config(cfg)
         _set_dotted(raw, parameter, value)
         cfg_v = config_from_dict(raw)
         recipe_v = build_recipe(cfg_v) if sweeps_problem else recipe
-        result = run_repetition(cfg_v, recipe_v, 0, base_seed=seed)
-        aborted = aborted or result.aborted
+        result = run_repetition(cfg_v, recipe_v, seed)
         initial_feas = result.records[0].feas
         final = result.final
-        admissible = final.feas <= 0.5 * initial_feas
         rows.append(
             {
                 "value": value,
                 "final_f": final.f_val,
                 "final_feas": final.feas,
                 "initial_feas": initial_feas,
-                "admissible": int(admissible),
+                "admissible": int(final.feas <= 0.5 * initial_feas),
+                "selected": 0,
                 "aborted": int(result.aborted),
             }
         )
-    best = None
-    for i, row in enumerate(rows):
-        if row["admissible"] and not row["aborted"]:
-            if best is None or row["final_f"] < rows[best]["final_f"]:
-                best = i
-    header = ["value", "final_f", "final_feas", "initial_feas", "admissible", "selected", "aborted"]
-    lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        row = dict(row, selected=int(i == best))
-        lines.append(",".join(_fmt(row[k]) for k in header))
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    # the first of the lowest admissible objectives among runs that finished
+    candidates = [row for row in rows if row["admissible"] and not row["aborted"]]
+    if candidates:
+        min(candidates, key=lambda row: row["final_f"])["selected"] = 1
+    _write_csv(out_dir / "sweep.csv", list(rows[0]), rows)
     if not quiet:
-        for i, row in enumerate(rows):
-            mark = " <- selected" if i == best else ""
+        for row in rows:
+            mark = " <- selected" if row["selected"] else ""
             print(
                 f"{parameter}={row['value']}: f={row['final_f']:.6g} "
                 f"feas={row['final_feas']:.3g} admissible={row['admissible']}{mark}"
             )
         print(f"wrote sweep.csv to {out_dir}")
-    return 1 if aborted else 0
+    return int(any(row["aborted"] for row in rows))
 
 
 def cmd_list_problems() -> int:
@@ -406,23 +385,18 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a config, write metrics and a summary")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--quiet", action="store_true")
 
     p_cmp = sub.add_parser("compare", help="run several configs on one problem, emit a table")
     p_cmp.add_argument("--config", action="append", required=True)
-    p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--quiet", action="store_true")
 
     p_swp = sub.add_parser("sweep", help="run one config across parameter values")
     p_swp.add_argument("--config", required=True)
     p_swp.add_argument("--param", required=True)
     p_swp.add_argument("--values", required=True, help="comma-separated values")
-    p_swp.add_argument("--out", default=None)
-    p_swp.add_argument("--seed", type=int, default=None)
-    p_swp.add_argument("--quiet", action="store_true")
+    for p in (p_run, p_cmp, p_swp):
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--quiet", action="store_true")
 
     sub.add_parser("list-problems", help="print the built-in problem recipes")
 

@@ -92,13 +92,13 @@ class NoiseModel:
 
     kind: str = "none"  # none | uniform_box | truncated_gaussian
     bound: float = 0.0
-    seed: int = 0
+    seed: int = 0  # not read yet: run() draws the noise from its own generator
 
     def __post_init__(self):
         if self.kind not in ("none", "uniform_box", "truncated_gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.bound < 0:
-            raise ValueError("noise bound must be >= 0")
+        if not 0.0 <= self.bound < math.inf:
+            raise ValueError("noise bound must be finite and >= 0")
 
     def draw(self, rng: np.random.Generator, n) -> Array:
         """A draw of shape ``n`` (an int or a shape tuple). numpy fills a
@@ -109,9 +109,6 @@ class NoiseModel:
             return rng.uniform(-self.bound, self.bound, n)
         # clipped gaussian stays symmetric, hence zero mean
         return np.clip(rng.normal(0.0, self.bound / 3.0, n), -self.bound, self.bound)
-
-    def stream(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 @dataclass(frozen=True)

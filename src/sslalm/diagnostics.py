@@ -77,6 +77,8 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float) -> float:
     Nonpositive whenever ``x`` is feasible; zero only when the momentum has no
     feasible descent direction left.
     """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
     x = as_vector(x, fset.dim)
     y = as_vector(y, fset.dim, "y")
     w = fset.project(x - y / alpha)
@@ -94,6 +96,8 @@ def _u_adam_parts(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
         raise ValueError("second-moment entries must be nonnegative")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")
     root = np.sqrt(v + eps)
     z = _prox_positive(fset, x, y, root / alpha)
     d = z - x

@@ -141,15 +141,17 @@ class Ball(FeasibleSet):
         return self.center.size
 
     def project(self, x):
-        # rescale until the recomputed norm is <= radius, so projecting a
-        # projected point returns it bitwise unchanged
+        # rescale until the recomputed norm is <= radius, so that projecting a
+        # projected point returns it bitwise; each retry aims one float lower
         z = np.asarray(x, dtype=np.float64)
+        target = self.radius
         for _ in range(8):
             u = z - self.center
             nrm = float(np.linalg.norm(u))
             if nrm <= self.radius:
                 return z
-            z = self.center + u * (self.radius / nrm)
+            z = self.center + u * (target / nrm)
+            target = float(np.nextafter(target, 0.0))
         return z
 
     def prox_weighted(self, x, y, v):

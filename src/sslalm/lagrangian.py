@@ -31,10 +31,8 @@ from .methods import (
     EmbeddedMethodState,
     MethodConfig,
     init_method_state,
-    method_displacement_bound,
     method_step,
     split_adam_state,
-    state_distance,
 )
 
 REGU_ZERO_TOL = 1e-14
@@ -232,8 +230,8 @@ class _Driver:
         self.n = self.mean.dim_primal
         self.p = self.mean.dim_constraint
         self.use_noise = config.noise.kind != "none" and config.noise.bound > 0.0
-        self.max_contraction_slack = float("nan") if config.dual == "ialm" else -math.inf
-        self.max_dual_excess = float("nan") if config.dual == "ialm" else -math.inf
+        self.max_contraction_slack = -math.inf
+        self.max_dual_excess = -math.inf
         self._burned_in = False
         # the last regu multiplier and its norm, reused as the next step's ||lam||
         self._lam_norm = (None, 0.0)
@@ -256,7 +254,7 @@ class _Driver:
         shape-checked here and checked for finiteness with the new state."""
         return as_vector(self.mean.constraint(x), self.p, "constraint value", finite=False)
 
-    def step(self, state: LagrangianState, rng, check_displacement: bool = False, noise=None):
+    def step(self, state: LagrangianState, rng, noise=None):
         """One iteration; ``noise`` is this step's pre-drawn noise row, drawn
         from ``rng`` here when it is None."""
         cfg = self.config
@@ -281,13 +279,6 @@ class _Driver:
             return state, "non-finite primal direction"
 
         ms_next = method_step(self.fset, state.method_state, direction, eta, cfg.method)
-        if check_displacement:
-            bound = method_displacement_bound(
-                cfg.method, self.fset, direction, state.method_state.x, state.method_state.y
-            )
-            moved = state_distance(ms_next, state.method_state)
-            if moved > eta * bound + 1e-9:
-                return state, "displacement bound violated"
         x_next = ms_next.x
         # each part of the new state is checked for finiteness once, before
         # anything is computed from it
@@ -386,7 +377,6 @@ def run(
     x0=None,
     record_every: int = 10,
     kkt_probe: float | None = 1e-3,
-    check_displacement: bool = False,
 ) -> RunResult:
     """Execute ``config.max_iters`` iterations from a fresh seeded generator.
 
@@ -406,7 +396,6 @@ def run(
     rng = np.random.default_rng(config.seed)
     state = driver.initial_state(x0, rng)
     records = [driver.metrics(state, kkt_probe)]
-    aborted = False
     reason = None
     chunked = driver.use_noise and not driver.stochastic
     noise = None
@@ -417,10 +406,8 @@ def run(
                 rows = min(NOISE_CHUNK, config.max_iters - k)
                 block = config.noise.draw(rng, (rows, driver.n))
             noise = block[row]
-        state_next, err = driver.step(state, rng, check_displacement, noise)
-        if err is not None:
-            aborted = True
-            reason = err
+        state_next, reason = driver.step(state, rng, noise)
+        if reason is not None:
             break
         state = state_next
         if (k + 1) % record_every == 0 or k + 1 == config.max_iters:
@@ -428,7 +415,6 @@ def run(
                 rec = driver.metrics(state, kkt_probe)
             except NonFiniteError:
                 # an oracle turned non-finite at x; the records so far stand
-                aborted = True
                 reason = "non-finite metrics"
                 break
             records.append(rec)
@@ -437,7 +423,6 @@ def run(
             core_vals = (rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val,
                          rec.lambda_norm, rec.tracker_err)
             if not all(math.isfinite(v) for v in core_vals):
-                aborted = True
                 reason = "non-finite metrics"
                 break
     slack = driver.max_contraction_slack
@@ -445,7 +430,7 @@ def run(
     return RunResult(
         records=records,
         state=state,
-        aborted=aborted,
+        aborted=reason is not None,
         abort_reason=reason,
         max_contraction_slack=float("nan") if slack == -math.inf else slack,
         max_dual_excess=float("nan") if excess == -math.inf else excess,

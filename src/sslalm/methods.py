@@ -122,7 +122,7 @@ def method_displacement_bound(
     """A computable bound T with dist((x', y'), (x, y)) <= eta * T.
 
     Valid for any admissible stepsize (eta <= 1 for SGDM/ADAM, eta*tau2 <= 1
-    for ADAM); used as a runtime assertion on the step size of the update.
+    for ADAM); the tests check it against every step of a run.
     """
     g = np.asarray(g, dtype=np.float64)
     if cfg.kind == PROX_SGD:

@@ -123,47 +123,47 @@ def _certify_multiplier(A, x_star, anchor, lower, upper):
     return None
 
 
-def _affine_base(n, p, rng):
-    """Orthonormal-row constraint matrix plus a feasible right-hand side."""
-    G = rng.standard_normal((n, p))
-    Q, _ = np.linalg.qr(G)
-    A = Q.T.copy()  # p x n with A A^T = I
-    x_feas = rng.uniform(-0.6, 0.6, n)
-    b = A @ x_feas
-    anchor = rng.uniform(-1.0, 1.0, n)
-    return A, b, anchor
-
-
-def make_affine_l1(n: int = 6, p: int = 2, seed: int = 0) -> ProblemRecipe:
-    """L1 deviation objective, orthonormal affine equalities, unit box."""
+def _affine_l1_mean(n, p, seed, lipschitz_scale):
+    """The affine family's mean problem: L1 deviation objective, orthonormal
+    affine equalities, unit box, with ``sqrt(n) * lipschitz_scale`` as the
+    objective's Lipschitz bound. Returns the problem, its brute-force
+    ``(x_star, f_star)`` and the data ``{"A", "b", "anchor"}``."""
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
     rng = np.random.default_rng(seed)
-    A, b, anchor = _affine_base(n, p, rng)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    A = Q.T.copy()  # p x n with A A^T = I
+    b = A @ rng.uniform(-0.6, 0.6, n)  # a feasible right-hand side
+    anchor = rng.uniform(-1.0, 1.0, n)
     AT = A.T.copy()
-    lower = np.full(n, -1.0)
-    upper = np.full(n, 1.0)
-
-    inst = ProblemInstance(
+    box = Box(np.full(n, -1.0), np.full(n, 1.0))
+    prob = ProblemInstance(
         dim_primal=n,
         dim_constraint=p,
         objective=lambda x: float(np.abs(x - anchor).sum()),
         objective_subgradient=lambda x: np.sign(x - anchor),
         constraint=lambda x: A @ x - b,
         constraint_jacobian=lambda x: AT,
-        feasible_set=Box(lower, upper),
-        lipschitz_bound_f=float(np.sqrt(n)),
+        feasible_set=box,
+        lipschitz_bound_f=float(np.sqrt(n)) * lipschitz_scale,
         regularity_constant=1.0,
     )
-    x_star, f_star = l1_affine_oracle(A, b, anchor, lower, upper)
-    lam_star = _certify_multiplier(A, x_star, anchor, lower, upper)
+    x_star, f_star = l1_affine_oracle(A, b, anchor, box.lower, box.upper)
+    return prob, x_star, f_star, {"A": A, "b": b, "anchor": anchor}
+
+
+def make_affine_l1(n: int = 6, p: int = 2, seed: int = 0) -> ProblemRecipe:
+    """L1 deviation objective, orthonormal affine equalities, unit box."""
+    inst, x_star, f_star, data = _affine_l1_mean(n, p, seed, 1.0)
+    box = inst.feasible_set
+    lam_star = _certify_multiplier(data["A"], x_star, data["anchor"], box.lower, box.upper)
     return ProblemRecipe(
         kind="affine_l1",
         params={"n": n, "p": p, "seed": seed},
         instance=inst,
         start=np.zeros(n),
         oracle_solution=OracleSolution(x=x_star, f=f_star, multipliers=lam_star),
-        metadata={"A": A, "b": b, "anchor": anchor},
+        metadata=data,
     )
 
 
@@ -177,30 +177,13 @@ def make_stochastic_affine(
     the L1 terms by nonnegative factors of unit mean. The analytic mean
     problem is kept for tracker-error measurement.
     """
-    if not 1 <= p < n:
-        raise ValueError("need 1 <= p < n")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be >= 0")
-    rng = np.random.default_rng(seed)
-    A, b, anchor = _affine_base(n, p, rng)
-    AT = A.T.copy()
-    lower = np.full(n, -1.0)
-    upper = np.full(n, 1.0)
+    if not noise_scale >= 0:
+        raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     # weight half-width < 1 keeps the per-sample losses convex with
     # nonnegative coefficients
     a_obj = min(noise_scale, 0.9)
-
-    mean = ProblemInstance(
-        dim_primal=n,
-        dim_constraint=p,
-        objective=lambda x: float(np.abs(x - anchor).sum()),
-        objective_subgradient=lambda x: np.sign(x - anchor),
-        constraint=lambda x: A @ x - b,
-        constraint_jacobian=lambda x: AT,
-        feasible_set=Box(lower, upper),
-        lipschitz_bound_f=float(np.sqrt(n)) * (1.0 + a_obj),
-        regularity_constant=1.0,
-    )
+    mean, x_star, f_star, data = _affine_l1_mean(n, p, seed, 1.0 + a_obj)
+    A, b, anchor = data["A"], data["b"], data["anchor"]
 
     def draw_obj(gen):
         return gen.uniform(1.0 - a_obj, 1.0 + a_obj, n)
@@ -219,14 +202,13 @@ def make_stochastic_affine(
         constraint_sample=lambda x, tok: (A + tok[0]) @ x - (b + tok[1]),
         constraint_jacobian_sample=lambda x, tok: (A + tok[0]).T,
     )
-    x_star, f_star = l1_affine_oracle(A, b, anchor, lower, upper)
     return ProblemRecipe(
         kind="stochastic_affine",
         params={"n": n, "p": p, "noise_scale": noise_scale, "seed": seed},
         instance=inst,
         start=np.zeros(n),
         oracle_solution=OracleSolution(x=x_star, f=f_star),
-        metadata={"A": A, "b": b, "anchor": anchor},
+        metadata=data,
     )
 
 

@@ -392,6 +392,19 @@ class TestMainEntry:
             {"solver": {"method": {"kind": "prox_sgd"}, "dual": {"kind": "ialm", "inner_steps": 2.5}}},
             {"solver": {"method": {"kind": "prox_sgd"},
                         "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 2.5}}},
+            # non-finite numbers, in any table
+            {"solver": {"method": {"kind": "prox_sgd"},
+                        "noise": {"kind": "uniform_box", "bound": float("nan")}}},
+            {"solver": {"method": {"kind": "prox_sgd"},
+                        "noise": {"kind": "uniform_box", "bound": float("inf")}}},
+            {"solver": {"method": {"kind": "prox_sgd"}, "beta": float("nan")}},
+            {"solver": {"method": {"kind": "prox_sgd"}, "rho": float("nan")}},
+            {"solver": {"method": {"kind": "prox_sgd"}, "theta": {"c": float("nan")}}},
+            {"solver": {"method": {"kind": "prox_sgd", "alpha": float("inf")}}},
+            {"solver": {"method": {"kind": "prox_sgd"},
+                        "dual": {"kind": "ialm", "sigma": float("inf")}}},
+            {"kkt_probe": float("inf")},
+            {"problem": {"kind": "stochastic_affine", "noise_scale": float("nan")}},
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
@@ -399,6 +412,14 @@ class TestMainEntry:
         path = minimal_config(tmp_path, **overrides)
         assert main(["run", "--config", str(path), "--quiet"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_nonfinite_sweep_value_exit_code(self, tmp_path, capsys, value):
+        path = minimal_config(tmp_path)
+        argv = ["sweep", "--config", str(path), "--param", "solver.rho", f"--values={value}"]
+        assert main(argv + ["--quiet"]) == 2
+        assert "rho must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_integral_floats_accepted(self, tmp_path):
         path = minimal_config(

@@ -156,7 +156,7 @@ class TestNoiseModel:
     @pytest.mark.parametrize("kind", ["uniform_box", "truncated_gaussian"])
     def test_bound_holds_exactly(self, kind):
         noise = NoiseModel(kind, 0.25, seed=0)
-        rng = noise.stream()
+        rng = np.random.default_rng(noise.seed)
         for _ in range(2000):
             xi = noise.draw(rng, 4)
             assert np.max(np.abs(xi)) <= 0.25
@@ -166,18 +166,18 @@ class TestNoiseModel:
         n_draws = 100000
         bound = 0.5
         noise = NoiseModel(kind, bound, seed=1)
-        rng = noise.stream()
+        rng = np.random.default_rng(noise.seed)
         draws = noise.draw(rng, n_draws * 3).reshape(n_draws, 3)
         assert np.all(np.abs(draws.mean(axis=0)) <= 4 * bound / np.sqrt(n_draws))
 
     def test_none_kind_returns_zeros(self):
         noise = NoiseModel()
-        assert np.array_equal(noise.draw(noise.stream(), 3), np.zeros(3))
+        assert np.array_equal(noise.draw(np.random.default_rng(noise.seed), 3), np.zeros(3))
 
     def test_identical_seeds_identical_streams(self):
         a = NoiseModel("uniform_box", 1.0, seed=9)
         b = NoiseModel("uniform_box", 1.0, seed=9)
-        ra, rb = a.stream(), b.stream()
+        ra, rb = np.random.default_rng(a.seed), np.random.default_rng(b.seed)
         for _ in range(50):
             assert np.array_equal(a.draw(ra, 5), b.draw(rb, 5))
 
@@ -186,6 +186,11 @@ class TestNoiseModel:
             NoiseModel("bogus", 1.0)
         with pytest.raises(ValueError):
             NoiseModel("uniform_box", -1.0)
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf])
+    def test_nonfinite_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel("uniform_box", bound)
 
 
 def test_perturbed_instance_radius_decays():

@@ -499,6 +499,21 @@ class TestPublicChecks:
         with pytest.raises(ValueError, match="weights must be positive"):
             lyapunov_adam(0.0, fset, np.zeros(2), np.zeros(2), np.ones(2), 1.0, alpha, 1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, -1.0, np.nan])
+    def test_nonpositive_alpha(self, alpha):
+        # alpha = 0 used to raise ZeroDivisionError in the ADAM functions and
+        # give a silent finite value in u_momentum
+        fset = self.problem().feasible_set
+        x, y, v = np.zeros(2), np.ones(2), np.ones(2)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            u_momentum(Box(np.zeros(1), np.ones(1)), [0.5], [1.0], alpha)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            lyapunov_momentum(0.0, fset, x, y, 1.0, alpha)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            u_adam(fset, x, y, v, alpha, 1e-8)
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            lyapunov_adam(0.0, fset, x, y, v, 1.0, alpha, 1e-8)
+
     @pytest.mark.parametrize("subgrad, err", [
         (lambda x: np.array([1.0, np.inf]), "non-finite"),
         (lambda x: np.array([np.nan, 1.0]), "non-finite"),

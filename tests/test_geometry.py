@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from sslalm.geometry import (
     Ball,
@@ -240,6 +241,15 @@ def test_block_product_equals_per_block_concatenation(kinds, data):
     assert fset.contains(z)
 
 
+def test_ball_projection_lands_inside_when_rescaling_stalls():
+    # rescaling by radius / ||u|| alone lands on the same point one float
+    # outside the radius here, again and again
+    fset = Ball(np.array([1.5, 0.21875]), 0.515625)
+    z = fset.project(np.array([2.5, 0.0]))
+    assert np.linalg.norm(z - fset.center) <= fset.radius
+    assert fset.project(z).tobytes() == z.tobytes()
+
+
 def test_ball_prox_interior_shortcut():
     fset = Ball(np.zeros(2), 10.0)
     x = np.array([1.0, 2.0])
@@ -247,3 +257,110 @@ def test_ball_prox_interior_shortcut():
     v = np.array([2.0, 4.0])
     z = prox_preconditioned(fset, x, y, v)
     assert z == pytest.approx(x - y / v)
+
+
+# Property tests for each basic set: projection, weighted prox and the sign
+# conventions of the normal-cone distance, on sets and points drawn by hypothesis.
+
+def _vectors(n, lo=-5.0, hi=5.0):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def basic_sets(draw, max_dim=4):
+    kind = draw(st.sampled_from(["box", "ball", "orthant", "whole"]))
+    n = draw(st.integers(1, max_dim))
+    if kind == "box":
+        lower = draw(_vectors(n, -2.0, 2.0))
+        return Box(lower, lower + draw(_vectors(n, 0.1, 3.0)))
+    if kind == "ball":
+        return Ball(draw(_vectors(n, -2.0, 2.0)), draw(st.floats(0.5, 3.0)))
+    return NonnegativeOrthant(n) if kind == "orthant" else WholeSpace(n)
+
+
+def _interior_point(fset):
+    if isinstance(fset, Box):
+        return 0.5 * (fset.lower + fset.upper)
+    if isinstance(fset, Ball):
+        return fset.center
+    return np.ones(fset.dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_projection_feasible_idempotent_firmly_nonexpansive(data):
+    fset = data.draw(basic_sets())
+    x = data.draw(_vectors(fset.dim))
+    y = data.draw(_vectors(fset.dim))
+    px, py = fset.project(x), fset.project(y)
+    assert fset.contains(px)
+    assert fset.project(px).tobytes() == px.tobytes()
+    d = px - py
+    assert d @ d <= d @ (x - y) + 1e-9
+    assert np.linalg.norm(d) <= np.linalg.norm(x - y) + 1e-12
+
+
+def _scipy_prox(fset, x, y, v):
+    """The weighted prox objective minimized by a general-purpose solver."""
+
+    def model(z):
+        return float(y @ (z - x) + 0.5 * (v * (z - x)) @ (z - x))
+
+    def grad(z):
+        return y + v * (z - x)
+
+    start = _interior_point(fset)
+    if isinstance(fset, Ball):
+        r2 = fset.radius**2
+        ball = {
+            "type": "ineq",
+            "fun": lambda z: r2 - (z - fset.center) @ (z - fset.center),
+            "jac": lambda z: -2.0 * (z - fset.center),
+        }
+        res = minimize(model, start, jac=grad, method="SLSQP", constraints=[ball],
+                       options={"ftol": 1e-15, "maxiter": 500})
+    else:
+        if isinstance(fset, Box):
+            bounds = list(zip(fset.lower, fset.upper))
+        else:
+            lower = 0.0 if isinstance(fset, NonnegativeOrthant) else None
+            bounds = [(lower, None)] * fset.dim
+        res = minimize(model, start, jac=grad, method="L-BFGS-B", bounds=bounds,
+                       options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
+    return fset.project(res.x), model
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_prox_weighted_matches_scipy(data):
+    fset = data.draw(basic_sets())
+    n = fset.dim
+    x = data.draw(_vectors(n))
+    y = data.draw(_vectors(n))
+    v = data.draw(_vectors(n, 0.1, 10.0))
+    z = prox_preconditioned(fset, x, y, v)
+    reference, model = _scipy_prox(fset, x, y, v)
+    assert fset.contains(z)
+    # the reference is feasible, so it cannot beat the minimizer
+    assert model(z) <= model(reference) + 1e-9 * (1.0 + abs(model(reference)))
+    assert z == pytest.approx(reference, abs=1e-4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), t=st.floats(0.0, 10.0))
+def test_normal_cone_distance_sign_conventions(data, t):
+    fset = data.draw(basic_sets())
+    z = data.draw(_vectors(fset.dim))
+    v = data.draw(_vectors(fset.dim))
+    # z - P(z) lies in the normal cone at P(z): the distance measures -v
+    # against the cone, so v = -t*(z - P(z)) is absorbed and v = z - P(z) not
+    x = fset.project(z)
+    u = z - x
+    scale = 1.0 + t * np.linalg.norm(u)
+    assert normal_cone_distance(fset, x, -t * u) <= 1e-9 * scale
+    assert normal_cone_distance(fset, x, u) == pytest.approx(np.linalg.norm(u), abs=1e-9)
+    # the cone holds 0, so no distance exceeds ||v||; at an interior point
+    # the cone is {0} and the distance is ||v||
+    assert 0.0 <= normal_cone_distance(fset, x, v) <= np.linalg.norm(v) + 1e-12
+    inner = _interior_point(fset)
+    assert normal_cone_distance(fset, inner, v) == pytest.approx(np.linalg.norm(v))

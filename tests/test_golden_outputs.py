@@ -1,8 +1,10 @@
 """Golden SHA-256 hashes of the CLI's deterministic output files.
 
 Every config under ``configs/`` runs with each embedded method (iterations
-capped), the network problem runs through ``compare`` with both dual rules,
-and one config is swept over ``solver.rho`` and over ``solver.dual.kind``.
+capped), the affine config also with three repetitions, the network problem
+runs through ``compare`` with both dual rules, two affine configs with
+different ``record_every`` through ``compare`` (blank cells), and one config
+is swept over ``solver.rho`` and over ``solver.dual.kind``.
 The wall-clock column of ``summary.csv`` is dropped before hashing; every
 other byte must stay the same across refactors. When an output change is
 intended, regenerate the hashes and say why in CHANGES.md:
@@ -57,6 +59,10 @@ def _cases():
     gaussian = _capped(_load("affine_l1_sgd.json"))
     gaussian["solver"]["noise"]["kind"] = "truncated_gaussian"
     cases["run/affine_l1_sgd/truncated_gaussian"] = ("run", [gaussian], [])
+    # several metrics files and summary rows
+    repeated = _capped(_load("affine_l1_sgd.json"))
+    repeated["repetitions"] = 3
+    cases["run/affine_l1_sgd/repetitions"] = ("run", [repeated], [])
     for method in ("prox_sgdm", "prox_adam"):
         # every record with the KKT probe and the Lyapunov value
         table = _capped(_load("net_sgdm.json"), method, record_every=1)
@@ -70,6 +76,14 @@ def _cases():
                 table["solver"]["dual"] = {"kind": "ialm", "inner_steps": 20}
             net.append(table)
     cases["compare/net"] = ("compare", net, [])
+    # different record_every values leave blank cells at the steps one
+    # config records and the other does not
+    cases["compare/affine_record_every"] = (
+        "compare",
+        [_capped(_load("affine_l1_sgd.json"), "prox_sgd", record_every=7),
+         _capped(_load("affine_l1_sgd.json"), "prox_sgdm", record_every=5)],
+        [],
+    )
     affine = _capped(_load("affine_l1_sgd.json"))
     cases["sweep/rho"] = ("sweep", [affine], ["--param", "solver.rho", "--values", "0,0.5,2"])
     cases["sweep/dual"] = (

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sslalm import lagrangian
 from sslalm.core import (
     NoiseModel,
     OracleError,
@@ -27,7 +28,13 @@ from sslalm.lagrangian import (
     run,
     track_correction,
 )
-from sslalm.methods import EmbeddedMethodState, MethodConfig
+from sslalm.methods import (
+    EmbeddedMethodState,
+    MethodConfig,
+    method_displacement_bound,
+    method_step,
+    state_distance,
+)
 from sslalm.problems import make_affine_l1, make_stochastic_affine
 
 
@@ -443,7 +450,9 @@ class TestRun:
         assert np.isnan(res.max_contraction_slack)
         assert np.isnan(res.max_dual_excess)
 
-    def test_displacement_check_passes_on_clean_run(self):
+    def test_displacement_check_passes_on_clean_run(self, monkeypatch):
+        # every step of the embedded method moves the state by at most
+        # eta * method_displacement_bound
         rec = make_affine_l1(n=3, p=1, seed=3)
         cfg = SolverConfig(
             method=MethodConfig(kind="prox_adam", alpha=0.3),
@@ -453,8 +462,19 @@ class TestRun:
             noise=NoiseModel("uniform_box", 0.1, seed=0),
             max_iters=300, seed=11,
         )
-        res = run(rec.instance, cfg, x0=rec.start, check_displacement=True)
+        moves = []
+
+        def checked_step(fset, ms, direction, eta, mc):
+            ms_next = method_step(fset, ms, direction, eta, mc)
+            bound = method_displacement_bound(mc, fset, direction, ms.x, ms.y)
+            moves.append((state_distance(ms_next, ms), eta * bound))
+            return ms_next
+
+        monkeypatch.setattr(lagrangian, "method_step", checked_step)
+        res = run(rec.instance, cfg, x0=rec.start)
         assert not res.aborted
+        assert len(moves) == cfg.max_iters
+        assert all(moved <= limit + 1e-9 for moved, limit in moves)
 
 
 def counting_constraint_problem(constraint):

@@ -274,3 +274,13 @@ def test_stochastic_affine_samples_uniformly_bounded_on_box():
         u = sp.draw_objective_sample(rng)
         assert abs(sp.objective_sample(x, u)) <= f_bound
         assert np.max(np.abs(sp.objective_subgradient_sample(x, u))) <= 1.5
+
+
+@pytest.mark.parametrize("params, err", [
+    ({"noise_scale": -0.1}, "noise_scale"),
+    ({"noise_scale": float("nan")}, "noise_scale"),
+    ({"n": 3, "p": 3}, "p < n"),
+])
+def test_stochastic_affine_validation(params, err):
+    with pytest.raises(ValueError, match=err):
+        make_stochastic_affine(**params)
