@@ -8,7 +8,7 @@ that runs are reproducible from a single seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -157,13 +157,14 @@ def _constraints_at(prob: ProblemInstance, x: Array) -> Array:
     return as_vector(prob.constraint(x), prob.dim_constraint, "constraint value")
 
 
+def _jacobian_shape_error(J: Array, n: int, p: int) -> OracleError:
+    return OracleError(f"jacobian oracle returned shape {J.shape}, expected ({n}, {p})")
+
+
 def _jacobian_at(prob: ProblemInstance, x: Array) -> Array:
     J = np.asarray(prob.constraint_jacobian(x), dtype=np.float64)
     if J.shape != (prob.dim_primal, prob.dim_constraint):
-        raise OracleError(
-            f"jacobian oracle returned shape {J.shape}, expected "
-            f"({prob.dim_primal}, {prob.dim_constraint})"
-        )
+        raise _jacobian_shape_error(J, prob.dim_primal, prob.dim_constraint)
     if not _all_finite(J.ravel("K")):
         raise NonFiniteError("jacobian oracle returned non-finite entries")
     return J
@@ -185,7 +186,8 @@ def eval_constraint_jacobian(prob: ProblemInstance, x) -> Array:
 
 
 def as_stochastic(prob: ProblemInstance) -> StochasticProblemInstance:
-    """Wrap a deterministic problem as a degenerate sampled one (tokens unused)."""
+    """Wrap a deterministic problem as a degenerate sampled one: its tokens are
+    None and its draws take nothing from the generator."""
     return StochasticProblemInstance(
         mean=prob,
         draw_objective_sample=lambda rng: None,
@@ -196,23 +198,3 @@ def as_stochastic(prob: ProblemInstance) -> StochasticProblemInstance:
         constraint_jacobian_sample=lambda x, tok: prob.constraint_jacobian(x),
     )
 
-
-def perturbed_instance(
-    prob: ProblemInstance, radius: float, seed: int = 0, decay: float = 1.0
-) -> ProblemInstance:
-    """Robustness wrapper: adds a perturbation of decaying radius
-    ``radius / (1 + t)**decay`` to each successive subgradient selection.
-
-    The wrapper keeps a call counter, so unlike the base oracles it is
-    stateful; intended for stress tests only.
-    """
-    rng = np.random.default_rng(seed)
-    count = [0]
-
-    def sub(x):
-        t = count[0]
-        count[0] += 1
-        r = radius / (1.0 + t) ** decay
-        return prob.objective_subgradient(x) + rng.uniform(-r, r, prob.dim_primal)
-
-    return replace(prob, objective_subgradient=sub)

@@ -20,13 +20,16 @@ from .core import (
     NonFiniteError,
     StochasticProblemInstance,
     _all_finite,
+    _jacobian_shape_error,
     _norm,
+    as_stochastic,
     as_vector,
     eval_constraints,
 )
 from .diagnostics import MetricsRecord, assemble_record, lyapunov_adam, lyapunov_momentum
 from .methods import (
     PROX_ADAM,
+    PROX_SGD,
     PROX_SGDM,
     EmbeddedMethodState,
     MethodConfig,
@@ -83,13 +86,9 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All scalar parameters of the single-loop drivers.
-
-    ``theta`` must stay strictly below ``beta`` so the multiplier update
-    contracts; ``eta`` must be positive, and is additionally capped at 1 for
-    the momentum and ADAM methods to preserve feasibility of the convex
-    combination step.
-    """
+    """All scalar parameters of the single-loop drivers. ``theta`` must stay
+    strictly below ``beta`` so the multiplier update contracts; ``eta`` must be
+    positive and within the method's cap (``MethodConfig.check_stepsize``)."""
 
     method: MethodConfig = field(default_factory=MethodConfig)
     rho: float = 0.0
@@ -116,10 +115,7 @@ class SolverConfig:
             raise ValueError("dual stepsizes require theta_max < beta")
         if self.eta.c <= 0:
             raise ValueError("eta schedule must be positive")
-        if self.method.kind in (PROX_SGDM, PROX_ADAM) and self.eta.max_value > 1.0:
-            raise ValueError("eta_max <= 1 required for momentum and ADAM steps")
-        if self.method.kind == PROX_ADAM and self.eta.max_value * self.method.tau2 > 1.0:
-            raise ValueError("eta_max * tau2 <= 1 required to keep the ADAM second moment nonnegative")
+        self.method.check_stepsize(self.eta.max_value)
         if self.tracker not in TRACKER_KINDS:
             raise ValueError(f"unknown tracker {self.tracker!r}")
         if self.tracker == "correction":
@@ -219,58 +215,110 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
 
 
 class _Driver:
-    """Resolved callables and per-run bookkeeping for one (problem, config) pair."""
+    """Resolved callables and per-run bookkeeping for one (problem, config) pair;
+    a deterministic problem runs as a sampled one whose samples are exact."""
 
     def __init__(self, prob, config: SolverConfig):
+        if not isinstance(prob, StochasticProblemInstance):
+            prob = as_stochastic(prob)
         self.config = config
-        self.stochastic = isinstance(prob, StochasticProblemInstance)
         self.prob = prob
-        self.mean = prob.mean if self.stochastic else prob
+        self.mean = prob.mean
         self.fset = self.mean.feasible_set
         self.n = self.mean.dim_primal
         self.p = self.mean.dim_constraint
+        self._d_shape, self._jac_shape = (self.n,), (self.n, self.p)
         self.use_noise = config.noise.kind != "none" and config.noise.bound > 0.0
         self.max_contraction_slack = -math.inf
         self.max_dual_excess = -math.inf
         self._burned_in = False
         # the last regu multiplier and its norm, reused as the next step's ||lam||
         self._lam_norm = (None, 0.0)
+        # the exact tracker holds c(x) itself, bit for bit, and draws no sample
+        self._w_is_c = config.tracker == "exact"
+        self._track = self._track_exact if self._w_is_c else self._track_correction
+        self._tracker_draw = (lambda rng: None) if self._w_is_c else prob.draw_constraint_sample
+        self._dual = self._dual_regu if config.dual == "regu" else self._dual_ialm
+        mc = config.method
+        self._lyapunov = {
+            PROX_SGD: lambda g, ms: None,
+            PROX_SGDM: lambda g, ms: lyapunov_momentum(g, self.fset, ms.x, ms.y, mc.tau, mc.alpha),
+            PROX_ADAM: lambda g, ms: lyapunov_adam(
+                g, self.fset, ms.x, *split_adam_state(ms.y), mc.tau1, mc.alpha, mc.eps
+            ),
+        }[mc.kind]
 
     def initial_state(self, x0, rng) -> LagrangianState:
         if x0 is None:
             x0 = np.zeros(self.n)
         x0 = self.fset.project(as_vector(x0, self.n, "x0"))
         ms = init_method_state(self.config.method, x0)
-        lam0 = np.zeros(self.p)
-        if self.stochastic and self.config.tracker == "correction":
+        if self._w_is_c:
+            w0 = eval_constraints(self.mean, x0)
+        else:
             tok = self.prob.draw_constraint_sample(rng)
             w0 = as_vector(self.prob.constraint_sample(x0, tok), self.p, "C(x0)")
-        else:
-            w0 = eval_constraints(self.mean, x0)
-        return LagrangianState(method_state=ms, lam=lam0, w=w0, k=0)
+        return LagrangianState(method_state=ms, lam=np.zeros(self.p), w=w0, k=0)
 
-    def constraint(self, x) -> np.ndarray:
-        """``c(x)`` at a finite iterate the driver made: the oracle's output is
-        shape-checked here and checked for finiteness with the new state."""
-        return as_vector(self.mean.constraint(x), self.p, "constraint value", finite=False)
+    def _shaped(self, c) -> np.ndarray:
+        # c(x) at an iterate the driver made; its finiteness is checked with the new state
+        return as_vector(c, self.p, "constraint value", finite=False)
+
+    def _track_exact(self, w, x, x_next, tok, eta):
+        return self._shaped(self.mean.constraint(x_next))
+
+    def _track_correction(self, w, x, x_next, tok, eta):
+        c_x = self._shaped(self.prob.constraint_sample(x, tok))
+        c_xn = self._shaped(self.prob.constraint_sample(x_next, tok))
+        return track_correction(w, c_x, c_xn, self.config.tau_tilde, eta)
+
+    def _dual_regu(self, lam, w_next, k):
+        # the step plus its contraction bookkeeping; None if not finite
+        cfg = self.config
+        theta = cfg.theta(k)
+        lam_next = dual_step_regu(lam, w_next, theta, cfg.beta)
+        last_lam, last_norm = self._lam_norm
+        pre = last_norm if last_lam is lam else _norm(lam)
+        post = _norm(lam_next)
+        self._lam_norm = (lam_next, post)
+        slack = (post - cfg.beta) - (1.0 - theta / cfg.beta) * (pre - cfg.beta)
+        if slack > self.max_contraction_slack:
+            self.max_contraction_slack = slack
+        if not self._burned_in and pre <= cfg.beta:
+            self._burned_in = True
+        if self._burned_in and post - cfg.beta > self.max_dual_excess:
+            self.max_dual_excess = post - cfg.beta
+        # a finite norm has only finite entries under it
+        return lam_next if math.isfinite(post) or bool(np.isfinite(lam_next).all()) else None
+
+    def _dual_ialm(self, lam, w_next, k):
+        # a step every inner_steps iterations; None if not finite
+        cfg = self.config
+        if (k + 1) % cfg.inner_steps != 0:
+            return lam
+        n_dual = (k + 1) // cfg.inner_steps - 1
+        lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma, n_dual)
+        return lam_next if _all_finite(lam_next) else None
 
     def step(self, state: LagrangianState, rng, noise=None):
         """One iteration; ``noise`` is this step's pre-drawn noise row, drawn
         from ``rng`` here when it is None."""
         cfg = self.config
+        prob = self.prob
         k = state.k
         eta = cfg.eta(k)
         x, lam, w = state.method_state.x, state.lam, state.w
 
-        if self.stochastic:
-            tok_f = self.prob.draw_objective_sample(rng)
-            d = np.asarray(self.prob.objective_subgradient_sample(x, tok_f), dtype=np.float64)
-            tok_c = self.prob.draw_constraint_sample(rng) if cfg.tracker == "correction" else None
-            tok_jac = self.prob.draw_constraint_sample(rng)
-            J = np.asarray(self.prob.constraint_jacobian_sample(x, tok_jac), dtype=np.float64)
-        else:
-            d = np.asarray(self.prob.objective_subgradient(x), dtype=np.float64)
-            J = np.asarray(self.prob.constraint_jacobian(x), dtype=np.float64)
+        tok_f = prob.draw_objective_sample(rng)
+        d = np.asarray(prob.objective_subgradient_sample(x, tok_f), dtype=np.float64)
+        tok_c = self._tracker_draw(rng)
+        tok_jac = prob.draw_constraint_sample(rng)
+        J = np.asarray(prob.constraint_jacobian_sample(x, tok_jac), dtype=np.float64)
+        # shapes only: the direction's finiteness check covers the values
+        if d.shape != self._d_shape:
+            d = as_vector(d, self.n, "subgradient", finite=False)
+        if J.shape != self._jac_shape:
+            raise _jacobian_shape_error(J, self.n, self.p)
 
         direction = d + J @ (lam + cfg.rho * w)
         if self.use_noise:
@@ -279,73 +327,28 @@ class _Driver:
             return state, "non-finite primal direction"
 
         ms_next = method_step(self.fset, state.method_state, direction, eta, cfg.method)
-        x_next = ms_next.x
         # each part of the new state is checked for finiteness once, before
         # anything is computed from it
+        x_next = ms_next.x
         if not _all_finite(x_next):
             return state, "non-finite state"
-
-        if cfg.tracker == "exact":
-            w_next = self.constraint(x_next)
-        else:
-            if self.stochastic:
-                c_x = np.asarray(self.prob.constraint_sample(x, tok_c), dtype=np.float64)
-                c_xn = np.asarray(self.prob.constraint_sample(x_next, tok_c), dtype=np.float64)
-            else:
-                c_x = self.constraint(x)
-                c_xn = self.constraint(x_next)
-            w_next = track_correction(w, c_x, c_xn, cfg.tau_tilde, eta)
+        w_next = self._track(w, x, x_next, tok_c, eta)
         if not _all_finite(w_next):
             return state, "non-finite state"
-
-        if cfg.dual == "regu":
-            theta = cfg.theta(k)
-            lam_next = dual_step_regu(lam, w_next, theta, cfg.beta)
-            last_lam, last_norm = self._lam_norm
-            pre = last_norm if last_lam is lam else _norm(lam)
-            post = _norm(lam_next)
-            self._lam_norm = (lam_next, post)
-            slack = (post - cfg.beta) - (1.0 - theta / cfg.beta) * (pre - cfg.beta)
-            if slack > self.max_contraction_slack:
-                self.max_contraction_slack = slack
-            if not self._burned_in and pre <= cfg.beta:
-                self._burned_in = True
-            if self._burned_in and post - cfg.beta > self.max_dual_excess:
-                self.max_dual_excess = post - cfg.beta
-            # a finite norm has only finite entries under it
-            lam_finite = math.isfinite(post) or bool(np.isfinite(lam_next).all())
-        elif (k + 1) % cfg.inner_steps == 0:
-            n_dual = (k + 1) // cfg.inner_steps - 1
-            lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma, n_dual)
-            lam_finite = _all_finite(lam_next)
-        else:
-            lam_next = lam
-            lam_finite = True
-        if not lam_finite:
+        lam_next = self._dual(lam, w_next, k)
+        if lam_next is None:
             return state, "non-finite state"
-
-        return (
-            LagrangianState(method_state=ms_next, lam=lam_next, w=w_next, k=k + 1),
-            None,
-        )
+        return LagrangianState(method_state=ms_next, lam=lam_next, w=w_next, k=k + 1), None
 
     def metrics(self, state: LagrangianState, kkt_probe: float | None) -> MetricsRecord:
         cfg = self.config
         ms = state.method_state
-        # the exact tracker holds c(x) itself, bit for bit
-        c = state.w if cfg.tracker == "exact" else None
         rec = assemble_record(
-            self.mean, state.k, ms.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe, c=c
+            self.mean, state.k, ms.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe,
+            c=state.w if self._w_is_c else None,
         )
         # the Lyapunov value reuses the record's penalty value g(x)
-        mc = cfg.method
-        if mc.kind == PROX_SGDM:
-            rec.lyapunov = lyapunov_momentum(rec.g_val, self.fset, ms.x, ms.y, mc.tau, mc.alpha)
-        elif mc.kind == PROX_ADAM:
-            m, v = split_adam_state(ms.y)
-            rec.lyapunov = lyapunov_adam(
-                rec.g_val, self.fset, ms.x, m, v, mc.tau1, mc.alpha, mc.eps
-            )
+        rec.lyapunov = self._lyapunov(rec.g_val, ms)
         return rec
 
 
@@ -359,11 +362,7 @@ def init_state(prob, config: SolverConfig, x0=None, rng=None) -> LagrangianState
 
 def iterate(prob, state: LagrangianState, config: SolverConfig, rng, kkt_probe: float | None = 1e-3):
     """One full iteration (primal step, tracker, dual step) plus its metrics.
-
-    Works for deterministic problems and for sampled-oracle problems; in the
-    sampled case the tracker pair shares one constraint token while the
-    Jacobian selection uses an independent fresh one.
-    """
+    The tracker pair shares one constraint token; the Jacobian draws its own."""
     driver = _Driver(prob, config)
     state_next, err = driver.step(state, rng)
     if err is not None:
@@ -397,7 +396,7 @@ def run(
     state = driver.initial_state(x0, rng)
     records = [driver.metrics(state, kkt_probe)]
     reason = None
-    chunked = driver.use_noise and not driver.stochastic
+    chunked = driver.use_noise and not isinstance(prob, StochasticProblemInstance)
     noise = None
     for k in range(config.max_iters):
         if chunked:

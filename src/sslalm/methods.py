@@ -37,6 +37,13 @@ class MethodConfig:
         if not (0.0 < self.tau2 <= 4.0 * self.tau1):
             raise ValueError("ADAM moment rates must satisfy 0 < tau2 <= 4*tau1")
 
+    def check_stepsize(self, eta_max: float) -> None:
+        """Reject a largest stepsize the method's step would refuse."""
+        if self.kind != PROX_SGD and eta_max > 1.0:
+            raise ValueError("eta_max <= 1 required for momentum and ADAM steps")
+        if self.kind == PROX_ADAM and eta_max * self.tau2 > 1.0:
+            raise ValueError("eta_max * tau2 <= 1 required to keep the ADAM second moment nonnegative")
+
     def aux_dim(self, n: int) -> int:
         if self.kind == PROX_SGD:
             return 0
@@ -115,30 +122,3 @@ def method_step(
     x_next, _, _ = step_prox_adam(fset, g, state.x, m, v, eta, cfg, out=y_next)
     return EmbeddedMethodState(x=x_next, y=y_next)
 
-
-def method_displacement_bound(
-    cfg: MethodConfig, fset: FeasibleSet, g, x, y
-) -> float:
-    """A computable bound T with dist((x', y'), (x, y)) <= eta * T.
-
-    Valid for any admissible stepsize (eta <= 1 for SGDM/ADAM, eta*tau2 <= 1
-    for ADAM); the tests check it against every step of a run.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if cfg.kind == PROX_SGD:
-        return float(np.linalg.norm(g))
-    if cfg.kind == PROX_SGDM:
-        t_y = cfg.tau * float(np.linalg.norm(y - g))
-        t_x = float(np.linalg.norm(x - fset.project(x - cfg.alpha * y))) + cfg.alpha * t_y
-        return float(np.hypot(t_x, t_y))
-    m, v = split_adam_state(np.asarray(y))
-    t_m = cfg.tau1 * float(np.linalg.norm(m - g))
-    t_v = cfg.tau2 * float(np.linalg.norm(v - g * g))
-    # weighted prox displacement: ||z - x|| <= 2*||y'|| / w_min with
-    # w_min = sqrt(eps)/alpha, and ||y'|| <= ||m|| + tau1*||m - g||
-    t_x = 2.0 * cfg.alpha * (float(np.linalg.norm(m)) + t_m) / np.sqrt(cfg.eps)
-    return float(np.sqrt(t_x * t_x + t_m * t_m + t_v * t_v))
-
-
-def state_distance(a: EmbeddedMethodState, b: EmbeddedMethodState) -> float:
-    return float(np.hypot(np.linalg.norm(a.x - b.x), np.linalg.norm(a.y - b.y)))

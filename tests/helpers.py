@@ -1,0 +1,61 @@
+"""Test-only helpers: a stateful perturbed-oracle wrapper for stress runs, and
+the embedded methods' per-step displacement bound. Nothing in the package
+calls them."""
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+
+from sslalm.core import ProblemInstance
+from sslalm.geometry import FeasibleSet
+from sslalm.methods import PROX_SGD, PROX_SGDM, EmbeddedMethodState, MethodConfig, split_adam_state
+
+
+def perturbed_instance(
+    prob: ProblemInstance, radius: float, seed: int = 0, decay: float = 1.0
+) -> ProblemInstance:
+    """Robustness wrapper: adds a perturbation of decaying radius
+    ``radius / (1 + t)**decay`` to each successive subgradient selection.
+
+    The wrapper keeps a call counter, so unlike the base oracles it is
+    stateful; intended for stress tests only.
+    """
+    rng = np.random.default_rng(seed)
+    count = [0]
+
+    def sub(x):
+        t = count[0]
+        count[0] += 1
+        r = radius / (1.0 + t) ** decay
+        return prob.objective_subgradient(x) + rng.uniform(-r, r, prob.dim_primal)
+
+    return replace(prob, objective_subgradient=sub)
+
+
+def method_displacement_bound(
+    cfg: MethodConfig, fset: FeasibleSet, g, x, y
+) -> float:
+    """A computable bound T with dist((x', y'), (x, y)) <= eta * T.
+
+    Valid for any admissible stepsize (eta <= 1 for SGDM/ADAM, eta*tau2 <= 1
+    for ADAM); the tests check it against every step of a run.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    if cfg.kind == PROX_SGD:
+        return float(np.linalg.norm(g))
+    if cfg.kind == PROX_SGDM:
+        t_y = cfg.tau * float(np.linalg.norm(y - g))
+        t_x = float(np.linalg.norm(x - fset.project(x - cfg.alpha * y))) + cfg.alpha * t_y
+        return float(np.hypot(t_x, t_y))
+    m, v = split_adam_state(np.asarray(y))
+    t_m = cfg.tau1 * float(np.linalg.norm(m - g))
+    t_v = cfg.tau2 * float(np.linalg.norm(v - g * g))
+    # weighted prox displacement: ||z - x|| <= 2*||y'|| / w_min with
+    # w_min = sqrt(eps)/alpha, and ||y'|| <= ||m|| + tau1*||m - g||
+    t_x = 2.0 * cfg.alpha * (float(np.linalg.norm(m)) + t_m) / np.sqrt(cfg.eps)
+    return float(np.sqrt(t_x * t_x + t_m * t_m + t_v * t_v))
+
+
+def state_distance(a: EmbeddedMethodState, b: EmbeddedMethodState) -> float:
+    return float(np.hypot(np.linalg.norm(a.x - b.x), np.linalg.norm(a.y - b.y)))

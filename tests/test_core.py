@@ -8,10 +8,10 @@ from sslalm.core import (
     as_stochastic,
     eval_constraints,
     eval_objective,
-    perturbed_instance,
 )
 from sslalm.geometry import Box, WholeSpace
 from sslalm.problems import make_affine_l1, make_slack_l1_net, make_stochastic_affine
+from helpers import perturbed_instance
 
 
 def l1_problem(n=2, anchor=None):

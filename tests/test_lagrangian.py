@@ -28,14 +28,9 @@ from sslalm.lagrangian import (
     run,
     track_correction,
 )
-from sslalm.methods import (
-    EmbeddedMethodState,
-    MethodConfig,
-    method_displacement_bound,
-    method_step,
-    state_distance,
-)
+from sslalm.methods import EmbeddedMethodState, MethodConfig, method_step
 from sslalm.problems import make_affine_l1, make_stochastic_affine
+from helpers import method_displacement_bound, perturbed_instance, state_distance
 
 
 def scalar_problem(objective=None, subgrad=None, fset=None):
@@ -423,14 +418,44 @@ class TestRun:
         with pytest.raises(OracleError, match="objective oracle returned a non-finite value"):
             run(prob, cfg, x0=np.array([0.5]))
 
-    @pytest.mark.parametrize("tracker", ["exact", "correction"])
-    def test_misshapen_constraint_still_raises(self, tracker):
+    @pytest.mark.parametrize(
+        "tracker, sampled",
+        [("exact", False), ("correction", False), ("correction", True)],
+        ids=["exact", "correction", "correction-sampled"],
+    )
+    def test_misshapen_constraint_still_raises(self, tracker, sampled):
+        # the sampled case changes the shape of the constraint samples the
+        # correction tracker takes
         prob = counting_constraint_problem(lambda x, calls: x.copy() if calls <= 20 else np.zeros(2))
+        if sampled:
+            prob = as_stochastic(prob)
         cfg = SolverConfig(
             method=MethodConfig(kind="prox_sgd"), eta=ETA_01, tracker=tracker, max_iters=100,
         )
         with pytest.raises(ValueError, match="constraint value has dimension 2"):
             run(prob, cfg, x0=np.array([0.5]), record_every=1000)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["deterministic", "sampled"])
+    @pytest.mark.parametrize("oracle", ["subgradient", "jacobian"])
+    def test_misshapen_step_oracle_raises(self, sampled, oracle):
+        # a shape-(1,) subgradient or a (1, p) Jacobian would broadcast into
+        # the direction; without the KKT probe no record looks at either
+        name = {"subgradient": "objective_subgradient", "jacobian": "constraint_jacobian"}[oracle]
+        if sampled:
+            inst = make_stochastic_affine(n=3, p=2, noise_scale=0.1, seed=1).instance
+            name += "_sample"
+            clipped = lambda x, tok, f=getattr(inst, name): f(x, tok)[:1]  # noqa: E731
+        else:
+            inst = make_affine_l1(n=3, p=2, seed=1).instance
+            clipped = lambda x, f=getattr(inst, name): f(x)[:1]  # noqa: E731
+        prob = replace(inst, **{name: clipped})
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=5)
+        error, message = {
+            "subgradient": (ValueError, "subgradient has dimension 1, expected 3"),
+            "jacobian": (OracleError, r"jacobian oracle returned shape \(1, 2\), expected \(3, 2\)"),
+        }[oracle]
+        with pytest.raises(error, match=message):
+            run(prob, cfg, kkt_probe=None)
 
     def test_overflowing_ialm_multiplier_leaves_regu_bookkeeping_unset(self):
         # huge ialm steps overflow lam on the second dual update (c(x) = x
@@ -549,15 +574,21 @@ class TestRunEqualsIterate:
 
 
 class TestExpectationConstrained:
-    def test_degenerate_sampler_equals_deterministic_correction_run(self):
+    @pytest.mark.parametrize("method", ["prox_sgd", "prox_sgdm", "prox_adam"])
+    @pytest.mark.parametrize("dual", ["regu", "ialm"])
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    def test_degenerate_sampler_equals_deterministic_correction_run(self, tracker, dual, method):
+        # the sampled run draws its noise step by step, the deterministic one
+        # in chunks of NOISE_CHUNK rows; the two stay equal bit for bit
         rec = make_affine_l1(n=3, p=1, seed=4)
         prob = rec.instance
         cfg = SolverConfig(
-            method=MethodConfig(kind="prox_sgd"),
+            method=MethodConfig(kind=method, alpha=0.2),
             rho=0.2, beta=1.0,
             theta=StepSchedule("constant", 0.4),
             eta=StepSchedule("inv_sqrt_epoch", 0.2),
-            tracker="correction", tau_tilde=1.0,
+            tracker=tracker, tau_tilde=1.0, dual=dual,
+            noise=NoiseModel("uniform_box", 0.1),
             max_iters=400, seed=6,
         )
         res_stoch = run(as_stochastic(prob), cfg, x0=rec.start, record_every=40)
@@ -715,8 +746,6 @@ class TestDriverVariants:
 
     def test_perturbed_oracle_still_converges(self):
         # decaying-radius inexactness in the subgradient selections
-        from sslalm.core import perturbed_instance
-
         rec = make_affine_l1(n=4, p=1, seed=6)
         wrapped = perturbed_instance(rec.instance, radius=0.5, seed=0, decay=0.6)
         cfg = SolverConfig(

@@ -6,14 +6,13 @@ from sslalm.methods import (
     EmbeddedMethodState,
     MethodConfig,
     init_method_state,
-    method_displacement_bound,
     method_step,
     split_adam_state,
-    state_distance,
     step_prox_adam,
     step_prox_sgd,
     step_prox_sgdm,
 )
+from helpers import method_displacement_bound, state_distance
 
 
 def unit_box(n):
