@@ -30,7 +30,7 @@ def main():
             beta=5.0,
             theta=m.StepSchedule("constant", 0.5),
             eta=m.StepSchedule("inv_sqrt_epoch", 0.5, 1),
-            noise=m.NoiseModel("uniform_box", 0.1, 0),
+            noise=m.NoiseModel("uniform_box", 0.1),
             max_iters=args.iters,
             seed=args.seed,
         )

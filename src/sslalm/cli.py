@@ -101,16 +101,27 @@ def _schema(cls):
 
 
 def _coerce(name: str, hint, value):
+    """A JSON scalar as its field's type: a float field takes any number but a
+    bool, an int field an integer or an integral float such as ``5.0``, a str
+    field a string; ``float | None`` also takes null. Other fields pass as
+    written."""
     if hint == float | None:
-        return None if value is None else float(value)
-    if hint not in (int, float, str):
-        return value
-    if value is None:
-        raise ValueError(f"{name} must not be null")
-    # int() would truncate 2.5 to 2; integral floats such as 5.0 are fine
-    if hint is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return hint(value)
+        if value is None:
+            return None
+        hint = float
+    # bool is a subclass of int, so it is excluded by name
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float:
+        if not number:
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        return float(value)
+    if hint is int:
+        if not number or isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if hint is str and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def _finite(value) -> bool:
@@ -124,9 +135,8 @@ def _from_table(cls, table, path: str):
     """Build the config dataclass ``cls`` from a JSON table keyed by its fields.
 
     Nested dataclass fields read nested tables, where an absent or null table
-    keeps the field's default. The scalars of the run and solver tables are
-    coerced to their annotated types; the inner tables pass theirs as written.
-    A non-finite number anywhere is rejected.
+    keeps the field's default. Every scalar is checked against its annotated
+    type by ``_coerce``, and a non-finite number anywhere is rejected.
     """
     label = path or "config"
     keys, required, hints = _schema(cls)
@@ -136,7 +146,6 @@ def _from_table(cls, table, path: str):
     for name in required:
         if name not in table:
             raise ConfigError(f"{label}: missing required key {name!r}")
-    coerce = cls in (RunConfig, SolverConfig)
     kwargs = {}
     try:
         for name, value in table.items():
@@ -145,7 +154,7 @@ def _from_table(cls, table, path: str):
                     sub_path = f"{path}.{name}" if path else name
                     kwargs[name] = _from_table(hints[name], value, sub_path)
             else:
-                value = _coerce(name, hints[name], value) if coerce else value
+                value = _coerce(name, hints[name], value)
                 if not _finite(value):
                     raise ConfigError(f"{label}: {name} must be finite, got {value!r}")
                 kwargs[name] = value
@@ -371,9 +380,15 @@ def cmd_list_problems() -> int:
 
 
 def _parse_value(text: str):
+    """A sweep value: its JSON value, else the number Python reads from it
+    (``nan``, ``inf``, ``.5``), else the text itself."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
         return text
 
 

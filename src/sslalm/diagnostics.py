@@ -119,9 +119,13 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
 
 
 def lyapunov_momentum(h_x: float, fset: FeasibleSet, x, y, tau: float, alpha: float) -> float:
-    """Descent certificate ``h(x) - u_momentum(x, y)/tau`` for momentum runs,
-    given the penalty value ``h_x = h(x)``."""
-    return float(h_x) - u_momentum(fset, x, y, alpha) / tau
+    """Descent certificate ``h(x) - u_momentum(x, y, 1/alpha)/tau`` for momentum
+    runs, given the penalty value ``h_x = h(x)``. ``alpha`` is the step's prox
+    scale: the SGDM step moves toward ``P(x - alpha*y)``, the minimizer of
+    ``u_momentum`` at scale ``1/alpha``."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    return float(h_x) - u_momentum(fset, x, y, 1.0 / alpha) / tau
 
 
 def lyapunov_adam(

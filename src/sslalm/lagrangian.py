@@ -27,16 +27,7 @@ from .core import (
     eval_constraints,
 )
 from .diagnostics import MetricsRecord, assemble_record, lyapunov_adam, lyapunov_momentum
-from .methods import (
-    PROX_ADAM,
-    PROX_SGD,
-    PROX_SGDM,
-    EmbeddedMethodState,
-    MethodConfig,
-    init_method_state,
-    method_step,
-    split_adam_state,
-)
+from .methods import PROX_ADAM, PROX_SGD, PROX_SGDM, MethodConfig, method_step, split_adam_state
 
 REGU_ZERO_TOL = 1e-14
 
@@ -138,25 +129,29 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LagrangianState:
-    method_state: EmbeddedMethodState
+    """One iterate: the primal point ``x``, the embedded method's auxiliary
+    block ``y`` (of size ``method.aux_dim(n)``), the multipliers ``lam``, the
+    tracker ``w`` and the iteration count ``k``."""
+
+    x: np.ndarray
+    y: np.ndarray
     lam: np.ndarray
     w: np.ndarray
     k: int = 0
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.method_state.x
 
 
 @dataclass
 class RunResult:
     records: list
     state: LagrangianState
-    aborted: bool = False
     abort_reason: str | None = None
     max_contraction_slack: float = float("nan")
     max_dual_excess: float = float("nan")
     wall_time_s: float = 0.0
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
     @property
     def final(self) -> MetricsRecord:
@@ -241,10 +236,10 @@ class _Driver:
         self._dual = self._dual_regu if config.dual == "regu" else self._dual_ialm
         mc = config.method
         self._lyapunov = {
-            PROX_SGD: lambda g, ms: None,
-            PROX_SGDM: lambda g, ms: lyapunov_momentum(g, self.fset, ms.x, ms.y, mc.tau, mc.alpha),
-            PROX_ADAM: lambda g, ms: lyapunov_adam(
-                g, self.fset, ms.x, *split_adam_state(ms.y), mc.tau1, mc.alpha, mc.eps
+            PROX_SGD: lambda g, s: None,
+            PROX_SGDM: lambda g, s: lyapunov_momentum(g, self.fset, s.x, s.y, mc.tau, mc.alpha),
+            PROX_ADAM: lambda g, s: lyapunov_adam(
+                g, self.fset, s.x, *split_adam_state(s.y), mc.tau1, mc.alpha, mc.eps
             ),
         }[mc.kind]
 
@@ -252,13 +247,13 @@ class _Driver:
         if x0 is None:
             x0 = np.zeros(self.n)
         x0 = self.fset.project(as_vector(x0, self.n, "x0"))
-        ms = init_method_state(self.config.method, x0)
+        y0 = np.zeros(self.config.method.aux_dim(self.n))
         if self._w_is_c:
             w0 = eval_constraints(self.mean, x0)
         else:
             tok = self.prob.draw_constraint_sample(rng)
             w0 = as_vector(self.prob.constraint_sample(x0, tok), self.p, "C(x0)")
-        return LagrangianState(method_state=ms, lam=np.zeros(self.p), w=w0, k=0)
+        return LagrangianState(x=x0, y=y0, lam=np.zeros(self.p), w=w0, k=0)
 
     def _shaped(self, c) -> np.ndarray:
         # c(x) at an iterate the driver made; its finiteness is checked with the new state
@@ -307,7 +302,7 @@ class _Driver:
         prob = self.prob
         k = state.k
         eta = cfg.eta(k)
-        x, lam, w = state.method_state.x, state.lam, state.w
+        x, lam, w = state.x, state.lam, state.w
 
         tok_f = prob.draw_objective_sample(rng)
         d = np.asarray(prob.objective_subgradient_sample(x, tok_f), dtype=np.float64)
@@ -326,10 +321,9 @@ class _Driver:
         if not np.isfinite(direction).all():
             return state, "non-finite primal direction"
 
-        ms_next = method_step(self.fset, state.method_state, direction, eta, cfg.method)
+        x_next, y_next = method_step(self.fset, x, state.y, direction, eta, cfg.method)
         # each part of the new state is checked for finiteness once, before
         # anything is computed from it
-        x_next = ms_next.x
         if not _all_finite(x_next):
             return state, "non-finite state"
         w_next = self._track(w, x, x_next, tok_c, eta)
@@ -338,17 +332,16 @@ class _Driver:
         lam_next = self._dual(lam, w_next, k)
         if lam_next is None:
             return state, "non-finite state"
-        return LagrangianState(method_state=ms_next, lam=lam_next, w=w_next, k=k + 1), None
+        return LagrangianState(x=x_next, y=y_next, lam=lam_next, w=w_next, k=k + 1), None
 
     def metrics(self, state: LagrangianState, kkt_probe: float | None) -> MetricsRecord:
         cfg = self.config
-        ms = state.method_state
         rec = assemble_record(
-            self.mean, state.k, ms.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe,
+            self.mean, state.k, state.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe,
             c=state.w if self._w_is_c else None,
         )
         # the Lyapunov value reuses the record's penalty value g(x)
-        rec.lyapunov = self._lyapunov(rec.g_val, ms)
+        rec.lyapunov = self._lyapunov(rec.g_val, state)
         return rec
 
 
@@ -382,7 +375,7 @@ def run(
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
     and at the final iterate. On a non-finite state, or a non-finite value in
     a later record (its own numbers, or an oracle it evaluates), the run stops
-    and the partial trajectory is returned with ``aborted=True``.
+    and the partial trajectory is returned with its ``abort_reason`` set.
 
     On deterministic problems nothing but the noise draws from the generator,
     so the noise is drawn ``NOISE_CHUNK`` rows at a time; the values are those
@@ -429,7 +422,6 @@ def run(
     return RunResult(
         records=records,
         state=state,
-        aborted=reason is not None,
         abort_reason=reason,
         max_contraction_slack=float("nan") if slack == -math.inf else slack,
         max_dual_excess=float("nan") if excess == -math.inf else excess,

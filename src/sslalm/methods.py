@@ -52,19 +52,6 @@ class MethodConfig:
         return 2 * n
 
 
-@dataclass(frozen=True)
-class EmbeddedMethodState:
-    """Primal point plus the method's auxiliary block (dimension ``aux_dim``)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-
-def init_method_state(cfg: MethodConfig, x0: np.ndarray) -> EmbeddedMethodState:
-    x0 = np.asarray(x0, dtype=np.float64)
-    return EmbeddedMethodState(x=x0, y=np.zeros(cfg.aux_dim(x0.size)))
-
-
 def split_adam_state(y: np.ndarray):
     n = y.size // 2
     return y[:n], y[n:]
@@ -108,17 +95,13 @@ def step_prox_adam(fset: FeasibleSet, g, x, y, v, eta: float, cfg: MethodConfig,
     return x_next, y_next, v_next
 
 
-def method_step(
-    fset: FeasibleSet, state: EmbeddedMethodState, g, eta: float, cfg: MethodConfig
-) -> EmbeddedMethodState:
-    """Dispatch one step of the configured method on a packed state."""
+def method_step(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
+    """One step of the configured method: ``(x, y) -> (x_next, y_next)``."""
     if cfg.kind == PROX_SGD:
-        return EmbeddedMethodState(x=step_prox_sgd(fset, g, state.x, eta), y=state.y)
+        return step_prox_sgd(fset, g, x, eta), y
     if cfg.kind == PROX_SGDM:
-        x_next, y_next = step_prox_sgdm(fset, g, state.x, state.y, eta, cfg)
-        return EmbeddedMethodState(x=x_next, y=y_next)
-    m, v = split_adam_state(state.y)
-    y_next = np.empty_like(state.y)
-    x_next, _, _ = step_prox_adam(fset, g, state.x, m, v, eta, cfg, out=y_next)
-    return EmbeddedMethodState(x=x_next, y=y_next)
-
+        return step_prox_sgdm(fset, g, x, y, eta, cfg)
+    m, v = split_adam_state(y)
+    y_next = np.empty_like(y)
+    x_next, _, _ = step_prox_adam(fset, g, x, m, v, eta, cfg, out=y_next)
+    return x_next, y_next

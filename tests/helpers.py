@@ -9,7 +9,7 @@ import numpy as np
 
 from sslalm.core import ProblemInstance
 from sslalm.geometry import FeasibleSet
-from sslalm.methods import PROX_SGD, PROX_SGDM, EmbeddedMethodState, MethodConfig, split_adam_state
+from sslalm.methods import PROX_SGD, PROX_SGDM, MethodConfig, split_adam_state
 
 
 def perturbed_instance(
@@ -57,5 +57,6 @@ def method_displacement_bound(
     return float(np.sqrt(t_x * t_x + t_m * t_m + t_v * t_v))
 
 
-def state_distance(a: EmbeddedMethodState, b: EmbeddedMethodState) -> float:
-    return float(np.hypot(np.linalg.norm(a.x - b.x), np.linalg.norm(a.y - b.y)))
+def state_distance(x_a, y_a, x_b, y_b) -> float:
+    """Euclidean distance between the method states ``(x_a, y_a)`` and ``(x_b, y_b)``."""
+    return float(np.hypot(np.linalg.norm(x_a - x_b), np.linalg.norm(y_a - y_b)))

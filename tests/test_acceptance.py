@@ -238,20 +238,20 @@ def test_criterion_6_unconstrained_adam_equivalence():
     assert ok
 
 
-def _lyapunov_ratio(kind):
+def _lyapunov_ratio(kind, alpha=1.0):
     fset = m.Box(np.array([-1.0]), np.array([1.0]))
     h = lambda z: abs(float(z[0]) - 0.3)
     x = np.array([-0.8])
     eta = 1e-3
     if kind == "sgdm":
-        cfg = m.MethodConfig(kind="prox_sgdm", tau=0.4, alpha=1.0)
+        cfg = m.MethodConfig(kind="prox_sgdm", tau=0.4, alpha=alpha)
         y = np.zeros(1)
         vals = [lyapunov_momentum(h(x), fset, x, y, cfg.tau, cfg.alpha)]
         for _ in range(10000):
             x, y = m.step_prox_sgdm(fset, np.sign(x - 0.3), x, y, eta, cfg)
             vals.append(lyapunov_momentum(h(x), fset, x, y, cfg.tau, cfg.alpha))
     else:
-        cfg = m.MethodConfig(kind="prox_adam", tau1=0.4, tau2=0.1, alpha=1.0, eps=1e-8)
+        cfg = m.MethodConfig(kind="prox_adam", tau1=0.4, tau2=0.1, alpha=alpha, eps=1e-8)
         y = np.zeros(1)
         v = np.zeros(1)
         vals = [lyapunov_adam(h(x), fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps)]
@@ -265,15 +265,17 @@ def _lyapunov_ratio(kind):
 
 
 def test_criterion_7_lyapunov_descent():
-    # noiseless momentum and ADAM runs: cumulative increase of the descent
-    # certificate at most 1e-3 of its total decrease
+    # noiseless momentum and ADAM runs at the prox scales of the configs:
+    # cumulative increase of the descent certificate at most 1e-3 of its
+    # total decrease
     details = []
     ok = True
     for kind in ["sgdm", "adam"]:
-        inc, dec, vals = _lyapunov_ratio(kind)
-        ratio = inc / dec
-        ok &= ratio <= 1e-3 and vals[-1] < vals[0]
-        details.append(f"{kind} ratio {ratio:.2e}")
+        for alpha in [1.0, 0.2, 0.05]:
+            inc, dec, vals = _lyapunov_ratio(kind, alpha)
+            ratio = inc / dec
+            ok &= ratio <= 1e-3 and vals[-1] < vals[0]
+            details.append(f"{kind} alpha {alpha} ratio {ratio:.2e}")
     report(7, ok, ", ".join(details) + " (budget 1e-3)")
     assert ok
 

@@ -405,6 +405,15 @@ class TestMainEntry:
                         "dual": {"kind": "ialm", "sigma": float("inf")}}},
             {"kkt_probe": float("inf")},
             {"problem": {"kind": "stochastic_affine", "noise_scale": float("nan")}},
+            # JSON strings and booleans are not numbers, in any table
+            {"solver": {"method": {"kind": "prox_sgd"}, "rho": "0.5"}},
+            {"solver": {"method": {"kind": "prox_sgd"}, "max_iters": True}},
+            {"kkt_probe": True},
+            {"output_path": 5},
+            {"solver": {"method": {"kind": "prox_sgdm", "alpha": True}}},
+            {"solver": {"method": {"kind": "prox_sgdm", "alpha": "0.5"}}},
+            {"solver": {"method": {"kind": "prox_sgd"},
+                        "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": True}}},
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
@@ -424,12 +433,14 @@ class TestMainEntry:
     def test_integral_floats_accepted(self, tmp_path):
         path = minimal_config(
             tmp_path, record_every=2.0, repetitions=1.0,
-            solver={"method": {"kind": "prox_sgd"}, "max_iters": 5.0, "seed": 3.0},
+            solver={"method": {"kind": "prox_sgd"}, "max_iters": 5.0, "seed": 3.0,
+                    "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 2.0}},
         )
         cfg = parse_config(path)
         assert (cfg.record_every, cfg.repetitions) == (2, 1)
         assert (cfg.solver.max_iters, cfg.solver.seed) == (5, 3)
         assert isinstance(cfg.solver.max_iters, int)
+        assert isinstance(cfg.solver.eta.epoch_len, int)
 
     def test_nonfinite_constraint_aborts_with_outputs(self, tmp_path, monkeypatch):
         # a constraint oracle that turns non-finite mid-run ends the run with

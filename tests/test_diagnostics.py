@@ -413,7 +413,7 @@ class TestRecordPathMatchesPublicFunctions:
         mean, cfg, chain = _record_chain(recipe_name, method)
         mc = cfg.method
         for state, rec in chain:
-            x, y = state.x, state.method_state.y
+            x, y = state.x, state.y
             kkt = kkt_residual(mean, x, state.lam, 1e-3)
             assert np.float64(rec.kkt_residual).tobytes() == np.float64(kkt).tobytes()
             if method == "prox_sgdm":

@@ -28,7 +28,7 @@ from sslalm.lagrangian import (
     run,
     track_correction,
 )
-from sslalm.methods import EmbeddedMethodState, MethodConfig, method_step
+from sslalm.methods import MethodConfig, method_step
 from sslalm.problems import make_affine_l1, make_stochastic_affine
 from helpers import method_displacement_bound, perturbed_instance, state_distance
 
@@ -226,7 +226,8 @@ class TestIterate:
             max_iters=1,
         )
         state = LagrangianState(
-            method_state=EmbeddedMethodState(x=np.array([1.0]), y=np.zeros(0)),
+            x=np.array([1.0]),
+            y=np.zeros(0),
             lam=np.array([0.5]),
             w=np.array([1.0]),
         )
@@ -257,7 +258,8 @@ class TestIterate:
             theta=StepSchedule("constant", 0.5), eta=ETA_01, max_iters=1,
         )
         state = LagrangianState(
-            method_state=EmbeddedMethodState(x=np.array([0.1]), y=np.zeros(0)),
+            x=np.array([0.1]),
+            y=np.zeros(0),
             lam=np.array([5.0]),
             w=np.array([0.1]),
         )
@@ -489,11 +491,11 @@ class TestRun:
         )
         moves = []
 
-        def checked_step(fset, ms, direction, eta, mc):
-            ms_next = method_step(fset, ms, direction, eta, mc)
-            bound = method_displacement_bound(mc, fset, direction, ms.x, ms.y)
-            moves.append((state_distance(ms_next, ms), eta * bound))
-            return ms_next
+        def checked_step(fset, x, y, direction, eta, mc):
+            x_next, y_next = method_step(fset, x, y, direction, eta, mc)
+            bound = method_displacement_bound(mc, fset, direction, x, y)
+            moves.append((state_distance(x_next, y_next, x, y), eta * bound))
+            return x_next, y_next
 
         monkeypatch.setattr(lagrangian, "method_step", checked_step)
         res = run(rec.instance, cfg, x0=rec.start)
@@ -682,7 +684,8 @@ class TestSolverConfigValidation:
             max_iters=2,
         )
         state = LagrangianState(
-            method_state=EmbeddedMethodState(x=np.array([1.0]), y=np.zeros(0)),
+            x=np.array([1.0]),
+            y=np.zeros(0),
             lam=np.array([0.0]),
             w=np.array([1.0]),
         )

@@ -3,9 +3,7 @@ import pytest
 
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.methods import (
-    EmbeddedMethodState,
     MethodConfig,
-    init_method_state,
     method_step,
     split_adam_state,
     step_prox_adam,
@@ -136,7 +134,7 @@ def random_state(cfg, fset, rng):
     if cfg.kind == "prox_adam":
         m, v = split_adam_state(y)
         y = np.concatenate([m, np.abs(v)])
-    return EmbeddedMethodState(x=x, y=y)
+    return x, y
 
 
 @pytest.mark.parametrize("kind", ["prox_sgd", "prox_sgdm", "prox_adam"])
@@ -150,15 +148,15 @@ def test_feasibility_and_displacement_contract(kind, set_name):
     fset = SETS[set_name](n)
     trials = 10000 // 3 + 1
     for _ in range(trials):
-        state = random_state(cfg, fset, rng)
+        x, y = random_state(cfg, fset, rng)
         g = 3.0 * rng.standard_normal(n)
         eta = float(rng.uniform(0.01, 1.0))
         if kind == "prox_adam":
             eta = min(eta, 1.0 / cfg.tau2)
-        nxt = method_step(fset, state, g, eta, cfg)
-        assert fset.contains(nxt.x)
-        bound = method_displacement_bound(cfg, fset, g, state.x, state.y)
-        assert state_distance(nxt, state) <= eta * bound + 1e-9
+        x_next, y_next = method_step(fset, x, y, g, eta, cfg)
+        assert fset.contains(x_next)
+        bound = method_displacement_bound(cfg, fset, g, x, y)
+        assert state_distance(x_next, y_next, x, y) <= eta * bound + 1e-9
 
 
 def test_sgd_displacement_bound_is_gradient_norm():
@@ -177,10 +175,10 @@ def test_zero_input_zero_displacement():
     for kind in ["prox_sgd", "prox_sgdm", "prox_adam"]:
         cfg = MethodConfig(kind=kind)
         fset = unit_box(2)
-        state = init_method_state(cfg, np.zeros(2))
-        nxt = method_step(fset, state, np.zeros(2), 0.5, cfg)
-        assert state_distance(nxt, state) == 0.0
-        assert method_displacement_bound(cfg, fset, np.zeros(2), state.x, state.y) == 0.0
+        x, y = np.zeros(2), np.zeros(cfg.aux_dim(2))
+        x_next, y_next = method_step(fset, x, y, np.zeros(2), 0.5, cfg)
+        assert state_distance(x_next, y_next, x, y) == 0.0
+        assert method_displacement_bound(cfg, fset, np.zeros(2), x, y) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["prox_sgdm", "prox_adam"])
@@ -189,12 +187,12 @@ def test_displacement_linear_in_eta(kind):
     cfg = MethodConfig(kind=kind, tau=1.0, alpha=0.5, tau1=1.0, tau2=0.5, eps=0.1)
     fset = unit_box(3)
     rng = np.random.default_rng(5)
-    state = random_state(cfg, fset, rng)
+    x, y = random_state(cfg, fset, rng)
     g = rng.standard_normal(3)
     ratios = []
     for eta in [1e-1, 1e-2, 1e-3, 1e-4]:
-        nxt = method_step(fset, state, g, eta, cfg)
-        ratios.append(state_distance(nxt, state) / eta)
+        x_next, y_next = method_step(fset, x, y, g, eta, cfg)
+        ratios.append(state_distance(x_next, y_next, x, y) / eta)
     assert ratios[-1] > 0.0
     assert ratios[-2] / ratios[-1] == pytest.approx(1.0, abs=0.1)
     assert max(ratios) / min(ratios) <= 2.0
@@ -205,13 +203,13 @@ def test_converges_on_abs_value_toy(kind):
     # noiseless run on min |x| drives the objective below 1e-3 within 1e4 steps
     cfg = MethodConfig(kind=kind, tau=1.0, alpha=1.0, tau1=1.0, tau2=0.5, eps=1e-8)
     fset = WholeSpace(1)
-    state = init_method_state(cfg, np.array([1.7]))
-    best = abs(state.x[0])
+    x, y = np.array([1.7]), np.zeros(cfg.aux_dim(1))
+    best = abs(x[0])
     for k in range(10000):
-        g = np.sign(state.x)
+        g = np.sign(x)
         eta = 0.5 / np.sqrt(k + 1)
-        state = method_step(fset, state, g, eta, cfg)
-        best = min(best, abs(state.x[0]))
+        x, y = method_step(fset, x, y, g, eta, cfg)
+        best = min(best, abs(x[0]))
         if best <= 1e-3:
             break
     assert best <= 1e-3
