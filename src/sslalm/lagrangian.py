@@ -318,7 +318,7 @@ class _Driver:
         direction = d + J @ (lam + cfg.rho * w)
         if self.use_noise:
             direction = direction + (cfg.noise.draw(rng, self.n) if noise is None else noise)
-        if not np.isfinite(direction).all():
+        if not _all_finite(direction):
             return state, "non-finite primal direction"
 
         x_next, y_next = method_step(self.fset, x, state.y, direction, eta, cfg.method)

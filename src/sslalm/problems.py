@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import ProblemInstance, StochasticProblemInstance
 from .geometry import BlockProduct, Box, NonnegativeOrthant
@@ -100,9 +99,15 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
 def _certify_multiplier(A, x_star, anchor, lower, upper):
     """Multipliers pairing with the fixed sign selection at ``x_star``, or None.
 
-    Minimizes the squared distance of ``-(sign(x - anchor) + A^T lam)`` to the
-    box normal cone at ``x_star`` over ``lam``; succeeds only where the fixed
-    selection itself certifies stationarity.
+    A certificate puts ``-(d + A^T lam)``, with ``d = sign(x_star - anchor)``,
+    in the box normal cone at ``x_star``: ``(d + A^T lam)_i = 0`` on each free
+    coordinate, and on a coordinate at one bound ``(d + A^T lam)_i`` is
+    ``>= 0`` at the lower bound, ``<= 0`` at the upper one. These
+    multipliers form a polyhedron; if it is not empty, its minimal face is
+    the solution set of the free rows plus ``r - rank(free rows)`` one-sided
+    rows held with equality, ``r`` being the rank of all its rows. Every such
+    choice of rows is solved in turn, and the first solution whose squared
+    normal-cone residual is <= 1e-16 is returned.
     """
     A = np.asarray(A, dtype=np.float64)
     d = np.sign(x_star - anchor)
@@ -117,9 +122,15 @@ def _certify_multiplier(A, x_star, anchor, lower, upper):
         r = np.where(at_lower & at_upper, 0.0, r)
         return float(r @ r)
 
-    res = minimize(resid2, np.zeros(A.shape[0]), method="L-BFGS-B", tol=1e-16)
-    if res.fun <= 1e-16:
-        return np.asarray(res.x, dtype=np.float64)
+    free = np.flatnonzero(~at_lower & ~at_upper)
+    one_sided = np.flatnonzero(at_lower ^ at_upper)
+    rank_free = np.linalg.matrix_rank(A[:, free].T)
+    rank_all = np.linalg.matrix_rank(A[:, np.concatenate([free, one_sided])].T)
+    for extra in itertools.combinations(one_sided, rank_all - rank_free):
+        rows = np.concatenate([free, np.asarray(extra, dtype=np.intp)])
+        lam = np.linalg.lstsq(A[:, rows].T, -d[rows], rcond=None)[0]
+        if resid2(lam) <= 1e-16:
+            return lam
     return None
 
 
@@ -287,8 +298,11 @@ def make_slack_l1_net(
                 delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
         return value, grad
 
+    layer_slices = [slice(offsets[i], offsets[i + 1]) for i in range(L)]
+
     def layer_norms(x):
-        return np.array([np.abs(x[offsets[i] : offsets[i + 1]]).sum() for i in range(L)])
+        w = np.abs(x[:n_w])
+        return np.array([w[s].sum() for s in layer_slices])
 
     def constraint(x):
         return layer_norms(x) + x[n_w:] - radius

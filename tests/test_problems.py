@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize
 
 from sslalm.core import eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
 from sslalm.problems import (
+    _FEAS_TOL,
+    _certify_multiplier,
     l1_affine_oracle,
     make_affine_l1,
     make_exactness_1d,
@@ -65,6 +67,102 @@ class TestL1AffineOracle:
             l1_affine_oracle(
                 np.ones((1, 13)), np.zeros(1), np.zeros(13), np.full(13, -1.0), np.full(13, 1.0)
             )
+
+
+def certificate_resid2(A, x_star, anchor, lower, upper, lam):
+    """Squared distance of ``-(sign(x_star - anchor) + A^T lam)`` to the box
+    normal cone at ``x_star``."""
+    t = -(np.sign(x_star - anchor) + A.T @ lam)
+    at_lower = x_star <= lower + _FEAS_TOL
+    at_upper = x_star >= upper - _FEAS_TOL
+    r = np.abs(t)
+    r = np.where(at_lower, np.maximum(t, 0.0), r)
+    r = np.where(at_upper, np.maximum(-t, 0.0), r)
+    r = np.where(at_lower & at_upper, 0.0, r)
+    return float(r @ r)
+
+
+def lbfgsb_certificate(A, x_star, anchor, lower, upper):
+    """Reference certificate: L-BFGS-B on the squared residual, accepted at <= 1e-16."""
+    res = minimize(
+        lambda lam: certificate_resid2(A, x_star, anchor, lower, upper, lam),
+        np.zeros(A.shape[0]), method="L-BFGS-B", tol=1e-16,
+    )
+    return np.asarray(res.x) if res.fun <= 1e-16 else None
+
+
+def constructed_certificate(n, p, seed, n_free):
+    """An instance certified by ``lam_star`` by construction: ``n_free``
+    interior coordinates, each other one at the bound whose normal cone holds
+    ``-(d + A^T lam_star)_i``. With ``n_free == p`` the free rows fix
+    ``lam_star``; with fewer it is one certificate among many."""
+    rng = np.random.default_rng(seed)
+    A = np.linalg.qr(rng.standard_normal((n, p)))[0].T
+    free = rng.permutation(n)[:n_free]
+    d = rng.choice([-1.0, 0.0, 1.0], n)
+    d[free] = rng.choice([-1.0, 1.0], n_free)
+    # a solution of the free rows plus a random step along their null space
+    A_free = A[:, free].T
+    z = rng.standard_normal(p)
+    lam_star = np.linalg.lstsq(A_free, -d[free], rcond=None)[0] + z - np.linalg.pinv(A_free) @ (A_free @ z)
+    lower, upper = np.full(n, -1.0), np.full(n, 1.0)
+    x_star = np.where(d + A.T @ lam_star >= 0.0, lower, upper)
+    x_star[free] = rng.uniform(-0.5, 0.5, n_free)
+    anchor = x_star - d * rng.uniform(0.1, 0.5, n)  # sign(x_star - anchor) == d
+    return (A, x_star, anchor, lower, upper), lam_star
+
+
+class TestCertifyMultiplier:
+    def test_same_decision_as_lbfgsb_on_the_recipe_grid(self):
+        certified = 0
+        for n in range(2, 11):
+            for p in range(1, min(3, n - 1) + 1):
+                for seed in range(15):
+                    rec = make_affine_l1(n=n, p=p, seed=seed)
+                    box = rec.instance.feasible_set
+                    args = (rec.metadata["A"], rec.oracle_solution.x, rec.metadata["anchor"],
+                            box.lower, box.upper)
+                    lam, ref = rec.oracle_solution.multipliers, lbfgsb_certificate(*args)
+                    assert (lam is None) == (ref is None), (n, p, seed)
+                    if lam is not None:
+                        assert lam == pytest.approx(ref, abs=1e-6)
+                        certified += 1
+        assert certified >= 1
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (4, 2), (6, 3), (10, 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_returns_the_constructed_multiplier(self, n, p, seed):
+        args, lam_star = constructed_certificate(n, p, seed, n_free=p)
+        lam = _certify_multiplier(*args)
+        assert lam is not None
+        assert lam == pytest.approx(lam_star, abs=1e-9)
+
+    @pytest.mark.parametrize("n, p, n_free", [(3, 1, 0), (5, 2, 0), (5, 2, 1), (8, 3, 1), (8, 3, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certifies_with_fewer_free_rows_than_multipliers(self, n, p, n_free, seed):
+        # the free rows do not fix lam: one-sided rows complete the system
+        args, lam_star = constructed_certificate(n, p, seed, n_free)
+        assert certificate_resid2(*args, lam_star) <= 1e-16
+        lam = _certify_multiplier(*args)
+        assert lam is not None
+        assert certificate_resid2(*args, lam) <= 1e-16
+
+    @pytest.mark.parametrize(
+        "A, x_star, anchor",
+        [
+            # three free rows, one multiplier: lam/sqrt(3) = -1 and = +1
+            (np.ones((1, 3)) / np.sqrt(3), np.zeros(3), np.array([-0.5, -0.5, 0.5])),
+            # lower bound needs lam/sqrt(2) >= 1, upper bound needs it <= -1
+            (np.ones((1, 2)) / np.sqrt(2), np.array([-1.0, 1.0]), np.array([-0.5, 0.5])),
+            # the free row fixes lam = -sqrt(2), which the lower bound rejects
+            (np.ones((1, 2)) / np.sqrt(2), np.array([0.2, -1.0]), np.array([-0.1, -0.5])),
+        ],
+        ids=["free-rows-inconsistent", "one-sided-rows-inconsistent", "free-row-violates-bound"],
+    )
+    def test_none_without_a_certificate(self, A, x_star, anchor):
+        args = (A, x_star, anchor, np.full(A.shape[1], -1.0), np.full(A.shape[1], 1.0))
+        assert lbfgsb_certificate(*args) is None
+        assert _certify_multiplier(*args) is None
 
 
 class TestAffineL1Recipe:
@@ -145,6 +243,21 @@ class TestSlackL1NetRecipe:
                 assert J.tobytes() == ref.tobytes()
                 J[:] = 5.0  # each call returns a fresh array
         assert inst.mean.constraint_jacobian(x).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("widths", [(2, 8, 2), (2, 3, 4, 2), (5, 17, 33, 3)])
+    def test_constraint_equals_per_layer_loop(self, widths):
+        rec = make_slack_l1_net(layer_widths=widths, n_train=16, n_test=8, batch_size=8)
+        inst = rec.instance
+        n, n_w, L = inst.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
+        offsets = np.cumsum([0] + [widths[i] * widths[i + 1] for i in range(L)])
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            x = rng.uniform(-1, 1, n) * rng.choice([1e-3, 1.0, 1e3], n)
+            x[rng.random(n) < 0.2] = 0.0
+            norms = np.array([np.abs(x[offsets[i] : offsets[i + 1]]).sum() for i in range(L)])
+            ref = norms + x[n_w:] - 1.0
+            for c in (inst.mean.constraint(x), inst.constraint_sample(x, None)):
+                assert c.tobytes() == ref.tobytes()
 
     def test_loss_subgradient_matches_finite_differences(self):
         # piecewise-linear in the parameters: central differences agree at
