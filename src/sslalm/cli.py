@@ -427,12 +427,10 @@ def main(argv=None) -> int:
             return cmd_sweep(
                 parse_config(args.config), args.param, values, args.out, args.quiet, args.seed
             )
-        if args.command == "list-problems":
-            return cmd_list_problems()
+        return cmd_list_problems()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

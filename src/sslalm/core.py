@@ -53,6 +53,13 @@ def _all_finite(v: Array) -> bool:
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
+def _require_finite(**values) -> None:
+    """Raise a ValueError naming the first of ``values`` that is not a finite number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Equality-constrained problem with deterministic selection oracles.

@@ -61,7 +61,7 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3) -> floa
     fixed selection pair certifies stationarity; at smooth points it tends to
     the norm of the gradient of the Lagrangian as ``eta_probe`` shrinks.
     """
-    if eta_probe <= 0:
+    if not eta_probe > 0:
         raise ValueError("eta_probe must be positive")
     x = as_vector(x, prob.dim_primal)
     lam = as_vector(lam, prob.dim_constraint, "lam")
@@ -94,7 +94,7 @@ def _u_adam_parts(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
     v = as_vector(v, fset.dim, "v")
     if (v < 0).any():
         raise ValueError("second-moment entries must be nonnegative")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")

@@ -285,7 +285,7 @@ def prox_preconditioned(fset: FeasibleSet, x, y, v) -> np.ndarray:
 def _prox_positive(fset: FeasibleSet, x, y, v) -> np.ndarray:
     """``prox_preconditioned`` for ``x``, ``y`` and ``v`` whose shapes the
     caller has checked: only the weights are checked here."""
-    if (v <= 0.0).any():
+    if not (v > 0.0).all():
         raise ValueError("preconditioning weights must be positive")
     return fset.prox_weighted(x, y, v)
 

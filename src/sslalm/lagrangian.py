@@ -22,6 +22,7 @@ from .core import (
     _all_finite,
     _jacobian_shape_error,
     _norm,
+    _require_finite,
     as_stochastic,
     as_vector,
     eval_constraints,
@@ -53,6 +54,7 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        _require_finite(c=self.c, exponent=self.exponent)
         if self.c < 0:
             raise ValueError("schedule scale must be nonnegative")
         if isinstance(self.epoch_len, float) and not self.epoch_len.is_integer():
@@ -78,8 +80,8 @@ class StepSchedule:
 @dataclass(frozen=True)
 class SolverConfig:
     """All scalar parameters of the single-loop drivers. ``theta`` must stay
-    strictly below ``beta`` so the multiplier update contracts; ``eta`` must be
-    positive and within the method's cap (``MethodConfig.check_stepsize``)."""
+    strictly below ``beta`` so the multiplier update contracts; the largest
+    ``eta`` must pass ``MethodConfig.check_stepsize``."""
 
     method: MethodConfig = field(default_factory=MethodConfig)
     rho: float = 0.0
@@ -98,14 +100,14 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(rho=self.rho, beta=self.beta, tau_tilde=self.tau_tilde, sigma=self.sigma,
+                        beta_tilde=self.beta_tilde, theta_tilde=self.theta_tilde)
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.theta.max_value >= self.beta:
             raise ValueError("dual stepsizes require theta_max < beta")
-        if self.eta.c <= 0:
-            raise ValueError("eta schedule must be positive")
         self.method.check_stepsize(self.eta.max_value)
         if self.tracker not in TRACKER_KINDS:
             raise ValueError(f"unknown tracker {self.tracker!r}")
@@ -184,7 +186,7 @@ def dual_step_ialm(
     lam, c_next, theta_tilde: float, beta_tilde: float, sigma: float, k: int
 ) -> np.ndarray:
     """Safeguarded classical ascent ``lam + min(theta~/||c||, beta~*sigma^k) * c``."""
-    if beta_tilde <= 0 or sigma <= 1.0:
+    if not (beta_tilde > 0 and sigma > 1.0):
         raise ValueError("ialm dual requires beta_tilde > 0 and sigma > 1")
     lam = np.asarray(lam, dtype=np.float64)
     c_next = np.asarray(c_next, dtype=np.float64)
@@ -201,7 +203,7 @@ def dual_step_ialm(
 def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.ndarray:
     """Single-timescale tracker with a shared-sample correction term:
     ``w - tau~*eta*(w - C(x)) + C(x_next) - C(x)``."""
-    if tau_tilde * eta > 1.0:
+    if not tau_tilde * eta <= 1.0:
         raise ValueError("correction tracker requires tau_tilde * eta <= 1")
     w = np.asarray(w, dtype=np.float64)
     c_at_x = np.asarray(c_at_x, dtype=np.float64)
@@ -214,7 +216,8 @@ class _Driver:
     a deterministic problem runs as a sampled one whose samples are exact."""
 
     def __init__(self, prob, config: SolverConfig):
-        if not isinstance(prob, StochasticProblemInstance):
+        self.deterministic = not isinstance(prob, StochasticProblemInstance)
+        if self.deterministic:
             prob = as_stochastic(prob)
         self.config = config
         self.prob = prob
@@ -381,7 +384,7 @@ def run(
     so the noise is drawn ``NOISE_CHUNK`` rows at a time; the values are those
     of one draw per step, as in ``iterate``.
     """
-    if record_every < 1:
+    if not record_every >= 1:
         raise ValueError("record_every must be >= 1")
     t0 = time.perf_counter()
     driver = _Driver(prob, config)
@@ -389,7 +392,7 @@ def run(
     state = driver.initial_state(x0, rng)
     records = [driver.metrics(state, kkt_probe)]
     reason = None
-    chunked = driver.use_noise and not isinstance(prob, StochasticProblemInstance)
+    chunked = driver.use_noise and driver.deterministic
     noise = None
     for k in range(config.max_iters):
         if chunked:

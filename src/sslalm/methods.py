@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_finite
 from .geometry import FeasibleSet
 
 PROX_SGD = "prox_sgd"
@@ -32,17 +33,23 @@ class MethodConfig:
     def __post_init__(self):
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
+        _require_finite(tau=self.tau, alpha=self.alpha, tau1=self.tau1, tau2=self.tau2,
+                        eps=self.eps)
         if self.tau <= 0 or self.alpha <= 0 or self.eps <= 0:
             raise ValueError("tau, alpha, and eps must be positive")
         if not (0.0 < self.tau2 <= 4.0 * self.tau1):
             raise ValueError("ADAM moment rates must satisfy 0 < tau2 <= 4*tau1")
 
-    def check_stepsize(self, eta_max: float) -> None:
-        """Reject a largest stepsize the method's step would refuse."""
-        if self.kind != PROX_SGD and eta_max > 1.0:
-            raise ValueError("eta_max <= 1 required for momentum and ADAM steps")
-        if self.kind == PROX_ADAM and eta_max * self.tau2 > 1.0:
-            raise ValueError("eta_max * tau2 <= 1 required to keep the ADAM second moment nonnegative")
+    def check_stepsize(self, eta: float) -> None:
+        """The stepsize rule of every step, and of ``SolverConfig`` at the largest
+        ``eta``: ``eta > 0``; ``eta <= 1`` for momentum and ADAM, so ``x`` stays
+        feasible; ``eta * tau2 <= 1`` for ADAM, so the second moment stays >= 0."""
+        if not eta > 0.0:
+            raise ValueError(f"stepsize must be positive, got {eta!r}")
+        if self.kind != PROX_SGD and eta > 1.0:
+            raise ValueError("eta <= 1 required for momentum and ADAM steps")
+        if self.kind == PROX_ADAM and eta * self.tau2 > 1.0:
+            raise ValueError("eta * tau2 <= 1 required to keep the ADAM second moment nonnegative")
 
     def aux_dim(self, n: int) -> int:
         if self.kind == PROX_SGD:
@@ -52,39 +59,31 @@ class MethodConfig:
         return 2 * n
 
 
+_PLAIN_SGD = MethodConfig()
+
+
 def split_adam_state(y: np.ndarray):
     n = y.size // 2
     return y[:n], y[n:]
 
 
 def step_prox_sgd(fset: FeasibleSet, g, x, eta: float) -> np.ndarray:
-    if eta <= 0:
-        raise ValueError("stepsize must be positive")
+    _PLAIN_SGD.check_stepsize(eta)
     return fset.project(x - eta * np.asarray(g))
 
 
 def step_prox_sgdm(fset: FeasibleSet, g, x, y, eta: float, cfg: MethodConfig):
-    """Momentum update followed by a convex combination with the prox point.
-
-    Requires ``0 < eta <= 1`` so the combination keeps ``x`` feasible.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("SGDM stepsize must satisfy 0 < eta <= 1")
+    """Momentum update followed by a convex combination with the prox point."""
+    cfg.check_stepsize(eta)
     y_next = y - cfg.tau * eta * (y - np.asarray(g))
     x_next = (1.0 - eta) * x + eta * fset.project(x - cfg.alpha * y_next)
     return x_next, y_next
 
 
 def step_prox_adam(fset: FeasibleSet, g, x, y, v, eta: float, cfg: MethodConfig, out=None):
-    """First/second moment updates, then a weighted prox step.
-
-    ``eta * tau2 <= 1`` keeps the second moment nonnegative. The new moments
-    are written into the two halves of ``out`` when it is given.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("ADAM stepsize must satisfy 0 < eta <= 1")
-    if eta * cfg.tau2 > 1.0:
-        raise ValueError("ADAM requires eta * tau2 <= 1 to keep v >= 0")
+    """First/second moment updates, then a weighted prox step. The new moments
+    are written into the two halves of ``out`` when it is given."""
+    cfg.check_stepsize(eta)
     g = np.asarray(g)
     y_out, v_out = (None, None) if out is None else split_adam_state(out)
     y_next = np.subtract(y, cfg.tau1 * eta * (y - g), out=y_out)

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, StochasticProblemInstance
-from .geometry import BlockProduct, Box, NonnegativeOrthant
-
-_FEAS_TOL = 1e-9
+from .core import ProblemInstance, StochasticProblemInstance, _require_finite
+from .geometry import MEMBERSHIP_TOL, BlockProduct, Box, NonnegativeOrthant
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,7 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
         raise ValueError("brute-force oracle is capped at n <= 12")
     best_f = np.inf
     best_x = None
+    lo, hi = lower[:, None] - MEMBERSHIP_TOL, upper[:, None] + MEMBERSHIP_TOL
     for free in itertools.combinations(range(n), p):
         fixed = [i for i in range(n) if i not in free]
         A_free = A[:, free]
@@ -82,7 +81,7 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
             X[list(free), :] = X_free
         else:
             X = np.linalg.solve(A_free, b).reshape(n, 1)
-        ok = np.all((X >= lower[:, None] - _FEAS_TOL) & (X <= upper[:, None] + _FEAS_TOL), axis=0)
+        ok = np.all((X >= lo) & (X <= hi), axis=0)
         if not ok.any():
             continue
         fvals = np.abs(X - anchor[:, None]).sum(axis=0)
@@ -96,32 +95,21 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
     return best_x, best_f
 
 
-def _certify_multiplier(A, x_star, anchor, lower, upper):
+def _certify_multiplier(A, x_star, anchor, box: Box):
     """Multipliers pairing with the fixed sign selection at ``x_star``, or None.
 
     A certificate puts ``-(d + A^T lam)``, with ``d = sign(x_star - anchor)``,
-    in the box normal cone at ``x_star``: ``(d + A^T lam)_i = 0`` on each free
-    coordinate, and on a coordinate at one bound ``(d + A^T lam)_i`` is
-    ``>= 0`` at the lower bound, ``<= 0`` at the upper one. These
-    multipliers form a polyhedron; if it is not empty, its minimal face is
-    the solution set of the free rows plus ``r - rank(free rows)`` one-sided
-    rows held with equality, ``r`` being the rank of all its rows. Every such
-    choice of rows is solved in turn, and the first solution whose squared
-    normal-cone residual is <= 1e-16 is returned.
+    in the normal cone of ``box`` at ``x_star``. Such multipliers form a
+    polyhedron; if it is not empty, its minimal face solves the free rows plus
+    ``r - rank(free rows)`` one-sided rows held with equality, ``r`` being the
+    rank of all its rows. Each such choice of rows is solved in turn, and the
+    first solution whose residual ``box.normal_cone_distance`` is <= 1e-8 is
+    returned.
     """
     A = np.asarray(A, dtype=np.float64)
     d = np.sign(x_star - anchor)
-    at_lower = x_star <= lower + _FEAS_TOL
-    at_upper = x_star >= upper - _FEAS_TOL
-
-    def resid2(lam):
-        t = -(d + A.T @ lam)
-        r = np.abs(t)
-        r = np.where(at_lower, np.maximum(t, 0.0), r)
-        r = np.where(at_upper, np.maximum(-t, 0.0), r)
-        r = np.where(at_lower & at_upper, 0.0, r)
-        return float(r @ r)
-
+    at_lower = x_star <= box.lower + MEMBERSHIP_TOL
+    at_upper = x_star >= box.upper - MEMBERSHIP_TOL
     free = np.flatnonzero(~at_lower & ~at_upper)
     one_sided = np.flatnonzero(at_lower ^ at_upper)
     rank_free = np.linalg.matrix_rank(A[:, free].T)
@@ -129,7 +117,7 @@ def _certify_multiplier(A, x_star, anchor, lower, upper):
     for extra in itertools.combinations(one_sided, rank_all - rank_free):
         rows = np.concatenate([free, np.asarray(extra, dtype=np.intp)])
         lam = np.linalg.lstsq(A[:, rows].T, -d[rows], rcond=None)[0]
-        if resid2(lam) <= 1e-16:
+        if box.normal_cone_distance(x_star, d + A.T @ lam) <= 1e-8:
             return lam
     return None
 
@@ -166,8 +154,7 @@ def _affine_l1_mean(n, p, seed, lipschitz_scale):
 def make_affine_l1(n: int = 6, p: int = 2, seed: int = 0) -> ProblemRecipe:
     """L1 deviation objective, orthonormal affine equalities, unit box."""
     inst, x_star, f_star, data = _affine_l1_mean(n, p, seed, 1.0)
-    box = inst.feasible_set
-    lam_star = _certify_multiplier(data["A"], x_star, data["anchor"], box.lower, box.upper)
+    lam_star = _certify_multiplier(data["A"], x_star, data["anchor"], inst.feasible_set)
     return ProblemRecipe(
         kind="affine_l1",
         params={"n": n, "p": p, "seed": seed},
@@ -188,6 +175,7 @@ def make_stochastic_affine(
     the L1 terms by nonnegative factors of unit mean. The analytic mean
     problem is kept for tracker-error measurement.
     """
+    _require_finite(noise_scale=noise_scale)
     if not noise_scale >= 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     # weight half-width < 1 keeps the per-sample losses convex with
@@ -252,6 +240,7 @@ def make_slack_l1_net(
     widths = tuple(int(w) for w in layer_widths)
     if len(widths) < 2:
         raise ValueError("need at least one layer")
+    _require_finite(radius=radius, init_scale=init_scale)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not 1 <= batch_size <= n_train:
@@ -387,6 +376,7 @@ def make_exactness_1d(slope: float = 2.0) -> ProblemRecipe:
     exactly when ``beta > slope``; below the threshold its minimizer sits at
     ``(slope - beta)/rho`` clipped into the box.
     """
+    _require_finite(slope=slope)
     if slope <= 0:
         raise ValueError("slope must be positive")
     inst = ProblemInstance(

@@ -1,15 +1,39 @@
-"""Test-only helpers: a stateful perturbed-oracle wrapper for stress runs, and
-the embedded methods' per-step displacement bound. Nothing in the package
-calls them."""
+"""Test-only helpers: a stateful perturbed-oracle wrapper for stress runs, the
+embedded methods' per-step displacement bound, and a loader for the repo's
+scripts. Nothing in the package calls them."""
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from sslalm.core import ProblemInstance
 from sslalm.geometry import FeasibleSet
 from sslalm.methods import PROX_SGD, PROX_SGDM, MethodConfig, split_adam_state
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path: Path):
+    """The Python file at ``path`` as a module, loaded without writing bytecode
+    next to it and without entering ``sys.modules``."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` as a module."""
+    return load_module(ROOT / "scripts" / f"{name}.py")
 
 
 def perturbed_instance(

@@ -3,7 +3,11 @@
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
 The solver runs of criteria 1, 3, 4 and 8 are made once, in a module-scoped
 ledger, so the multiplier-contraction and determinism criteria can quantify
-over every acceptance run, also when they are selected alone.
+over every acceptance run, also when they are selected alone. Criteria 1, 4
+and 8 run the shipped experiments: the solver table of
+``configs/affine_l1_sgd.json`` with the methods of
+``scripts/affine_l1_convergence.py``, ``configs/tracker_correction.json``,
+and the configs of ``scripts/net_training_protocol.py``.
 """
 from typing import NamedTuple
 
@@ -11,8 +15,14 @@ import numpy as np
 import pytest
 
 import sslalm as m
-from sslalm.cli import cmd_compare, config_from_dict
+from sslalm.cli import build_recipe, cmd_compare, parse_config
 from sslalm.diagnostics import lyapunov_adam, lyapunov_momentum, u_adam
+from helpers import ROOT, load_script
+
+convergence = load_script("affine_l1_convergence")
+protocol = load_script("net_training_protocol")
+# the protocol's default budget: 100 epochs of 2 steps
+PROTOCOL_EPOCHS = 100
 
 
 class LedgerRun(NamedTuple):
@@ -41,30 +51,13 @@ def affine_instances():
     return out
 
 
-def affine_method_config(kind):
-    if kind == "prox_sgd":
-        return m.MethodConfig(kind=kind)
-    if kind == "prox_sgdm":
-        return m.MethodConfig(kind=kind, tau=1.0, alpha=0.05)
-    return m.MethodConfig(kind=kind, tau1=1.0, tau2=0.1, alpha=0.05, eps=1e-8)
-
-
 def criterion_1_runs(add):
-    for kind in ["prox_sgd", "prox_sgdm", "prox_adam"]:
+    for kind in convergence.METHODS:
         for n, p, seed in affine_instances():
             rec = m.make_affine_l1(n=n, p=p, seed=seed)
-            cfg = m.SolverConfig(
-                method=affine_method_config(kind),
-                rho=1.0,
-                beta=5.0,
-                theta=m.StepSchedule("constant", 0.5),
-                eta=m.StepSchedule("inv_sqrt_epoch", 0.5, 1),
-                noise=m.NoiseModel("uniform_box", 0.1, 0),
-                max_iters=50000,
-                seed=100 + seed,
-            )
+            cfg = convergence.solver_config(kind, 100 + seed)
             add(f"c1/{kind}/{n}/{p}/{seed}", rec.instance, cfg,
-                x0=rec.start, record_every=50000, kkt_probe=None)
+                x0=rec.start, record_every=cfg.max_iters, kkt_probe=None)
 
 
 def criterion_3_runs(add):
@@ -83,29 +76,28 @@ def criterion_3_runs(add):
 
 
 def criterion_4_runs(add):
-    rec = m.make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=0)
-    cfg = m.SolverConfig(
-        method=m.MethodConfig(kind="prox_sgd"),
-        rho=0.1,
-        beta=1.0,
-        theta=m.StepSchedule("constant", 0.5),
-        eta=m.StepSchedule("inv_sqrt_epoch", 0.1, 100),
-        tracker="correction",
-        tau_tilde=1.0,
-        max_iters=100000,
-        seed=7,
-    )
-    add("c4/tracker_affine", rec.instance, cfg, x0=rec.start,
-        record_every=1, kkt_probe=None)
+    cfg = parse_config(ROOT / "configs" / "tracker_correction.json")
+    rec = build_recipe(cfg)
+    # every iteration recorded, for the mean over the last 10%
+    add("c4/tracker_affine", rec.instance, cfg.solver, x0=rec.start,
+        record_every=1, kkt_probe=cfg.kkt_probe)
+
+
+def protocol_configs():
+    return {
+        (method_kind, dual): protocol.build_config(method_kind, dual, PROTOCOL_EPOCHS)
+        for method_kind in ["sgdm", "adam"]
+        for dual in ["regu", "ialm"]
+    }
 
 
 def criterion_8_runs(add):
-    rec = m.make_slack_l1_net()
-    for method_kind in ["sgdm", "adam"]:
-        for dual in ["regu", "ialm"]:
-            cfg = _net_run_config(method_kind, dual)
-            add(f"c8/{method_kind}_{dual}", rec.instance, cfg.solver,
-                x0=rec.start, record_every=10, kkt_probe=None)
+    configs = protocol_configs()
+    # the four configs share one problem
+    rec = build_recipe(next(iter(configs.values())))
+    for (method_kind, dual), cfg in configs.items():
+        add(f"c8/{method_kind}_{dual}", rec.instance, cfg.solver,
+            x0=rec.start, record_every=cfg.record_every, kkt_probe=cfg.kkt_probe)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +120,7 @@ def test_criterion_1_oracle_convergence(ledger):
     # <= 1e-2 within 5e4 iterations, each run within the 30 s budget
     failures = []
     max_wall = 0.0
-    for kind in ["prox_sgd", "prox_sgdm", "prox_adam"]:
+    for kind in convergence.METHODS:
         for n, p, seed in affine_instances():
             rec = m.make_affine_l1(n=n, p=p, seed=seed)
             res = ledger[f"c1/{kind}/{n}/{p}/{seed}"].result
@@ -280,39 +272,6 @@ def test_criterion_7_lyapunov_descent():
     assert ok
 
 
-def _net_run_config(method_kind, dual):
-    method = (
-        {"kind": "prox_sgdm", "tau": 1.0, "alpha": 0.2}
-        if method_kind == "sgdm"
-        else {"kind": "prox_adam", "tau1": 1.0, "tau2": 0.1, "alpha": 0.1, "eps": 1e-8}
-    )
-    solver = {
-        "method": method,
-        "rho": 0.01,
-        "beta": 1.0,
-        "theta": {"kind": "constant", "c": 0.5},
-        "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 2},
-        "max_iters": 200,
-        "seed": 0,
-    }
-    if dual == "ialm":
-        solver["dual"] = {
-            "kind": "ialm",
-            "theta_tilde": 1.0,
-            "beta_tilde": 1.0,
-            "sigma": 2.0,
-            "inner_steps": 500,
-        }
-    return config_from_dict(
-        {
-            "problem": {"kind": "slack_l1_net"},
-            "solver": solver,
-            "record_every": 10,
-            "kkt_probe": None,
-        }
-    )
-
-
 def test_criterion_8_training_protocol_analog(ledger, tmp_path):
     # epoch-schedule training on the slack-reformulated network: the
     # single-loop runs halve the constraint violation and reduce the loss;
@@ -333,8 +292,7 @@ def test_criterion_8_training_protocol_analog(ledger, tmp_path):
         details.append(f"{method_kind}: feas {first.feas:.2f}->{last.feas:.2f} loss "
                        f"{first.f_val:.2f}->{last.f_val:.2f}")
         ok &= not results[(method_kind, "ialm")].aborted
-    configs = [_net_run_config(mk, d) for mk in ["sgdm", "adam"] for d in ["regu", "ialm"]]
-    code = cmd_compare(configs, out=str(tmp_path), quiet=True)
+    code = cmd_compare(list(protocol_configs().values()), out=str(tmp_path), quiet=True)
     table = (tmp_path / "compare.csv").read_text().splitlines()
     ok &= code == 0 and len(table) > 10 and table[0].count("_loss") == 4
     report(8, ok, "; ".join(details) + "; 4-column compare table emitted")

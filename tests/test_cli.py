@@ -273,6 +273,10 @@ class TestCmdCompare:
         with pytest.raises(ConfigError, match="same problem"):
             cmd_compare([cfg_a, config_from_dict(bad)], quiet=True)
 
+    def test_empty_compare_rejected(self):
+        with pytest.raises(ConfigError, match="at least one config"):
+            cmd_compare([], quiet=True)
+
 
 class TestCmdSweep:
     def _net_config(self, tmp_path):
@@ -314,10 +318,12 @@ class TestCmdSweep:
         with pytest.raises(ConfigError, match="empty"):
             cmd_sweep(cfg, "solver.rho", [], quiet=True)
 
-    def test_unknown_parameter_rejected(self, tmp_path):
+    # a missing last key, a missing intermediate table, and a number taken for one
+    @pytest.mark.parametrize("parameter", ["solver.bogus", "solver.bogus.c", "solver.rho.c"])
+    def test_unknown_parameter_rejected(self, tmp_path, parameter):
         cfg = self._net_config(tmp_path)
         with pytest.raises(ConfigError, match="unknown parameter"):
-            cmd_sweep(cfg, "solver.bogus", [1.0], quiet=True)
+            cmd_sweep(cfg, parameter, [1.0], quiet=True)
 
     def test_seed_sweep_is_repetitions_shortcut(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path))
@@ -414,6 +420,13 @@ class TestMainEntry:
             {"solver": {"method": {"kind": "prox_sgdm", "alpha": "0.5"}}},
             {"solver": {"method": {"kind": "prox_sgd"},
                         "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": True}}},
+            # malformed tables and run settings, and a problem its recipe refuses
+            {"problem": {"n": 3, "p": 1}},
+            {"problem": {"kind": "bogus"}},
+            {"solver": 5},
+            {"record_every": 0},
+            {"repetitions": 0},
+            {"problem": {"kind": "affine_l1", "n": 3, "p": 5}},
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
@@ -421,6 +434,19 @@ class TestMainEntry:
         path = minimal_config(tmp_path, **overrides)
         assert main(["run", "--config", str(path), "--quiet"]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ({"solver": {"method": {"kind": "prox_sgd"}}}, "missing required key 'problem'"),
+            ([{"problem": {"kind": "affine_l1"}}], "config: expected a key-value table"),
+        ],
+        ids=["missing-problem", "not-a-table"],
+    )
+    def test_malformed_file_exit_code(self, tmp_path, capsys, table, message):
+        path = write_config(tmp_path / "config.json", table)
+        assert main(["run", "--config", str(path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_nonfinite_sweep_value_exit_code(self, tmp_path, capsys, value):
@@ -533,6 +559,25 @@ def test_compare_outer_join_on_mismatched_grids(tmp_path):
     # blank cells where a run did not record
     row15 = lines[1 + steps.index(15)].split(",")
     assert row15[1] == "" and row15[4] != ""
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["run"], ["penalty exactness margin beta - M/nu = ", "rep 0: done  f=",
+                   "wrote 1 metrics file(s) and summary.csv to "]),
+        (["sweep", "--param", "solver.rho", "--values", "0.0,0.5"],
+         ["solver.rho=0.0: f=", "solver.rho=0.5: f=", "wrote sweep.csv to "]),
+    ],
+    ids=["run", "sweep"],
+)
+def test_commands_report_unless_quiet(tmp_path, capsys, argv, lines):
+    path = minimal_config(tmp_path)
+    assert main(argv[:1] + ["--config", str(path)] + argv[1:]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line[: len(start)] for line, start in zip(out, lines)] == lines
+    assert main(argv[:1] + ["--config", str(path), "--quiet"] + argv[1:]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_prints_aligned_table(tmp_path, capsys):

@@ -205,25 +205,27 @@ def test_perturbed_instance_radius_decays():
         assert np.max(np.abs(d - base)) <= 0.5 / (1.0 + t)
 
 
-def test_problem_instance_validation():
-    with pytest.raises(ValueError):
-        ProblemInstance(
-            dim_primal=2,
-            dim_constraint=1,
-            objective=lambda x: 0.0,
-            objective_subgradient=lambda x: np.zeros(2),
-            constraint=lambda x: np.zeros(1),
-            constraint_jacobian=lambda x: np.zeros((2, 1)),
-            feasible_set=Box(np.array([-1.0]), np.array([1.0])),  # wrong dim
-        )
-    with pytest.raises(ValueError):
-        ProblemInstance(
-            dim_primal=1,
-            dim_constraint=1,
-            objective=lambda x: 0.0,
-            objective_subgradient=lambda x: np.zeros(1),
-            constraint=lambda x: np.zeros(1),
-            constraint_jacobian=lambda x: np.zeros((1, 1)),
-            feasible_set=WholeSpace(1),
-            lipschitz_bound_f=-1.0,
-        )
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"feasible_set": Box(np.array([-1.0]), np.array([1.0]))}, "does not match dim_primal"),
+        ({"dim_primal": 0}, "dimensions must be >= 1"),
+        ({"dim_constraint": 0}, "dimensions must be >= 1"),
+        ({"lipschitz_bound_f": -1.0}, "lipschitz_bound_f must be positive"),
+        ({"regularity_constant": 0.0}, "regularity_constant must be positive"),
+        ({"regularity_constant": float("nan")}, "regularity_constant must be positive"),
+    ],
+)
+def test_problem_instance_validation(overrides, message):
+    valid = dict(
+        dim_primal=2,
+        dim_constraint=1,
+        objective=lambda x: 0.0,
+        objective_subgradient=lambda x: np.zeros(2),
+        constraint=lambda x: np.zeros(1),
+        constraint_jacobian=lambda x: np.zeros((2, 1)),
+        feasible_set=WholeSpace(2),
+    )
+    ProblemInstance(**valid)
+    with pytest.raises(ValueError, match=message):
+        ProblemInstance(**{**valid, **overrides})

@@ -174,6 +174,13 @@ class TestNormalConeDistance:
         d = normal_cone_distance(NonnegativeOrthant(2), [0.0, 1.0], [1.0, 0.0])
         assert d == pytest.approx(0.0)
 
+    def test_product_combines_block_distances(self):
+        # box block: upper face absorbs -v_0 = 2, interior -v_1 = -1 counts;
+        # orthant block: active -v_2 = 1 counts, interior -v_3 = -3 counts
+        fset = BlockProduct((unit_box(2), NonnegativeOrthant(2)))
+        d = normal_cone_distance(fset, [1.0, 0.0, 0.0, 1.0], [-2.0, 1.0, -1.0, 3.0])
+        assert d == pytest.approx(np.sqrt(11.0))
+
     def test_rejects_infeasible_point(self):
         with pytest.raises(ValueError):
             normal_cone_distance(unit_box(1), [1.5], [0.0])
@@ -186,11 +193,27 @@ def test_sample_points_are_feasible():
             assert fset.contains(fset.sample(rng))
 
 
-def test_box_validation():
-    with pytest.raises(ValueError):
-        Box(np.array([1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        Ball(np.zeros(2), 0.0)
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Box(np.array([1.0]), np.array([0.0])), "lower <= upper"),
+        (lambda: Box(np.zeros(2), np.ones(3)), "1-d arrays of equal length"),
+        (lambda: Box(np.zeros((1, 1)), np.ones((1, 1))), "1-d arrays of equal length"),
+        (lambda: Box(np.array([-np.inf]), np.zeros(1)), "bounds must be finite"),
+        (lambda: Ball(np.zeros(2), 0.0), "radius must be positive"),
+        (lambda: Ball(np.zeros(2), np.nan), "radius must be positive"),
+        (lambda: Ball(np.zeros((2, 1)), 1.0), "finite 1-d array"),
+        (lambda: Ball(np.array([np.nan, 0.0]), 1.0), "finite 1-d array"),
+        (lambda: BlockProduct(()), "at least one block"),
+        (lambda: prox_preconditioned(unit_box(2), np.zeros(3), np.zeros(2), np.ones(2)),
+         r"x has shape \(3,\), expected \(2,\)"),
+        (lambda: normal_cone_distance(unit_box(2), np.zeros(2), np.zeros((2, 1))),
+         r"v has shape \(2, 1\), expected \(2,\)"),
+    ],
+)
+def test_set_validation(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_nested_block_product():
@@ -239,6 +262,9 @@ def test_block_product_equals_per_block_concatenation(kinds, data):
     assert fset.prox_weighted(x, y, v).tobytes() == prox.tobytes()
     assert fset.project(z).tobytes() == z.tobytes()
     assert fset.contains(z)
+    # the normal-cone distance is the norm of the per-block distances
+    per_block = [b.normal_cone_distance(z[s], y[s]) for b, s in zip(blocks, parts)]
+    assert fset.normal_cone_distance(z, y) == float(np.linalg.norm(per_block))
 
 
 def test_ball_projection_lands_inside_when_rescaling_stalls():

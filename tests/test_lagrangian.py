@@ -29,7 +29,12 @@ from sslalm.lagrangian import (
     track_correction,
 )
 from sslalm.methods import MethodConfig, method_step
-from sslalm.problems import make_affine_l1, make_stochastic_affine
+from sslalm.problems import (
+    make_affine_l1,
+    make_exactness_1d,
+    make_slack_l1_net,
+    make_stochastic_affine,
+)
 from helpers import method_displacement_bound, perturbed_instance, state_distance
 
 
@@ -354,13 +359,25 @@ class TestRun:
         for r in res.records:
             assert r.tracker_err == 0.0
 
-    def test_abort_on_nonfinite_keeps_partial_trajectory(self):
-        prob = scalar_problem(subgrad=lambda x: np.array([np.inf]))
-        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=50)
-        res = run(prob, cfg, x0=np.zeros(1), kkt_probe=None)
+    @pytest.mark.parametrize(
+        "subgrad, eta, reason",
+        [
+            (np.inf, 0.1, "non-finite primal direction"),
+            # a finite direction whose step overflows x
+            (1e308, 10.0, "non-finite state"),
+        ],
+    )
+    def test_abort_on_nonfinite_keeps_partial_trajectory(self, subgrad, eta, reason):
+        prob = scalar_problem(subgrad=lambda x: np.array([subgrad]))
+        cfg = SolverConfig(
+            method=MethodConfig(kind="prox_sgd"), eta=StepSchedule("constant", eta), max_iters=50,
+        )
+        with np.errstate(over="ignore"):
+            res = run(prob, cfg, x0=np.zeros(1), kkt_probe=None)
         assert res.aborted
-        assert res.abort_reason == "non-finite primal direction"
+        assert res.abort_reason == reason
         assert len(res.records) == 1
+        assert res.state.k == 0 and np.array_equal(res.state.x, np.zeros(1))
 
     def test_abort_on_overflowing_trajectory(self):
         # finite oracles whose runaway feedback overflows the run mid-way;
@@ -647,7 +664,57 @@ class TestExpectationConstrained:
         assert [r.to_json_line() for r in a.records] == [r.to_json_line() for r in b.records]
 
 
+# each library config field and recipe parameter that takes a float, built
+# with one value; every other argument is valid
+FLOAT_FIELDS = {
+    "rho": lambda v: SolverConfig(rho=v),
+    "beta": lambda v: SolverConfig(beta=v),
+    "tau_tilde": lambda v: SolverConfig(tau_tilde=v),
+    "beta_tilde": lambda v: SolverConfig(beta_tilde=v),
+    "sigma": lambda v: SolverConfig(sigma=v),
+    "theta_tilde": lambda v: SolverConfig(theta_tilde=v),
+    "c": lambda v: StepSchedule("constant", v),
+    "exponent": lambda v: StepSchedule("constant", 0.1, exponent=v),
+    "tau": lambda v: MethodConfig(kind="prox_sgdm", tau=v),
+    "alpha": lambda v: MethodConfig(kind="prox_sgdm", alpha=v),
+    "tau1": lambda v: MethodConfig(kind="prox_adam", tau1=v),
+    "tau2": lambda v: MethodConfig(kind="prox_adam", tau2=v),
+    "eps": lambda v: MethodConfig(kind="prox_adam", eps=v),
+    "radius": lambda v: make_slack_l1_net(radius=v),
+    "init_scale": lambda v: make_slack_l1_net(init_scale=v),
+    "noise_scale": lambda v: make_stochastic_affine(noise_scale=v),
+    "slope": lambda v: make_exactness_1d(slope=v),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", list(FLOAT_FIELDS))
+def test_nonfinite_number_rejected_naming_its_field(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        FLOAT_FIELDS[name](value)
+
+
 class TestSolverConfigValidation:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: StepSchedule("bogus"), "unknown schedule kind"),
+            (lambda: StepSchedule("constant", -0.1), "schedule scale must be nonnegative"),
+            (lambda: StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=0), "epoch_len must be >= 1"),
+            (lambda: SolverConfig(rho=-1.0), "rho must be >= 0"),
+            (lambda: SolverConfig(beta=0.0), "beta must be positive"),
+            (lambda: SolverConfig(eta=StepSchedule("constant", 0.0)), "stepsize must be positive"),
+            (lambda: SolverConfig(tracker="bogus"), "unknown tracker"),
+            (lambda: SolverConfig(tracker="correction", tau_tilde=0.0), "tau_tilde must be positive"),
+            (lambda: SolverConfig(dual="bogus"), "unknown dual rule"),
+            (lambda: SolverConfig(dual="ialm", inner_steps=0), "inner_steps must be >= 1"),
+            (lambda: SolverConfig(max_iters=-1), "max_iters must be >= 0"),
+        ],
+    )
+    def test_invalid_setting_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_theta_must_stay_below_beta(self):
         with pytest.raises(ValueError, match="theta_max < beta"):
             SolverConfig(beta=1.0, theta=StepSchedule("constant", 1.0))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sslalm.geometry import Ball, Box, WholeSpace
+from sslalm.lagrangian import SolverConfig, StepSchedule
 from sslalm.methods import (
     MethodConfig,
     method_step,
@@ -126,6 +127,45 @@ class TestProxAdam:
     def test_parameter_constraint_enforced(self):
         with pytest.raises(ValueError):
             MethodConfig(kind="prox_adam", tau1=0.1, tau2=0.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"kind": "bogus"}, "unknown method kind"),
+        ({"kind": "prox_sgdm", "tau": 0.0}, "tau, alpha, and eps must be positive"),
+        ({"kind": "prox_sgdm", "alpha": -1.0}, "tau, alpha, and eps must be positive"),
+        ({"kind": "prox_adam", "tau2": 0.0}, "0 < tau2 <= 4[*]tau1"),
+    ],
+)
+def test_invalid_method_config_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        MethodConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "cfg, eta",
+    [
+        (MethodConfig(kind="prox_sgd"), 0.0),
+        (MethodConfig(kind="prox_sgd"), -0.1),
+        (MethodConfig(kind="prox_sgd"), float("nan")),
+        (MethodConfig(kind="prox_sgdm"), 1.5),
+        (MethodConfig(kind="prox_sgdm"), float("nan")),
+        (MethodConfig(kind="prox_adam"), 1.5),
+        (MethodConfig(kind="prox_adam", tau1=1.0, tau2=4.0), 0.5),
+        (MethodConfig(kind="prox_adam"), float("nan")),
+    ],
+    ids=lambda v: getattr(v, "kind", v),
+)
+def test_one_stepsize_rule_for_steps_and_configs(cfg, eta):
+    # the step refuses every stepsize that the config refuses as its largest
+    fset = unit_box(1)
+    with pytest.raises(ValueError):
+        cfg.check_stepsize(eta)
+    with pytest.raises(ValueError):
+        method_step(fset, np.zeros(1), np.zeros(cfg.aux_dim(1)), np.ones(1), eta, cfg)
+    with pytest.raises(ValueError):
+        SolverConfig(method=cfg, eta=StepSchedule("constant", eta))
 
 
 def random_state(cfg, fset, rng):

@@ -4,8 +4,8 @@ from scipy.optimize import linprog, minimize
 
 from sslalm.core import eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
+from sslalm.geometry import MEMBERSHIP_TOL, Box
 from sslalm.problems import (
-    _FEAS_TOL,
     _certify_multiplier,
     l1_affine_oracle,
     make_affine_l1,
@@ -73,8 +73,8 @@ def certificate_resid2(A, x_star, anchor, lower, upper, lam):
     """Squared distance of ``-(sign(x_star - anchor) + A^T lam)`` to the box
     normal cone at ``x_star``."""
     t = -(np.sign(x_star - anchor) + A.T @ lam)
-    at_lower = x_star <= lower + _FEAS_TOL
-    at_upper = x_star >= upper - _FEAS_TOL
+    at_lower = x_star <= lower + MEMBERSHIP_TOL
+    at_upper = x_star >= upper - MEMBERSHIP_TOL
     r = np.abs(t)
     r = np.where(at_lower, np.maximum(t, 0.0), r)
     r = np.where(at_upper, np.maximum(-t, 0.0), r)
@@ -112,6 +112,10 @@ def constructed_certificate(n, p, seed, n_free):
     return (A, x_star, anchor, lower, upper), lam_star
 
 
+def certify(A, x_star, anchor, lower, upper):
+    return _certify_multiplier(A, x_star, anchor, Box(lower, upper))
+
+
 class TestCertifyMultiplier:
     def test_same_decision_as_lbfgsb_on_the_recipe_grid(self):
         certified = 0
@@ -133,7 +137,7 @@ class TestCertifyMultiplier:
     @pytest.mark.parametrize("seed", range(5))
     def test_returns_the_constructed_multiplier(self, n, p, seed):
         args, lam_star = constructed_certificate(n, p, seed, n_free=p)
-        lam = _certify_multiplier(*args)
+        lam = certify(*args)
         assert lam is not None
         assert lam == pytest.approx(lam_star, abs=1e-9)
 
@@ -143,7 +147,7 @@ class TestCertifyMultiplier:
         # the free rows do not fix lam: one-sided rows complete the system
         args, lam_star = constructed_certificate(n, p, seed, n_free)
         assert certificate_resid2(*args, lam_star) <= 1e-16
-        lam = _certify_multiplier(*args)
+        lam = certify(*args)
         assert lam is not None
         assert certificate_resid2(*args, lam) <= 1e-16
 
@@ -162,7 +166,7 @@ class TestCertifyMultiplier:
     def test_none_without_a_certificate(self, A, x_star, anchor):
         args = (A, x_star, anchor, np.full(A.shape[1], -1.0), np.full(A.shape[1], 1.0))
         assert lbfgsb_certificate(*args) is None
-        assert _certify_multiplier(*args) is None
+        assert certify(*args) is None
 
 
 class TestAffineL1Recipe:

@@ -1,10 +1,6 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps package functions
 by name. Each name it wraps must still exist, and the driver must still call
 through it, or a refactor silently zeroes a per-layer metric."""
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -13,18 +9,15 @@ from sslalm import cli
 from sslalm.lagrangian import SolverConfig, StepSchedule, run
 from sslalm.methods import MethodConfig
 from sslalm.problems import make_stochastic_affine
+from helpers import ROOT, load_module
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.fixture
-def tracing(monkeypatch):
+def tracing():
     """The tracer module, loaded from its file without writing bytecode."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module(TRACING)
 
 
 def test_every_entry_point_owner_has_its_attribute(tracing):
