@@ -54,28 +54,10 @@ class FeasibleSet:
 
 
 @dataclass(frozen=True)
-class WholeSpace(FeasibleSet):
-    dim: int
-
-    def project(self, x):
-        return x
-
-    def prox_weighted(self, x, y, v):
-        return x - y / v
-
-    def normal_cone_distance(self, x, v):
-        return float(np.linalg.norm(v))
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return True
-
-    def sample(self, rng):
-        return rng.standard_normal(self.dim)
-
-
-@dataclass(frozen=True)
 class Box(FeasibleSet):
-    """Axis-aligned box with finite bounds, ``lower <= upper`` coordinatewise."""
+    """Axis-aligned box, ``lower <= upper`` coordinatewise; a bound may be
+    infinite (``lower = -inf``, ``upper = +inf``), so the nonnegative orthant
+    and the whole space are boxes too."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -87,8 +69,9 @@ class Box(FeasibleSet):
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be 1-d arrays of equal length")
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ValueError("box bounds must be finite")
+        # NaN fails both comparisons
+        if not ((lo < np.inf).all() and (hi > -np.inf).all()):
+            raise ValueError("box bounds must not be NaN, lower = +inf or upper = -inf")
         if np.any(lo > hi):
             raise ValueError("box requires lower <= upper coordinatewise")
 
@@ -118,7 +101,24 @@ class Box(FeasibleSet):
         return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
 
     def sample(self, rng):
-        return rng.uniform(self.lower, self.upper)
+        lo, hi = self.lower, self.upper
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if finite.all():
+            return rng.uniform(lo, hi)
+        # an unbounded coordinate draws N(0, 1), folded away from its one
+        # finite bound if it has one
+        z = rng.standard_normal(self.dim)
+        x = np.where(np.isfinite(lo), lo + np.abs(z), np.where(np.isfinite(hi), hi - np.abs(z), z))
+        x[finite] = rng.uniform(lo[finite], hi[finite])
+        return x
+
+
+def NonnegativeOrthant(dim: int) -> Box:
+    return Box(np.zeros(dim), np.full(dim, np.inf))
+
+
+def WholeSpace(dim: int) -> Box:
+    return Box(np.full(dim, -np.inf), np.full(dim, np.inf))
 
 
 @dataclass(frozen=True)
@@ -199,29 +199,6 @@ class Ball(FeasibleSet):
         d /= max(np.linalg.norm(d), 1e-300)
         r = self.radius * rng.uniform() ** (1.0 / self.dim)
         return self.center + r * d
-
-
-@dataclass(frozen=True)
-class NonnegativeOrthant(FeasibleSet):
-    dim: int
-
-    def project(self, x):
-        return np.maximum(x, 0.0)
-
-    def prox_weighted(self, x, y, v):
-        return np.maximum(x - y / v, 0.0)
-
-    def normal_cone_distance(self, x, v):
-        t = -np.asarray(v, dtype=np.float64)
-        active = x <= MEMBERSHIP_TOL
-        d = np.where(active, np.maximum(t, 0.0), np.abs(t))
-        return float(np.linalg.norm(d))
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(x >= -tol))
-
-    def sample(self, rng):
-        return np.abs(rng.standard_normal(self.dim))
 
 
 @dataclass(frozen=True)

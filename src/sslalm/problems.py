@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ProblemInstance, StochasticProblemInstance, _require_finite
-from .geometry import MEMBERSHIP_TOL, BlockProduct, Box, NonnegativeOrthant
+from .geometry import MEMBERSHIP_TOL, Box
 
 
 @dataclass(frozen=True)
@@ -233,11 +233,18 @@ def make_slack_l1_net(
     blobs; each layer's weight block carries an L1 budget turned into one
     equality constraint through a slack coordinate on the orthant.
 
-    The primal variable is ``(vec(W_1), ..., vec(W_L), s)`` with
-    ``s`` in the nonnegative orthant; constraint ``i`` reads
+    The primal variable is ``(vec(W_1), ..., vec(W_L), s)`` in the box of
+    weights in ``[-1, 1]`` and slacks in ``[0, inf)``; constraint ``i`` reads
     ``||W_i||_1 + s_i - radius``.
     """
-    widths = tuple(int(w) for w in layer_widths)
+    try:
+        given = tuple(layer_widths)
+        widths = tuple(int(w) for w in given)
+    except (TypeError, ValueError, OverflowError):
+        widths = None
+    # int() truncates 2.5 to 2 and parses "8": the widths must equal the input
+    if widths is None or widths != given or min(widths, default=1) < 1:
+        raise ValueError(f"layer_widths must be positive integers, got {layer_widths!r}")
     if len(widths) < 2:
         raise ValueError("need at least one layer")
     _require_finite(radius=radius, init_scale=init_scale)
@@ -319,7 +326,7 @@ def make_slack_l1_net(
             full_batch["key"] = key
         return full_batch["value"]
 
-    fset = BlockProduct((Box(np.full(n_w, -1.0), np.full(n_w, 1.0)), NonnegativeOrthant(L)))
+    fset = Box(np.r_[np.full(n_w, -1.0), np.zeros(L)], np.r_[np.full(n_w, 1.0), np.full(L, np.inf)])
     mean = ProblemInstance(
         dim_primal=n,
         dim_constraint=L,

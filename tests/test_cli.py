@@ -427,6 +427,10 @@ class TestMainEntry:
             {"record_every": 0},
             {"repetitions": 0},
             {"problem": {"kind": "affine_l1", "n": 3, "p": 5}},
+            {"problem": {"kind": "slack_l1_net", "layer_widths": [2, 0]}},
+            {"problem": {"kind": "slack_l1_net", "layer_widths": [2, 2.5]}},
+            {"problem": {"kind": "slack_l1_net", "layer_widths": [2, float("inf")]}},
+            {"problem": {"kind": "slack_l1_net", "layer_widths": [2, -3]}},
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):

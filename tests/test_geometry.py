@@ -19,12 +19,19 @@ def unit_box(n):
     return Box(np.full(n, -1.0), np.full(n, 1.0))
 
 
+def weights_and_slacks(n_w, n_s):
+    """Weights in [-1, 1] then slacks in [0, inf), like the network recipe's set."""
+    lower = np.r_[np.full(n_w, -1.0), np.zeros(n_s)]
+    return Box(lower, np.r_[np.full(n_w, 1.0), np.full(n_s, np.inf)])
+
+
 ALL_SETS = [
     WholeSpace(3),
     unit_box(3),
     Ball(np.zeros(3), 1.0),
     NonnegativeOrthant(3),
     BlockProduct((unit_box(2), NonnegativeOrthant(2))),
+    weights_and_slacks(3, 2),
 ]
 
 
@@ -199,7 +206,10 @@ def test_sample_points_are_feasible():
         (lambda: Box(np.array([1.0]), np.array([0.0])), "lower <= upper"),
         (lambda: Box(np.zeros(2), np.ones(3)), "1-d arrays of equal length"),
         (lambda: Box(np.zeros((1, 1)), np.ones((1, 1))), "1-d arrays of equal length"),
-        (lambda: Box(np.array([-np.inf]), np.zeros(1)), "bounds must be finite"),
+        (lambda: Box(np.array([np.nan]), np.zeros(1)), "must not be NaN"),
+        (lambda: Box(np.zeros(1), np.array([np.nan])), "must not be NaN"),
+        (lambda: Box(np.array([np.inf]), np.array([np.inf])), r"lower = \+inf"),
+        (lambda: Box(np.array([-np.inf]), np.array([-np.inf])), "upper = -inf"),
         (lambda: Ball(np.zeros(2), 0.0), "radius must be positive"),
         (lambda: Ball(np.zeros(2), np.nan), "radius must be positive"),
         (lambda: Ball(np.zeros((2, 1)), 1.0), "finite 1-d array"),
@@ -235,6 +245,7 @@ BLOCK_KINDS = {
     "ball": lambda d: Ball(np.full(d, 0.5), 1.5),
     "whole": WholeSpace,
     "product": lambda d: BlockProduct((unit_box(d), NonnegativeOrthant(1))),
+    "mixed": lambda d: weights_and_slacks(d, 1),
 }
 
 
@@ -294,22 +305,27 @@ def _vectors(n, lo=-5.0, hi=5.0):
 
 @st.composite
 def basic_sets(draw, max_dim=4):
-    kind = draw(st.sampled_from(["box", "ball", "orthant", "whole"]))
+    kind = draw(st.sampled_from(["box", "ball", "orthant", "whole", "mixed"]))
     n = draw(st.integers(1, max_dim))
     if kind == "box":
         lower = draw(_vectors(n, -2.0, 2.0))
         return Box(lower, lower + draw(_vectors(n, 0.1, 3.0)))
+    if kind == "mixed":
+        n_s = draw(st.integers(1, max_dim))
+        return weights_and_slacks(n, n_s)
     if kind == "ball":
         return Ball(draw(_vectors(n, -2.0, 2.0)), draw(st.floats(0.5, 3.0)))
     return NonnegativeOrthant(n) if kind == "orthant" else WholeSpace(n)
 
 
 def _interior_point(fset):
-    if isinstance(fset, Box):
-        return 0.5 * (fset.lower + fset.upper)
     if isinstance(fset, Ball):
         return fset.center
-    return np.ones(fset.dim)
+    # an infinite bound is replaced by a finite one 2 past zero or the other
+    # bound, so the midpoint is finite and strictly inside
+    lo = np.where(np.isfinite(fset.lower), fset.lower, np.minimum(fset.upper, 0.0) - 2.0)
+    hi = np.where(np.isfinite(fset.upper), fset.upper, np.maximum(lo, 0.0) + 2.0)
+    return 0.5 * (lo + hi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -346,11 +362,8 @@ def _scipy_prox(fset, x, y, v):
         res = minimize(model, start, jac=grad, method="SLSQP", constraints=[ball],
                        options={"ftol": 1e-15, "maxiter": 500})
     else:
-        if isinstance(fset, Box):
-            bounds = list(zip(fset.lower, fset.upper))
-        else:
-            lower = 0.0 if isinstance(fset, NonnegativeOrthant) else None
-            bounds = [(lower, None)] * fset.dim
+        bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+                  for lo, hi in zip(fset.lower, fset.upper)]
         res = minimize(model, start, jac=grad, method="L-BFGS-B", bounds=bounds,
                        options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
     return fset.project(res.x), model

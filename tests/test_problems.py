@@ -4,7 +4,7 @@ from scipy.optimize import linprog, minimize
 
 from sslalm.core import eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
-from sslalm.geometry import MEMBERSHIP_TOL, Box
+from sslalm.geometry import MEMBERSHIP_TOL, BlockProduct, Box, NonnegativeOrthant
 from sslalm.problems import (
     _certify_multiplier,
     l1_affine_oracle,
@@ -263,6 +263,24 @@ class TestSlackL1NetRecipe:
             for c in (inst.mean.constraint(x), inst.constraint_sample(x, None)):
                 assert c.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("widths", [(2, 8, 2), (2, 3, 4, 2)])
+    def test_feasible_set_equals_box_times_orthant(self, widths):
+        rec = make_slack_l1_net(layer_widths=widths, n_train=16, n_test=8, batch_size=8)
+        fset = rec.instance.mean.feasible_set
+        n, n_w, L = rec.instance.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
+        assert isinstance(fset, Box)
+        ref = BlockProduct((Box(np.full(n_w, -1.0), np.full(n_w, 1.0)), NonnegativeOrthant(L)))
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            x = 2.0 * rng.standard_normal(n)
+            y = rng.standard_normal(n)
+            for z in (x, y):
+                z[rng.random(n) < 0.2] = 0.0
+                z[rng.random(n) < 0.1] = -0.0
+            v = rng.uniform(0.1, 5.0, n)
+            assert fset.project(x).tobytes() == ref.project(x).tobytes()
+            assert fset.prox_weighted(x, y, v).tobytes() == ref.prox_weighted(x, y, v).tobytes()
+
     def test_loss_subgradient_matches_finite_differences(self):
         # piecewise-linear in the parameters: central differences agree at
         # randomly drawn differentiable points
@@ -393,11 +411,21 @@ def test_stochastic_affine_samples_uniformly_bounded_on_box():
         assert np.max(np.abs(sp.objective_subgradient_sample(x, u))) <= 1.5
 
 
-@pytest.mark.parametrize("params, err", [
-    ({"noise_scale": -0.1}, "noise_scale"),
-    ({"noise_scale": float("nan")}, "noise_scale"),
-    ({"n": 3, "p": 3}, "p < n"),
+@pytest.mark.parametrize("kind, params, err", [
+    ("stochastic_affine", {"noise_scale": -0.1}, "noise_scale"),
+    ("stochastic_affine", {"noise_scale": float("nan")}, "noise_scale"),
+    ("stochastic_affine", {"n": 3, "p": 3}, "p < n"),
+    ("slack_l1_net", {"layer_widths": (2, 0)}, "layer_widths"),
+    ("slack_l1_net", {"layer_widths": (2, 2.5)}, "layer_widths"),
+    ("slack_l1_net", {"layer_widths": (2, float("inf"))}, "layer_widths"),
+    ("slack_l1_net", {"layer_widths": (2, -3)}, "layer_widths"),
 ])
-def test_stochastic_affine_validation(params, err):
+def test_recipe_validation(kind, params, err):
     with pytest.raises(ValueError, match=err):
-        make_stochastic_affine(**params)
+        make_recipe(kind, **params)
+
+
+def test_integral_float_layer_widths_accepted():
+    rec = make_slack_l1_net(layer_widths=(2.0, 8.0, 2), n_train=16, n_test=8, batch_size=8)
+    assert rec.params["layer_widths"] == (2, 8, 2)
+    assert rec.instance.dim_primal == 2 * 8 + 8 * 2 + 2

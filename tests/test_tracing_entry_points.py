@@ -1,6 +1,8 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps package functions
 by name. Each name it wraps must still exist, and the driver must still call
 through it, or a refactor silently zeroes a per-layer metric."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ import sslalm
 from sslalm import cli
 from sslalm.lagrangian import SolverConfig, StepSchedule, run
 from sslalm.methods import MethodConfig
-from sslalm.problems import make_stochastic_affine
+from sslalm.problems import make_slack_l1_net, make_stochastic_affine
 from helpers import ROOT, load_module
 
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -30,15 +32,23 @@ def test_every_entry_point_owner_has_its_attribute(tracing):
     assert missing == []
 
 
+AFFINE = partial(make_stochastic_affine, n=3, p=1, noise_scale=0.1, seed=0)
+NET = partial(make_slack_l1_net, layer_widths=(2, 3, 2), n_train=16, n_test=8, batch_size=8)
+
+
 @pytest.mark.parametrize(
-    "method, dual, spans",
+    "make, method, dual, spans",
     [
-        ("prox_sgdm", "regu", ["lagrangian.dual_step", "diagnostics.lyapunov"]),
-        ("prox_adam", "ialm", ["lagrangian.dual_step_ialm", "diagnostics.lyapunov"]),
+        (AFFINE, "prox_sgdm", "regu", ["lagrangian.dual_step", "diagnostics.lyapunov", "geometry.project"]),
+        (AFFINE, "prox_adam", "ialm",
+         ["lagrangian.dual_step_ialm", "diagnostics.lyapunov", "geometry.prox_weighted"]),
+        (NET, "prox_adam", "regu",
+         ["lagrangian.dual_step", "diagnostics.lyapunov", "geometry.project", "geometry.prox_weighted"]),
     ],
+    ids=["affine-sgdm-regu", "affine-adam-ialm", "net-adam-regu"],
 )
-def test_driver_calls_through_the_traced_names(tracing, method, dual, spans):
-    rec = make_stochastic_affine(n=3, p=1, noise_scale=0.1, seed=0)
+def test_driver_calls_through_the_traced_names(tracing, make, method, dual, spans):
+    rec = make()
     cfg = SolverConfig(
         method=MethodConfig(kind=method, alpha=0.2),
         eta=StepSchedule("inv_sqrt_epoch", 0.1), tracker="correction", dual=dual, max_iters=4,
