@@ -18,6 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass,
 from pathlib import Path
 from typing import get_type_hints
 
+from .core import as_stochastic
 from .diagnostics import exact_penalty_margin
 from .lagrangian import RunResult, SolverConfig, run
 from .problems import RECIPES, ProblemRecipe, make_recipe
@@ -235,8 +236,7 @@ def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
     out_dir = _out_dir(out, cfg)
     recipe = build_recipe(cfg)
     accuracy = recipe.metadata.get("accuracy")
-    mean_prob = recipe.instance.mean if hasattr(recipe.instance, "mean") else recipe.instance
-    margin = exact_penalty_margin(mean_prob, cfg.solver.beta)
+    margin = exact_penalty_margin(as_stochastic(recipe.instance).mean, cfg.solver.beta)
     if margin is not None and not quiet:
         print(f"penalty exactness margin beta - M/nu = {margin:.4g}")
     first_seed = cfg.solver.seed if seed is None else seed

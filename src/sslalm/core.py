@@ -192,9 +192,12 @@ def eval_constraint_jacobian(prob: ProblemInstance, x) -> Array:
     return _jacobian_at(prob, as_vector(x, prob.dim_primal))
 
 
-def as_stochastic(prob: ProblemInstance) -> StochasticProblemInstance:
-    """Wrap a deterministic problem as a degenerate sampled one: its tokens are
-    None and its draws take nothing from the generator."""
+def as_stochastic(prob) -> StochasticProblemInstance:
+    """A sampled problem unchanged; a deterministic one wrapped as a degenerate
+    sampled one, whose tokens are None and whose draws take nothing from the
+    generator. The one place the package tells the two problem types apart."""
+    if isinstance(prob, StochasticProblemInstance):
+        return prob
     return StochasticProblemInstance(
         mean=prob,
         draw_objective_sample=lambda rng: None,

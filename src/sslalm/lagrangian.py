@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     NoiseModel,
     NonFiniteError,
-    StochasticProblemInstance,
     _all_finite,
     _jacobian_shape_error,
     _norm,
@@ -32,7 +31,7 @@ from .methods import PROX_ADAM, PROX_SGD, PROX_SGDM, MethodConfig, method_step, 
 
 REGU_ZERO_TOL = 1e-14
 
-# run() draws the noise of deterministic problems this many rows at a time
+# run() draws the noise this many rows at a time
 NOISE_CHUNK = 256
 
 TRACKER_KINDS = ("exact", "correction")
@@ -131,7 +130,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LagrangianState:
-    """One iterate: the primal point ``x``, the embedded method's auxiliary
+    """One solver state: the primal point ``x``, the embedded method's auxiliary
     block ``y`` (of size ``method.aux_dim(n)``), the multipliers ``lam``, the
     tracker ``w`` and the iteration count ``k``."""
 
@@ -213,12 +212,10 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
 
 class _Driver:
     """Resolved callables and per-run bookkeeping for one (problem, config) pair;
-    a deterministic problem runs as a sampled one whose samples are exact."""
+    a problem with exact oracles runs as a sampled one whose samples are exact."""
 
     def __init__(self, prob, config: SolverConfig):
-        self.deterministic = not isinstance(prob, StochasticProblemInstance)
-        if self.deterministic:
-            prob = as_stochastic(prob)
+        prob = as_stochastic(prob)
         self.config = config
         self.prob = prob
         self.mean = prob.mean
@@ -259,7 +256,7 @@ class _Driver:
         return LagrangianState(x=x0, y=y0, lam=np.zeros(self.p), w=w0, k=0)
 
     def _shaped(self, c) -> np.ndarray:
-        # c(x) at an iterate the driver made; its finiteness is checked with the new state
+        # c(x) at a point the driver made; its finiteness is checked with the new state
         return as_vector(c, self.p, "constraint value", finite=False)
 
     def _track_exact(self, w, x, x_next, tok, eta):
@@ -298,9 +295,10 @@ class _Driver:
         lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma, n_dual)
         return lam_next if _all_finite(lam_next) else None
 
-    def step(self, state: LagrangianState, rng, noise=None):
-        """One iteration; ``noise`` is this step's pre-drawn noise row, drawn
-        from ``rng`` here when it is None."""
+    def step(self, state: LagrangianState, rng, noise):
+        """One iteration: ``rng`` draws the sample tokens (the tracker pair
+        shares one constraint token, the Jacobian draws its own) and ``noise``
+        is this step's noise row, None when the run injects no noise."""
         cfg = self.config
         prob = self.prob
         k = state.k
@@ -320,7 +318,7 @@ class _Driver:
 
         direction = d + J @ (lam + cfg.rho * w)
         if self.use_noise:
-            direction = direction + (cfg.noise.draw(rng, self.n) if noise is None else noise)
+            direction = direction + noise
         if not _all_finite(direction):
             return state, "non-finite primal direction"
 
@@ -348,24 +346,6 @@ class _Driver:
         return rec
 
 
-def init_state(prob, config: SolverConfig, x0=None, rng=None) -> LagrangianState:
-    """Initial iterate: zero multipliers, tracker seeded at the constraint value."""
-    driver = _Driver(prob, config)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    return driver.initial_state(x0, rng)
-
-
-def iterate(prob, state: LagrangianState, config: SolverConfig, rng, kkt_probe: float | None = 1e-3):
-    """One full iteration (primal step, tracker, dual step) plus its metrics.
-    The tracker pair shares one constraint token; the Jacobian draws its own."""
-    driver = _Driver(prob, config)
-    state_next, err = driver.step(state, rng)
-    if err is not None:
-        raise ArithmeticError(f"iteration aborted: {err}")
-    return state_next, driver.metrics(state_next, kkt_probe)
-
-
 def run(
     prob,
     config: SolverConfig,
@@ -376,13 +356,13 @@ def run(
     """Execute ``config.max_iters`` iterations from a fresh seeded generator.
 
     Metrics are recorded at iteration 0, every ``record_every`` iterations,
-    and at the final iterate. On a non-finite state, or a non-finite value in
+    and at the final state. On a non-finite state, or a non-finite value in
     a later record (its own numbers, or an oracle it evaluates), the run stops
     and the partial trajectory is returned with its ``abort_reason`` set.
 
-    On deterministic problems nothing but the noise draws from the generator,
-    so the noise is drawn ``NOISE_CHUNK`` rows at a time; the values are those
-    of one draw per step, as in ``iterate``.
+    The noise is drawn from the run's generator ``NOISE_CHUNK`` rows at a
+    time: the block for steps ``k`` to ``k + NOISE_CHUNK - 1`` at step ``k``,
+    before that step's sample tokens.
     """
     if not record_every >= 1:
         raise ValueError("record_every must be >= 1")
@@ -392,10 +372,9 @@ def run(
     state = driver.initial_state(x0, rng)
     records = [driver.metrics(state, kkt_probe)]
     reason = None
-    chunked = driver.use_noise and driver.deterministic
     noise = None
     for k in range(config.max_iters):
-        if chunked:
+        if driver.use_noise:
             row = k % NOISE_CHUNK
             if row == 0:
                 rows = min(NOISE_CHUNK, config.max_iters - k)

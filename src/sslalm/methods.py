@@ -1,8 +1,9 @@
 """Embeddable stochastic subgradient steps: proximal SGD, proximal SGD with
 heavy-ball momentum, and proximal ADAM.
 
-Each method is a stateless single-step update ``(x, y) -> (x', y')`` driven by
-a direction vector ``g`` and a stepsize ``eta``; the auxiliary block ``y`` is
+Each method is a stateless single-step update
+``step_prox_*(fset, x, y, g, eta, cfg) -> (x_next, y_next)`` driven by a
+direction vector ``g`` and a stepsize ``eta``; the auxiliary block ``y`` is
 empty for SGD, the momentum for SGDM, and the packed (momentum, second moment)
 pair for ADAM. All steps keep ``x`` inside the feasible set.
 """
@@ -59,20 +60,18 @@ class MethodConfig:
         return 2 * n
 
 
-_PLAIN_SGD = MethodConfig()
-
-
 def split_adam_state(y: np.ndarray):
     n = y.size // 2
     return y[:n], y[n:]
 
 
-def step_prox_sgd(fset: FeasibleSet, g, x, eta: float) -> np.ndarray:
-    _PLAIN_SGD.check_stepsize(eta)
-    return fset.project(x - eta * np.asarray(g))
+def step_prox_sgd(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
+    """Projected subgradient step; the empty auxiliary block passes through."""
+    cfg.check_stepsize(eta)
+    return fset.project(x - eta * np.asarray(g)), y
 
 
-def step_prox_sgdm(fset: FeasibleSet, g, x, y, eta: float, cfg: MethodConfig):
+def step_prox_sgdm(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
     """Momentum update followed by a convex combination with the prox point."""
     cfg.check_stepsize(eta)
     y_next = y - cfg.tau * eta * (y - np.asarray(g))
@@ -80,27 +79,23 @@ def step_prox_sgdm(fset: FeasibleSet, g, x, y, eta: float, cfg: MethodConfig):
     return x_next, y_next
 
 
-def step_prox_adam(fset: FeasibleSet, g, x, y, v, eta: float, cfg: MethodConfig, out=None):
-    """First/second moment updates, then a weighted prox step. The new moments
-    are written into the two halves of ``out`` when it is given."""
+def step_prox_adam(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
+    """First/second moment updates of the packed block ``y = (m, v)``, then a
+    weighted prox step."""
     cfg.check_stepsize(eta)
     g = np.asarray(g)
-    y_out, v_out = (None, None) if out is None else split_adam_state(out)
-    y_next = np.subtract(y, cfg.tau1 * eta * (y - g), out=y_out)
-    v_next = np.subtract(v, cfg.tau2 * eta * (v - g * g), out=v_out)
+    m, v = split_adam_state(y)
+    m_next = m - cfg.tau1 * eta * (m - g)
+    v_next = v - cfg.tau2 * eta * (v - g * g)
     weights = np.sqrt(v_next + cfg.eps) / cfg.alpha
-    z = fset.prox_weighted(x, y_next, weights)
+    z = fset.prox_weighted(x, m_next, weights)
     x_next = (1.0 - eta) * x + eta * z
-    return x_next, y_next, v_next
+    return x_next, np.concatenate((m_next, v_next))
+
+
+_STEPS = {PROX_SGD: step_prox_sgd, PROX_SGDM: step_prox_sgdm, PROX_ADAM: step_prox_adam}
 
 
 def method_step(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
     """One step of the configured method: ``(x, y) -> (x_next, y_next)``."""
-    if cfg.kind == PROX_SGD:
-        return step_prox_sgd(fset, g, x, eta), y
-    if cfg.kind == PROX_SGDM:
-        return step_prox_sgdm(fset, g, x, y, eta, cfg)
-    m, v = split_adam_state(y)
-    y_next = np.empty_like(y)
-    x_next, _, _ = step_prox_adam(fset, g, x, m, v, eta, cfg, out=y_next)
-    return x_next, y_next
+    return _STEPS[cfg.kind](fset, x, y, g, eta, cfg)

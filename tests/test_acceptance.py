@@ -213,7 +213,8 @@ def _adam_equivalence_deviation():
     dev = 0.0
     for k in range(100):
         eta = 0.5 / np.sqrt(k + 1)
-        x, y, v = m.step_prox_adam(fset, gs[k], x, y, v, eta, cfg)
+        x, yv = m.step_prox_adam(fset, x, np.concatenate([y, v]), gs[k], eta, cfg)
+        y, v = yv[:n], yv[n:]
         y2 = y2 - cfg.tau1 * eta * (y2 - gs[k])
         v2 = v2 - cfg.tau2 * eta * (v2 - gs[k] * gs[k])
         x2 = (1 - eta) * x2 + eta * (x2 - cfg.alpha * y2 / np.sqrt(v2 + cfg.eps))
@@ -240,16 +241,15 @@ def _lyapunov_ratio(kind, alpha=1.0):
         y = np.zeros(1)
         vals = [lyapunov_momentum(h(x), fset, x, y, cfg.tau, cfg.alpha)]
         for _ in range(10000):
-            x, y = m.step_prox_sgdm(fset, np.sign(x - 0.3), x, y, eta, cfg)
+            x, y = m.step_prox_sgdm(fset, x, y, np.sign(x - 0.3), eta, cfg)
             vals.append(lyapunov_momentum(h(x), fset, x, y, cfg.tau, cfg.alpha))
     else:
         cfg = m.MethodConfig(kind="prox_adam", tau1=0.4, tau2=0.1, alpha=alpha, eps=1e-8)
-        y = np.zeros(1)
-        v = np.zeros(1)
-        vals = [lyapunov_adam(h(x), fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps)]
+        yv = np.zeros(2)
+        vals = [lyapunov_adam(h(x), fset, x, yv[:1], yv[1:], cfg.tau1, cfg.alpha, cfg.eps)]
         for _ in range(10000):
-            x, y, v = m.step_prox_adam(fset, np.sign(x - 0.3), x, y, v, eta, cfg)
-            vals.append(lyapunov_adam(h(x), fset, x, y, v, cfg.tau1, cfg.alpha, cfg.eps))
+            x, yv = m.step_prox_adam(fset, x, yv, np.sign(x - 0.3), eta, cfg)
+            vals.append(lyapunov_adam(h(x), fset, x, yv[:1], yv[1:], cfg.tau1, cfg.alpha, cfg.eps))
     diffs = np.diff(np.array(vals))
     increase = float(diffs[diffs > 0].sum())
     decrease = float(-diffs[diffs < 0].sum())

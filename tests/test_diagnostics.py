@@ -18,7 +18,7 @@ from sslalm.diagnostics import (
     u_momentum,
 )
 from sslalm.geometry import Ball, Box, WholeSpace
-from sslalm.lagrangian import SolverConfig, StepSchedule, init_state, iterate
+from sslalm.lagrangian import SolverConfig, StepSchedule, _Driver
 from sslalm.methods import MethodConfig, split_adam_state
 from sslalm.problems import make_affine_l1, make_exactness_1d, make_recipe
 
@@ -382,7 +382,7 @@ class TestExactPenaltyMargin:
 
 
 def _record_chain(recipe_name, method, steps=25):
-    """(mean problem, config, [(state, record)]) over ``steps`` iterate() calls."""
+    """(mean problem, config, [(state, record)]) over ``steps`` steps of one driver."""
     if recipe_name == "affine_l1":
         rec = make_recipe("affine_l1", n=6, p=2, seed=3)
     else:
@@ -394,18 +394,19 @@ def _record_chain(recipe_name, method, steps=25):
         eta=StepSchedule("inv_sqrt_epoch", 0.3),
         seed=5,
     )
+    driver = _Driver(rec.instance, cfg)
     rng = np.random.default_rng(cfg.seed)
-    state = init_state(rec.instance, cfg, x0=rec.start, rng=rng)
+    state = driver.initial_state(rec.start, rng)
     out = []
     for _ in range(steps):
-        state, record = iterate(rec.instance, state, cfg, rng, kkt_probe=1e-3)
-        out.append((state, record))
-    inst = rec.instance
-    return getattr(inst, "mean", inst), cfg, out
+        state, err = driver.step(state, rng, None)
+        assert err is None
+        out.append((state, driver.metrics(state, kkt_probe=1e-3)))
+    return driver.mean, cfg, out
 
 
 class TestRecordPathMatchesPublicFunctions:
-    """The records ``iterate()`` builds equal the public diagnostics bitwise."""
+    """The records the driver builds equal the public diagnostics bitwise."""
 
     @pytest.mark.parametrize("recipe_name", ["affine_l1", "slack_l1_net"])
     @pytest.mark.parametrize("method", ["prox_sgdm", "prox_adam"])

@@ -16,14 +16,12 @@ from sslalm.core import (
 )
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import (
-    NOISE_CHUNK,
     LagrangianState,
     SolverConfig,
     StepSchedule,
+    _Driver,
     dual_step_ialm,
     dual_step_regu,
-    init_state,
-    iterate,
     regu,
     run,
     track_correction,
@@ -181,11 +179,14 @@ class TestTrackers:
         # the exact tracker holds c(x) of the new iterate, bit for bit
         prob = scalar_problem(subgrad=lambda x: np.sin(3.0 * x) + 0.1)
         cfg = SolverConfig(rho=0.3, noise=NoiseModel("uniform_box", 0.1), max_iters=10)
+        driver = _Driver(prob, cfg)
         rng = np.random.default_rng(0)
-        state = init_state(prob, cfg, x0=[0.37])
+        state = LagrangianState(x=np.array([0.37]), y=np.zeros(0), lam=np.zeros(1),
+                                w=np.array([0.37]))
         for _ in range(10):
             x_prev = state.x
-            state, _ = iterate(prob, state, cfg, rng)
+            state, err = driver.step(state, rng, cfg.noise.draw(rng, 1))
+            assert err is None
             assert not np.array_equal(state.x, x_prev)
             assert np.array_equal(state.w, prob.constraint(state.x))
 
@@ -219,7 +220,7 @@ class TestTrackers:
 ETA_01 = StepSchedule("constant", 0.1)
 
 
-class TestIterate:
+class TestDriverStep:
     def test_hand_computed_chain(self):
         prob = scalar_problem()
         cfg = SolverConfig(
@@ -236,7 +237,10 @@ class TestIterate:
             lam=np.array([0.5]),
             w=np.array([1.0]),
         )
-        nxt, rec = iterate(prob, state, cfg, np.random.default_rng(0))
+        driver = _Driver(prob, cfg)
+        nxt, err = driver.step(state, np.random.default_rng(0), None)
+        rec = driver.metrics(nxt, 1e-3)
+        assert err is None
         assert nxt.x == pytest.approx([0.95])
         assert nxt.w == pytest.approx([0.95])
         assert nxt.lam == pytest.approx([0.75])
@@ -250,10 +254,10 @@ class TestIterate:
             method=MethodConfig(kind="prox_sgd"), beta=1.0, theta=StepSchedule("constant", 0.5),
             eta=ETA_01, max_iters=1,
         )
-        state = init_state(prob, cfg, x0=np.zeros(1))
-        nxt, _ = iterate(prob, state, cfg, np.random.default_rng(0))
-        assert np.array_equal(nxt.x, state.x)
-        assert np.array_equal(nxt.lam, state.lam)
+        res = run(prob, cfg, x0=np.zeros(1))
+        assert not res.aborted and res.state.k == 1
+        assert np.array_equal(res.state.x, np.zeros(1))
+        assert np.array_equal(res.state.lam, np.zeros(1))
 
     def test_dual_consumes_new_tracker_value(self):
         # the multiplier step must see w_{k+1}, whose sign differs from w_k here
@@ -268,18 +272,12 @@ class TestIterate:
             lam=np.array([5.0]),
             w=np.array([0.1]),
         )
-        nxt, _ = iterate(prob, state, cfg, np.random.default_rng(0))
+        nxt, err = _Driver(prob, cfg).step(state, np.random.default_rng(0), None)
+        assert err is None
         # x+ = 0.1 - 0.1*5 = -0.4, regu(w+) = -1: lam+ = 5 + 0.5*(-1 - 5) = 2
         # consuming the stale w would have given 5 + 0.5*(1 - 5) = 3
         assert nxt.x == pytest.approx([-0.4])
         assert nxt.lam == pytest.approx([2.0])
-
-    def test_nonfinite_direction_raises(self):
-        prob = scalar_problem(subgrad=lambda x: np.array([np.inf]))
-        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=1)
-        state = init_state(prob, cfg, x0=np.zeros(1))
-        with pytest.raises(ArithmeticError):
-            iterate(prob, state, cfg, np.random.default_rng(0))
 
 
 class TestRun:
@@ -363,6 +361,7 @@ class TestRun:
         "subgrad, eta, reason",
         [
             (np.inf, 0.1, "non-finite primal direction"),
+            (np.nan, 0.1, "non-finite primal direction"),
             # a finite direction whose step overflows x
             (1e308, 10.0, "non-finite state"),
         ],
@@ -541,64 +540,12 @@ def counting_constraint_problem(constraint):
     )
 
 
-def iterate_loop(prob, cfg, x0, record_every):
-    """The iterates of ``run`` rebuilt from ``init_state`` and ``iterate`` on
-    one generator that draws the noise step by step."""
-    rng = np.random.default_rng(cfg.seed)
-    state = init_state(prob, cfg, x0=x0, rng=rng)
-    records = []
-    for k in range(cfg.max_iters):
-        state, rec = iterate(prob, state, cfg, rng)
-        if (k + 1) % record_every == 0 or k + 1 == cfg.max_iters:
-            records.append(rec)
-    return state, records
-
-
-class TestRunEqualsIterate:
-    # more than two noise chunks, the last one partial
-    ITERS = 2 * NOISE_CHUNK + 77
-
-    @pytest.mark.parametrize(
-        "recipe, method, noise_kind, tracker",
-        [
-            ("affine_l1", "prox_sgd", "uniform_box", "exact"),
-            ("affine_l1", "prox_sgd", "truncated_gaussian", "exact"),
-            ("affine_l1", "prox_adam", "uniform_box", "exact"),
-            ("affine_l1", "prox_adam", "truncated_gaussian", "correction"),
-            ("stochastic_affine", "prox_sgd", "uniform_box", "correction"),
-            ("stochastic_affine", "prox_adam", "truncated_gaussian", "correction"),
-        ],
-    )
-    def test_bitwise(self, recipe, method, noise_kind, tracker):
-        make = make_affine_l1 if recipe == "affine_l1" else make_stochastic_affine
-        rec = make(n=6, p=2, seed=4)
-        cfg = SolverConfig(
-            method=MethodConfig(kind=method, alpha=0.2),
-            rho=1.0, beta=3.0,
-            theta=StepSchedule("constant", 0.5),
-            eta=StepSchedule("inv_sqrt_epoch", 0.5),
-            tracker=tracker,
-            noise=NoiseModel(noise_kind, 0.1),
-            max_iters=self.ITERS, seed=13,
-        )
-        res = run(rec.instance, cfg, x0=rec.start, record_every=7)
-        state, records = iterate_loop(rec.instance, cfg, rec.start, record_every=7)
-        assert not res.aborted
-        assert res.state.k == state.k == self.ITERS
-        for a, b in [(res.state.x, state.x), (res.state.lam, state.lam), (res.state.w, state.w)]:
-            assert a.tobytes() == b.tobytes()
-        assert [r.to_json_line() for r in res.records[1:]] == [r.to_json_line() for r in records]
-        zero = run(rec.instance, replace(cfg, max_iters=0), x0=rec.start)
-        assert res.records[0] == zero.records[0]
-
-
 class TestExpectationConstrained:
     @pytest.mark.parametrize("method", ["prox_sgd", "prox_sgdm", "prox_adam"])
     @pytest.mark.parametrize("dual", ["regu", "ialm"])
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
     def test_degenerate_sampler_equals_deterministic_correction_run(self, tracker, dual, method):
-        # the sampled run draws its noise step by step, the deterministic one
-        # in chunks of NOISE_CHUNK rows; the two stay equal bit for bit
+        # a deterministic problem runs as its exact sampled wrapper, bit for bit
         rec = make_affine_l1(n=3, p=1, seed=4)
         prob = rec.instance
         cfg = SolverConfig(
@@ -756,8 +703,8 @@ class TestSolverConfigValidation:
             lam=np.array([0.0]),
             w=np.array([1.0]),
         )
-        rng = np.random.default_rng(0)
-        nxt, _ = iterate(prob, state, cfg, rng)
+        nxt, err = _Driver(prob, cfg).step(state, np.random.default_rng(0), None)
+        assert err is None
         assert np.array_equal(nxt.lam, state.lam)  # k=1 not a multiple of 3
 
 
@@ -848,12 +795,13 @@ class TestDriverVariants:
     def test_default_start_is_projected_origin(self):
         prob = scalar_problem(fset=Box(np.array([0.5]), np.array([2.0])))
         cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=0)
-        state = init_state(prob, cfg)
+        state = run(prob, cfg).state
+        assert state.k == 0
         assert state.x == pytest.approx([0.5])
         assert np.array_equal(state.lam, np.zeros(1))
         assert np.array_equal(state.w, prob.constraint(state.x))
 
-    def test_iterate_on_stochastic_instance_uses_mean_metrics(self):
+    def test_run_on_stochastic_instance_uses_mean_metrics(self):
         rec = make_stochastic_affine(n=3, p=1, noise_scale=0.5, seed=3)
         cfg = SolverConfig(
             method=MethodConfig(kind="prox_sgd"),
@@ -862,9 +810,9 @@ class TestDriverVariants:
             eta=StepSchedule("inv_sqrt_epoch", 0.1),
             tracker="correction", max_iters=1,
         )
-        rng = np.random.default_rng(0)
-        state = init_state(rec.instance, cfg, x0=rec.start, rng=rng)
-        nxt, recm = iterate(rec.instance, state, cfg, rng)
+        res = run(rec.instance, cfg, x0=rec.start)
+        nxt, recm = res.state, res.final
+        assert recm.k == nxt.k == 1
         c_mean = rec.instance.mean.constraint(nxt.x)
         assert recm.feas == pytest.approx(np.linalg.norm(c_mean))
         assert recm.tracker_err == pytest.approx(np.linalg.norm(nxt.w - c_mean))

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,13 @@ def unit_box(n):
     return Box(np.full(n, -1.0), np.full(n, 1.0))
 
 
+SGD = MethodConfig(kind="prox_sgd")
+
+
+def adam_block(m, v):
+    return np.concatenate([m, v])
+
+
 SETS = {
     "free": lambda n: WholeSpace(n),
     "box": unit_box,
@@ -27,30 +36,31 @@ SETS = {
 
 class TestProxSgd:
     def test_basic_step(self):
-        x = step_prox_sgd(WholeSpace(1), [1.0], np.array([0.0]), 0.1)
+        x, y = step_prox_sgd(WholeSpace(1), np.array([0.0]), np.zeros(0), [1.0], 0.1, SGD)
         assert x == pytest.approx([-0.1])
+        assert y.size == 0
 
     def test_zero_direction_is_fixed_point(self):
         x0 = np.array([0.3, -0.4])
-        x = step_prox_sgd(unit_box(2), np.zeros(2), x0, 0.5)
+        x, _ = step_prox_sgd(unit_box(2), x0, np.zeros(0), np.zeros(2), 0.5, SGD)
         assert np.array_equal(x, x0)
 
     def test_clamp_at_boundary(self):
-        x = step_prox_sgd(unit_box(1), [-1.0], np.array([0.95]), 0.1)
+        x, _ = step_prox_sgd(unit_box(1), np.array([0.95]), np.zeros(0), [-1.0], 0.1, SGD)
         assert x == pytest.approx([1.0])
 
 
 class TestProxSgdm:
     def test_hand_computed_step(self):
         cfg = MethodConfig(kind="prox_sgdm", tau=1.0, alpha=1.0)
-        x, y = step_prox_sgdm(WholeSpace(1), [1.0], np.zeros(1), np.zeros(1), 0.5, cfg)
+        x, y = step_prox_sgdm(WholeSpace(1), np.zeros(1), np.zeros(1), [1.0], 0.5, cfg)
         assert y == pytest.approx([0.5])
         assert x == pytest.approx([-0.25])
 
     def test_momentum_fixed_point_when_g_equals_y(self):
         cfg = MethodConfig(kind="prox_sgdm", tau=2.0, alpha=1.0)
         y0 = np.array([0.7, -0.2])
-        _, y = step_prox_sgdm(unit_box(2), y0.copy(), np.zeros(2), y0, 0.3, cfg)
+        _, y = step_prox_sgdm(unit_box(2), np.zeros(2), y0, y0.copy(), 0.3, cfg)
         assert y == pytest.approx(y0)
 
     def test_stationary_prox_point_is_fixed(self):
@@ -59,21 +69,20 @@ class TestProxSgdm:
         fset = unit_box(1)
         x0 = np.array([1.0])
         y0 = np.array([-2.0])  # prox(1 + 2) clamps back to 1
-        x, _ = step_prox_sgdm(fset, y0, x0, y0, 0.5, cfg)
+        x, _ = step_prox_sgdm(fset, x0, y0, y0, 0.5, cfg)
         assert x == pytest.approx([1.0])
 
     def test_rejects_large_stepsize(self):
         cfg = MethodConfig(kind="prox_sgdm")
         with pytest.raises(ValueError):
-            step_prox_sgdm(unit_box(1), [0.0], np.zeros(1), np.zeros(1), 1.5, cfg)
+            step_prox_sgdm(unit_box(1), np.zeros(1), np.zeros(1), [0.0], 1.5, cfg)
 
 
 class TestProxAdam:
     def test_hand_computed_step(self):
         cfg = MethodConfig(kind="prox_adam", tau1=1.0, tau2=1.0, alpha=1.0, eps=0.5)
-        x, y, v = step_prox_adam(
-            WholeSpace(1), [1.0], np.zeros(1), np.zeros(1), np.zeros(1), 0.5, cfg
-        )
+        x, y = step_prox_adam(WholeSpace(1), np.zeros(1), np.zeros(2), [1.0], 0.5, cfg)
+        y, v = split_adam_state(y)
         assert y == pytest.approx([0.5])
         assert v == pytest.approx([0.5])
         assert x == pytest.approx([-0.25])
@@ -81,7 +90,8 @@ class TestProxAdam:
     def test_zero_state_is_stationary(self):
         cfg = MethodConfig(kind="prox_adam", tau1=1.0, tau2=1.0, alpha=1.0, eps=0.5)
         x0 = np.array([0.2])
-        x, y, v = step_prox_adam(unit_box(1), np.zeros(1), x0, np.zeros(1), np.zeros(1), 0.5, cfg)
+        x, y = step_prox_adam(unit_box(1), x0, np.zeros(2), np.zeros(1), 0.5, cfg)
+        y, v = split_adam_state(y)
         assert x == pytest.approx(x0)
         assert np.array_equal(y, np.zeros(1))
         assert np.array_equal(v, np.zeros(1))
@@ -99,7 +109,8 @@ class TestProxAdam:
         x2, y2, v2 = x.copy(), y.copy(), v.copy()
         for k in range(100):
             eta = 0.5 / np.sqrt(k + 1)
-            x, y, v = step_prox_adam(fset, gs[k], x, y, v, eta, cfg)
+            x, y_next = step_prox_adam(fset, x, adam_block(y, v), gs[k], eta, cfg)
+            y, v = split_adam_state(y_next)
             y2 = y2 - cfg.tau1 * eta * (y2 - gs[k])
             v2 = v2 - cfg.tau2 * eta * (v2 - gs[k] * gs[k])
             x2 = (1 - eta) * x2 + eta * (x2 - cfg.alpha * y2 / np.sqrt(v2 + cfg.eps))
@@ -116,17 +127,25 @@ class TestProxAdam:
         v = np.zeros(3)
         for k in range(2000):
             g = rng.standard_normal(3)
-            x, y, v = step_prox_adam(unit_box(3), g, x, y, v, 0.9, cfg)
+            x, y_next = step_prox_adam(unit_box(3), x, adam_block(y, v), g, 0.9, cfg)
+            y, v = split_adam_state(y_next)
             assert np.all(v >= 0.0)
 
     def test_rejects_eta_tau2_above_one(self):
         cfg = MethodConfig(kind="prox_adam", tau1=1.0, tau2=4.0)
         with pytest.raises(ValueError):
-            step_prox_adam(unit_box(1), [0.0], np.zeros(1), np.zeros(1), np.zeros(1), 0.5, cfg)
+            step_prox_adam(unit_box(1), np.zeros(1), np.zeros(2), [0.0], 0.5, cfg)
 
     def test_parameter_constraint_enforced(self):
         with pytest.raises(ValueError):
             MethodConfig(kind="prox_adam", tau1=0.1, tau2=0.5)
+
+
+def test_steps_share_one_signature():
+    # the embedded methods are black boxes: (x, y) -> (x_next, y_next)
+    params = [list(inspect.signature(f).parameters) for f in (step_prox_sgd, step_prox_sgdm,
+                                                                step_prox_adam)]
+    assert params == [["fset", "x", "y", "g", "eta", "cfg"]] * 3
 
 
 @pytest.mark.parametrize(
