@@ -1,43 +1,31 @@
 #!/usr/bin/env python3
 """Constrained network training on the synthetic dataset: single-loop runs
 (normalized dual) against the classical-ascent baselines with a fixed inner
-budget, 100 epochs each. Writes the comparison table to --out."""
+budget, 100 epochs each, with the settings of configs/net_sgdm.json. Writes
+the comparison table to --out."""
 import argparse
+import json
+from pathlib import Path
 
 from sslalm.cli import cmd_compare, config_from_dict
 
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "net_sgdm.json"
+
+# the tables that replace CONFIG's method and dual for the ADAM and ialm runs
+ADAM = {"kind": "prox_adam", "tau1": 1.0, "tau2": 0.1, "alpha": 0.1, "eps": 1e-8}
+IALM = {"kind": "ialm", "theta_tilde": 1.0, "beta_tilde": 1.0, "sigma": 2.0, "inner_steps": 500}
+
 
 def build_config(method_kind, dual, epochs):
-    method = (
-        {"kind": "prox_sgdm", "tau": 1.0, "alpha": 0.2}
-        if method_kind == "sgdm"
-        else {"kind": "prox_adam", "tau1": 1.0, "tau2": 0.1, "alpha": 0.1, "eps": 1e-8}
-    )
-    solver = {
-        "method": method,
-        "rho": 0.01,
-        "beta": 1.0,
-        "theta": {"kind": "constant", "c": 0.5},
-        "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 2},
-        "max_iters": 2 * epochs,
-        "seed": 0,
-    }
+    """CONFIG with ``2*epochs`` iterations, the ADAM method table for
+    ``method_kind == "adam"`` and the ialm dual table for ``dual == "ialm"``."""
+    raw = json.loads(CONFIG.read_text())
+    raw["solver"]["max_iters"] = 2 * epochs
+    if method_kind == "adam":
+        raw["solver"]["method"] = ADAM
     if dual == "ialm":
-        solver["dual"] = {
-            "kind": "ialm",
-            "theta_tilde": 1.0,
-            "beta_tilde": 1.0,
-            "sigma": 2.0,
-            "inner_steps": 500,
-        }
-    return config_from_dict(
-        {
-            "problem": {"kind": "slack_l1_net"},
-            "solver": solver,
-            "record_every": 10,
-            "kkt_probe": None,
-        }
-    )
+        raw["solver"]["dual"] = IALM
+    return config_from_dict(raw)
 
 
 def main():

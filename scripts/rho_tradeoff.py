@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Quadratic-penalty weight sweep on the constrained network: larger weights
-buy feasibility at the price of a slower loss decrease."""
+"""Quadratic-penalty weight sweep on the constrained network, with the
+settings of configs/net_sgdm.json at prox scale 0.1: larger weights buy
+feasibility at the price of a slower loss decrease."""
 import argparse
+import json
+from pathlib import Path
 
 from sslalm.cli import cmd_sweep, config_from_dict
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "net_sgdm.json"
 
 
 def main():
@@ -13,23 +18,10 @@ def main():
         "--values", default="1e-2,1e-3,1e-4,1e-5", help="comma-separated penalty weights"
     )
     args = parser.parse_args()
-    cfg = config_from_dict(
-        {
-            "problem": {"kind": "slack_l1_net"},
-            "solver": {
-                "method": {"kind": "prox_sgdm", "tau": 1.0, "alpha": 0.1},
-                "rho": 0.01,
-                "beta": 1.0,
-                "theta": {"kind": "constant", "c": 0.5},
-                "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 2},
-                "max_iters": 200,
-                "seed": 0,
-            },
-            "kkt_probe": None,
-        }
-    )
+    raw = json.loads(CONFIG.read_text())
+    raw["solver"]["method"]["alpha"] = 0.1
     values = [float(v) for v in args.values.split(",")]
-    cmd_sweep(cfg, "solver.rho", values, out=args.out)
+    cmd_sweep(config_from_dict(raw), "solver.rho", values, out=args.out)
 
 
 if __name__ == "__main__":

@@ -12,13 +12,11 @@ import argparse
 import functools
 import inspect
 import json
-import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
 
-from .core import as_stochastic
+from .core import _check_fields, _check_value, _field_types, as_stochastic
 from .diagnostics import exact_penalty_margin
 from .lagrangian import RunResult, SolverConfig, run
 from .problems import RECIPES, ProblemRecipe, make_recipe
@@ -46,6 +44,7 @@ class RunConfig:
     kkt_probe: float | None = 1e-3
 
     def __post_init__(self):
+        _check_fields(self)
         problem = self.problem
         if not isinstance(problem, dict) or "kind" not in problem:
             raise ConfigError("problem: needs a 'kind' key")
@@ -53,10 +52,10 @@ class RunConfig:
             raise ConfigError(
                 f"problem.kind: unknown kind {problem['kind']!r}; known: {sorted(RECIPES)}"
             )
-        sig = inspect.signature(RECIPES[problem["kind"]])
-        extra = set(problem) - {"kind"} - set(sig.parameters)
-        if extra:
-            raise ConfigError(f"problem: unknown keys {sorted(extra)} for kind {problem['kind']!r}")
+        params = _field_types(RECIPES[problem["kind"]])
+        _check_keys(problem, {"kind", *params}, "problem")
+        checked = {k: _check_value(f"problem.{k}", params.get(k), v) for k, v in problem.items()}
+        object.__setattr__(self, "problem", checked)
         if self.record_every < 1:
             raise ConfigError("record_every must be >= 1")
         if self.repetitions < 1:
@@ -89,58 +88,21 @@ def _solver_fields(table: dict) -> dict:
 
 @functools.cache
 def _schema(cls):
-    """JSON keys, required keys and field types of a config dataclass; cached,
-    since resolving the annotations costs more than a whole parse."""
-    types = get_type_hints(cls)
-    keys = {f.name for f in fields(cls)}
+    """JSON keys, required keys and field types of a config dataclass."""
+    types = _field_types(cls)
+    keys = set(types)
     if cls is SolverConfig:
         keys -= {key for extra in _SOLVER_TABLES.values() for key in extra}
-    required = [
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    ]
-    return keys, required, {f.name: types[f.name] for f in fields(cls)}
-
-
-def _coerce(name: str, hint, value):
-    """A JSON scalar as its field's type: a float field takes any number but a
-    bool, an int field an integer or an integral float such as ``5.0``, a str
-    field a string; ``float | None`` also takes null. Other fields pass as
-    written."""
-    if hint == float | None:
-        if value is None:
-            return None
-        hint = float
-    # bool is a subclass of int, so it is excluded by name
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is float:
-        if not number:
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        return float(value)
-    if hint is int:
-        if not number or isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(value)
-    if hint is str and not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _finite(value) -> bool:
-    """False for a non-finite float, also one inside a list or a table."""
-    if isinstance(value, (list, dict)):
-        return all(map(_finite, value.values() if isinstance(value, dict) else value))
-    return not isinstance(value, float) or math.isfinite(value)
+    required = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
+    return keys, required, types
 
 
 def _from_table(cls, table, path: str):
-    """Build the config dataclass ``cls`` from a JSON table keyed by its fields.
-
-    Nested dataclass fields read nested tables, where an absent or null table
-    keeps the field's default. Every scalar is checked against its annotated
-    type by ``_coerce``, and a non-finite number anywhere is rejected.
-    """
+    """Build the config dataclass ``cls`` from a JSON table keyed by its fields;
+    a nested dataclass field reads a nested table, and an absent or null one keeps
+    its default. The dataclasses check the values; errors are prefixed with the path."""
     label = path or "config"
-    keys, required, hints = _schema(cls)
+    keys, required, types = _schema(cls)
     _check_keys(table, keys, label)
     if cls is SolverConfig:
         table = _solver_fields(table)
@@ -150,15 +112,11 @@ def _from_table(cls, table, path: str):
     kwargs = {}
     try:
         for name, value in table.items():
-            if is_dataclass(hints[name]):
-                if value is not None:
-                    sub_path = f"{path}.{name}" if path else name
-                    kwargs[name] = _from_table(hints[name], value, sub_path)
-            else:
-                value = _coerce(name, hints[name], value)
-                if not _finite(value):
-                    raise ConfigError(f"{label}: {name} must be finite, got {value!r}")
+            if not is_dataclass(types[name]):
                 kwargs[name] = value
+            elif value is not None:
+                sub_path = f"{path}.{name}" if path else name
+                kwargs[name] = _from_table(types[name], value, sub_path)
         return cls(**kwargs)
     except ConfigError:
         raise

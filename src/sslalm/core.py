@@ -7,9 +7,12 @@ that runs are reproducible from a single seed.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Any, Callable
+import numbers
+from dataclasses import dataclass, fields, is_dataclass
+from inspect import signature
+from typing import Any, Callable, get_type_hints
 
 import numpy as np
 
@@ -53,11 +56,55 @@ def _all_finite(v: Array) -> bool:
     return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
-def _require_finite(**values) -> None:
-    """Raise a ValueError naming the first of ``values`` that is not a finite number."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+# The config type rule: a float takes a finite real number but not a bool, an int
+# an integral number (``5.0`` and ``np.int64(5)`` too), a str a string, and
+# ``float | None`` also None. A check returns the value as its type or raises.
+
+
+def _check_number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_value(name: str, hint, value):
+    """``value`` under the rule for the annotation ``hint``; other types pass through."""
+    if hint is float or hint == float | None and value is not None:
+        return _check_number(name, value)
+    if hint is int:
+        return _check_integer(name, value)
+    if hint is str and not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+@functools.cache
+def _field_types(obj) -> dict:
+    """Each field of the dataclass ``obj``, or parameter of the function ``obj``,
+    with its resolved annotation (None where it has none)."""
+    hints = get_type_hints(obj)
+    names = [f.name for f in fields(obj)] if is_dataclass(obj) else signature(obj).parameters
+    return {name: hints.get(name) for name in names}
+
+
+def _check_fields(config) -> None:
+    """Apply the type rule to each field of the frozen dataclass ``config`` and
+    store each value as its type: the first step of every config's ``__post_init__``."""
+    for name, hint in _field_types(type(config)).items():
+        value = getattr(config, name)
+        # a value of its declared type needs no check, unless a non-finite float
+        if type(value) is not hint or hint is float and not math.isfinite(value):
+            object.__setattr__(config, name, _check_value(name, hint, value))
 
 
 @dataclass(frozen=True)
@@ -102,10 +149,11 @@ class NoiseModel:
     seed: int = 0  # not read yet: run() draws the noise from its own generator
 
     def __post_init__(self):
+        _check_fields(self)
         if self.kind not in ("none", "uniform_box", "truncated_gaussian"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.bound < math.inf:
-            raise ValueError("noise bound must be finite and >= 0")
+        if self.bound < 0.0:
+            raise ValueError("noise bound must be >= 0")
 
     def draw(self, rng: np.random.Generator, n) -> Array:
         """A draw of shape ``n`` (an int or a shape tuple). numpy fills a

@@ -19,9 +19,10 @@ from .core import (
     NoiseModel,
     NonFiniteError,
     _all_finite,
+    _check_fields,
+    _check_integer,
     _jacobian_shape_error,
     _norm,
-    _require_finite,
     as_stochastic,
     as_vector,
     eval_constraints,
@@ -51,13 +52,11 @@ class StepSchedule:
     exponent: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        _require_finite(c=self.c, exponent=self.exponent)
         if self.c < 0:
             raise ValueError("schedule scale must be nonnegative")
-        if isinstance(self.epoch_len, float) and not self.epoch_len.is_integer():
-            raise ValueError("epoch_len must be an integer")
         if self.epoch_len < 1:
             raise ValueError("epoch_len must be >= 1")
         if self.kind == "power" and not (0.5 < self.exponent <= 1.0):
@@ -99,8 +98,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_finite(rho=self.rho, beta=self.beta, tau_tilde=self.tau_tilde, sigma=self.sigma,
-                        beta_tilde=self.beta_tilde, theta_tilde=self.theta_tilde)
+        _check_fields(self)
         if self.rho < 0:
             raise ValueError("rho must be >= 0")
         if self.beta <= 0:
@@ -159,11 +157,11 @@ class RunResult:
         return self.records[-1]
 
 
-def regu(y, zero_tol: float = REGU_ZERO_TOL) -> np.ndarray:
-    """Normalize to the unit sphere; vectors with norm <= zero_tol map to 0."""
+def regu(y) -> np.ndarray:
+    """Normalize to the unit sphere; vectors with norm <= REGU_ZERO_TOL map to 0."""
     y = np.asarray(y, dtype=np.float64)
     nrm = _norm(y)
-    if nrm <= zero_tol:
+    if nrm <= REGU_ZERO_TOL:
         return np.zeros_like(y)
     return y / nrm
 
@@ -364,7 +362,8 @@ def run(
     time: the block for steps ``k`` to ``k + NOISE_CHUNK - 1`` at step ``k``,
     before that step's sample tokens.
     """
-    if not record_every >= 1:
+    record_every = _check_integer("record_every", record_every)
+    if record_every < 1:
         raise ValueError("record_every must be >= 1")
     t0 = time.perf_counter()
     driver = _Driver(prob, config)

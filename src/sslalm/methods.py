@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_finite
+from .core import _check_fields
 from .geometry import FeasibleSet
 
 PROX_SGD = "prox_sgd"
@@ -32,10 +32,9 @@ class MethodConfig:
     eps: float = 1e-8       # ADAM regularizer
 
     def __post_init__(self):
+        _check_fields(self)
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        _require_finite(tau=self.tau, alpha=self.alpha, tau1=self.tau1, tau2=self.tau2,
-                        eps=self.eps)
         if self.tau <= 0 or self.alpha <= 0 or self.eps <= 0:
             raise ValueError("tau, alpha, and eps must be positive")
         if not (0.0 < self.tau2 <= 4.0 * self.tau1):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, StochasticProblemInstance, _require_finite
+from .core import ProblemInstance, StochasticProblemInstance, _check_integer, _check_number
 from .geometry import MEMBERSHIP_TOL, Box
 
 
@@ -175,7 +175,7 @@ def make_stochastic_affine(
     the L1 terms by nonnegative factors of unit mean. The analytic mean
     problem is kept for tracker-error measurement.
     """
-    _require_finite(noise_scale=noise_scale)
+    _check_number("noise_scale", noise_scale)
     if not noise_scale >= 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     # weight half-width < 1 keeps the per-sample losses convex with
@@ -237,17 +237,13 @@ def make_slack_l1_net(
     weights in ``[-1, 1]`` and slacks in ``[0, inf)``; constraint ``i`` reads
     ``||W_i||_1 + s_i - radius``.
     """
-    try:
-        given = tuple(layer_widths)
-        widths = tuple(int(w) for w in given)
-    except (TypeError, ValueError, OverflowError):
-        widths = None
-    # int() truncates 2.5 to 2 and parses "8": the widths must equal the input
-    if widths is None or widths != given or min(widths, default=1) < 1:
+    if np.ndim(layer_widths) != 1 or len(layer_widths) < 2:
+        raise ValueError(f"layer_widths must list two or more widths, got {layer_widths!r}")
+    widths = tuple(_check_integer("layer_widths", w) for w in layer_widths)
+    if min(widths) < 1:
         raise ValueError(f"layer_widths must be positive integers, got {layer_widths!r}")
-    if len(widths) < 2:
-        raise ValueError("need at least one layer")
-    _require_finite(radius=radius, init_scale=init_scale)
+    _check_number("radius", radius)
+    _check_number("init_scale", init_scale)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not 1 <= batch_size <= n_train:
@@ -383,7 +379,7 @@ def make_exactness_1d(slope: float = 2.0) -> ProblemRecipe:
     exactly when ``beta > slope``; below the threshold its minimizer sits at
     ``(slope - beta)/rho`` clipped into the box.
     """
-    _require_finite(slope=slope)
+    _check_number("slope", slope)
     if slope <= 0:
         raise ValueError("slope must be positive")
     inst = ProblemInstance(

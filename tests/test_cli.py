@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,6 +80,28 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="width"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "problem, message",
+        [
+            ({"kind": "affine_l1", "seed": None}, "problem.seed must be an integer, got None"),
+            ({"kind": "affine_l1", "n": True}, "problem.n must be an integer, got True"),
+            ({"kind": "slack_l1_net", "batch_size": 2.5}, "problem.batch_size must be an integer"),
+            ({"kind": "slack_l1_net", "n_train": float("inf")}, "problem.n_train must be an integer"),
+            ({"kind": "exactness_1d", "slope": "2"}, "problem.slope must be a number, got '2'"),
+            ({"kind": "stochastic_affine", "noise_scale": float("nan")},
+             "problem.noise_scale must be finite, got nan"),
+        ],
+    )
+    def test_problem_parameters_follow_the_type_rule(self, problem, message):
+        # checked against the recipe maker's annotations when the file is parsed
+        with pytest.raises(ConfigError, match=f"^config: {re.escape(message)}"):
+            config_from_dict({"problem": problem})
+
+    def test_integral_float_problem_parameter_stored_as_int(self):
+        cfg = config_from_dict({"problem": {"kind": "affine_l1", "n": 6.0}})
+        assert cfg.problem["n"] == 6 and type(cfg.problem["n"]) is int
+        assert cli.build_recipe(cfg).instance.dim_primal == 6
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

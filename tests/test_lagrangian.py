@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslalm import lagrangian
+from sslalm.cli import RunConfig
 from sslalm.core import (
     NoiseModel,
     OracleError,
@@ -28,6 +30,7 @@ from sslalm.lagrangian import (
 )
 from sslalm.methods import MethodConfig, method_step
 from sslalm.problems import (
+    ProblemRecipe,
     make_affine_l1,
     make_exactness_1d,
     make_slack_l1_net,
@@ -611,6 +614,8 @@ class TestExpectationConstrained:
         assert [r.to_json_line() for r in a.records] == [r.to_json_line() for r in b.records]
 
 
+AFFINE = {"kind": "affine_l1"}
+
 # each library config field and recipe parameter that takes a float, built
 # with one value; every other argument is valid
 FLOAT_FIELDS = {
@@ -627,6 +632,8 @@ FLOAT_FIELDS = {
     "tau1": lambda v: MethodConfig(kind="prox_adam", tau1=v),
     "tau2": lambda v: MethodConfig(kind="prox_adam", tau2=v),
     "eps": lambda v: MethodConfig(kind="prox_adam", eps=v),
+    "bound": lambda v: NoiseModel("uniform_box", v),
+    "kkt_probe": lambda v: RunConfig(AFFINE, kkt_probe=v),
     "radius": lambda v: make_slack_l1_net(radius=v),
     "init_scale": lambda v: make_slack_l1_net(init_scale=v),
     "noise_scale": lambda v: make_stochastic_affine(noise_scale=v),
@@ -639,6 +646,69 @@ FLOAT_FIELDS = {
 def test_nonfinite_number_rejected_naming_its_field(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         FLOAT_FIELDS[name](value)
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+@pytest.mark.parametrize("name", list(FLOAT_FIELDS))
+def test_non_number_rejected_naming_its_field(name, value):
+    message = re.escape(f"{name} must be a number, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FLOAT_FIELDS[name](value)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.75), np.int64(1)])
+@pytest.mark.parametrize("name", list(FLOAT_FIELDS))
+def test_numpy_number_accepted(name, value):
+    made = FLOAT_FIELDS[name](value)
+    # a config stores the value as a float; a recipe builds its problem
+    if not isinstance(made, ProblemRecipe):
+        assert type(getattr(made, name)) is float and getattr(made, name) == value
+
+
+# each library config field and run() argument that takes an int, built with
+# one value: a config maker returns the value as stored, the run the step of
+# its second record
+INT_FIELDS = {
+    "max_iters": ("max_iters", lambda v: SolverConfig(max_iters=v).max_iters),
+    "seed": ("seed", lambda v: SolverConfig(seed=v).seed),
+    "inner_steps": ("inner_steps", lambda v: SolverConfig(dual="ialm", inner_steps=v).inner_steps),
+    "epoch_len": ("epoch_len", lambda v: StepSchedule("constant", 0.1, epoch_len=v).epoch_len),
+    "noise.seed": ("seed", lambda v: NoiseModel("uniform_box", 0.1, v).seed),
+    "record_every": ("record_every", lambda v: RunConfig(AFFINE, record_every=v).record_every),
+    "repetitions": ("repetitions", lambda v: RunConfig(AFFINE, repetitions=v).repetitions),
+    "run.record_every": (
+        "record_every",
+        lambda v: run(scalar_problem(), SolverConfig(max_iters=5), record_every=v).records[1].k,
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field_id", list(INT_FIELDS))
+def test_non_integer_rejected_naming_its_field(field_id, value):
+    name, make = INT_FIELDS[field_id]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("value", [5.0, np.int64(5)])
+@pytest.mark.parametrize("field_id", list(INT_FIELDS))
+def test_integral_number_stored_as_int(field_id, value):
+    stored = INT_FIELDS[field_id][1](value)
+    assert stored == 5 and type(stored) is int
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("kind", lambda v: MethodConfig(kind=v)),
+        ("tracker", lambda v: SolverConfig(tracker=v)),
+        ("output_path", lambda v: RunConfig(AFFINE, output_path=v)),
+    ],
+)
+def test_non_string_rejected_naming_its_field(name, make):
+    with pytest.raises(ValueError, match=f"^{name} must be a string, got 5$"):
+        make(5)
 
 
 class TestSolverConfigValidation:
