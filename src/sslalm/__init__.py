@@ -16,7 +16,7 @@ from .core import (
     StochasticProblemInstance,
 )
 from .diagnostics import MetricsRecord, estimate_regularity, exact_penalty_margin, kkt_residual
-from .geometry import Ball, BlockProduct, Box, FeasibleSet, NonnegativeOrthant, WholeSpace
+from .geometry import Ball, Box, FeasibleSet, NonnegativeOrthant, WholeSpace
 from .lagrangian import RunResult, SolverConfig, StepSchedule, run
 from .methods import MethodConfig, step_prox_adam, step_prox_sgdm
 from .problems import (

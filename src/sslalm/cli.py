@@ -16,9 +16,11 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .core import _check_fields, _check_value, _field_types, as_stochastic
+from .core import NOISE_KINDS, NoiseModel, _check_fields, _check_value, _field_types, as_stochastic
 from .diagnostics import exact_penalty_margin
+from .lagrangian import DUAL_KINDS, SCHEDULE_KINDS, TRACKER_KINDS, StepSchedule
 from .lagrangian import RunResult, SolverConfig, run
+from .methods import METHOD_KINDS, MethodConfig
 from .problems import RECIPES, ProblemRecipe, make_recipe
 
 
@@ -26,12 +28,12 @@ class ConfigError(ValueError):
     """Invalid configuration file; maps to exit code 2."""
 
 
-# JSON tables under "solver" that hold flat SolverConfig fields: a table's
-# "kind" sets the field named like the table, its other keys keep their names
-_SOLVER_TABLES = {
-    "tracker": ("tau_tilde",),
-    "dual": ("beta_tilde", "sigma", "theta_tilde", "inner_steps"),
-}
+# A kinded table holds "kind" and the fields its kind reads: the tables of these
+# config classes, and the solver's tables of flat SolverConfig fields, whose
+# "kind" sets the field named like the table
+_KINDS = {MethodConfig: METHOD_KINDS, StepSchedule: SCHEDULE_KINDS, NoiseModel: NOISE_KINDS}
+_SOLVER_TABLES = {"tracker": TRACKER_KINDS, "dual": DUAL_KINDS}
+_SOLVER_FIELDS = set().union(*TRACKER_KINDS.values(), *DUAL_KINDS.values())
 
 
 @dataclass(frozen=True)
@@ -64,37 +66,47 @@ class RunConfig:
             raise ConfigError("kkt_probe must be positive or null")
 
 
-def _check_keys(table: dict, allowed: set, path: str):
+def _check_keys(table: dict, allowed: set, path: str, kinds=None, default=None):
+    """A table of a kind in ``kinds`` (its own, else ``default``) holds "kind" and
+    the fields that kind reads; any other table, only keys in ``allowed``."""
     if not isinstance(table, dict):
         raise ConfigError(f"{path}: expected a key-value table")
+    kind, of_kind = table.get("kind", default), ""
+    if kinds and isinstance(kind, str) and kind in kinds:
+        allowed, of_kind = {"kind", *kinds[kind]}, f" for kind {kind!r}"
     unknown = set(table) - allowed
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ConfigError(
+            f"{path}: unknown keys {sorted(unknown)}{of_kind}; allowed: {sorted(allowed)}"
+        )
 
 
 def _solver_fields(table: dict) -> dict:
     """The solver table with its tracker and dual tables spread into flat fields;
     a bare string stands for the table's kind."""
     flat = dict(table)
-    for name, extra in _SOLVER_TABLES.items():
+    for name, kinds in _SOLVER_TABLES.items():
         sub = flat.pop(name, None)
         if isinstance(sub, str):
             sub = {"kind": sub}
         if sub is not None:
-            _check_keys(sub, {"kind", *extra}, f"solver.{name}")
+            allowed = {"kind", *_SOLVER_FIELDS}
+            _check_keys(sub, allowed, f"solver.{name}", kinds, getattr(SolverConfig, name))
             flat.update((name if key == "kind" else key, value) for key, value in sub.items())
     return flat
 
 
 @functools.cache
 def _schema(cls):
-    """JSON keys, required keys and field types of a config dataclass."""
+    """JSON keys, required keys, nested config classes, kinds and default kind of a
+    config dataclass, which keeps a field's plain default as a class attribute."""
     types = _field_types(cls)
     keys = set(types)
     if cls is SolverConfig:
-        keys -= {key for extra in _SOLVER_TABLES.values() for key in extra}
+        keys -= _SOLVER_FIELDS
     required = [f.name for f in fields(cls) if f.default is f.default_factory is MISSING]
-    return keys, required, types
+    nested = {name: hint for name, hint in types.items() if is_dataclass(hint)}
+    return keys, required, nested, _KINDS.get(cls), getattr(cls, "kind", None)
 
 
 def _from_table(cls, table, path: str):
@@ -102,8 +114,8 @@ def _from_table(cls, table, path: str):
     a nested dataclass field reads a nested table, and an absent or null one keeps
     its default. The dataclasses check the values; errors are prefixed with the path."""
     label = path or "config"
-    keys, required, types = _schema(cls)
-    _check_keys(table, keys, label)
+    keys, required, nested, kinds, default_kind = _schema(cls)
+    _check_keys(table, keys, label, kinds, default_kind)
     if cls is SolverConfig:
         table = _solver_fields(table)
     for name in required:
@@ -112,11 +124,11 @@ def _from_table(cls, table, path: str):
     kwargs = {}
     try:
         for name, value in table.items():
-            if not is_dataclass(types[name]):
+            if name not in nested:
                 kwargs[name] = value
             elif value is not None:
                 sub_path = f"{path}.{name}" if path else name
-                kwargs[name] = _from_table(types[name], value, sub_path)
+                kwargs[name] = _from_table(nested[name], value, sub_path)
         return cls(**kwargs)
     except ConfigError:
         raise
@@ -141,11 +153,18 @@ def parse_config(path) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> dict:
-    """Canonical dict with every default filled; parsing it back round-trips."""
+    """Canonical dict with every default filled and each kinded table holding
+    only its kind and the fields that kind reads; parsing it back round-trips."""
     raw = asdict(cfg)
     solver = raw["solver"]
-    for name, extra in _SOLVER_TABLES.items():
-        solver[name] = {"kind": solver[name], **{key: solver.pop(key) for key in extra}}
+    flat = {key: solver.pop(key) for key in _SOLVER_FIELDS}
+    for name in _SOLVER_TABLES:
+        solver[name] = {"kind": solver[name], **flat}
+    for name, hint in _field_types(SolverConfig).items():
+        kinds = _SOLVER_TABLES.get(name) or _KINDS.get(hint)
+        if kinds:
+            table = solver[name]
+            solver[name] = {key: table[key] for key in ("kind", *kinds[table["kind"]])}
     return raw
 
 
@@ -191,8 +210,8 @@ def _write_csv(path: Path, header: list, rows: list):
 
 
 def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
-    out_dir = _out_dir(out, cfg)
     recipe = build_recipe(cfg)
+    out_dir = _out_dir(out, cfg)
     accuracy = recipe.metadata.get("accuracy")
     margin = exact_penalty_margin(as_stochastic(recipe.instance).mean, cfg.solver.beta)
     if margin is not None and not quiet:
@@ -241,10 +260,10 @@ def cmd_compare(configs: list, out=None, quiet=False, seed=None) -> int:
         raise ConfigError("compare needs at least one config")
     if any(cfg.problem != configs[0].problem for cfg in configs[1:]):
         raise ConfigError("compare: configs must reference the same problem")
+    recipe = build_recipe(configs[0])
     out_dir = _out_dir(out, configs[0])
     seen: dict = {}
     labels = [_label(c, seen) for c in configs]
-    recipe = build_recipe(configs[0])
     results = [run_repetition(cfg, recipe, seed) for cfg in configs]
     header = ["step"]
     by_step = {}
@@ -281,22 +300,20 @@ def _set_dotted(table: dict, dotted: str, value):
     if not isinstance(node, dict) or keys[-1] not in node:
         raise ConfigError(f"sweep: unknown parameter path {dotted!r}")
     node[keys[-1]] = value
+    return table
 
 
 def cmd_sweep(cfg: RunConfig, parameter: str, values: list, out=None, quiet=False, seed=None) -> int:
     if not values:
         raise ConfigError("sweep: empty value list")
-    out_dir = _out_dir(out, cfg)
+    configs = [config_from_dict(_set_dotted(serialize_config(cfg), parameter, v)) for v in values]
     # values of a solver or run parameter share one problem
-    sweeps_problem = parameter == "problem" or parameter.startswith("problem.")
-    recipe = None if sweeps_problem else build_recipe(cfg)
+    shared = None if parameter.split(".")[0] == "problem" else build_recipe(cfg)
+    recipes = [shared or build_recipe(cfg_v) for cfg_v in configs]
+    out_dir = _out_dir(out, cfg)
     rows = []
-    for value in values:
-        raw = serialize_config(cfg)
-        _set_dotted(raw, parameter, value)
-        cfg_v = config_from_dict(raw)
-        recipe_v = build_recipe(cfg_v) if sweeps_problem else recipe
-        result = run_repetition(cfg_v, recipe_v, seed)
+    for value, cfg_v, recipe in zip(values, configs, recipes):
+        result = run_repetition(cfg_v, recipe, seed)
         initial_feas = result.records[0].feas
         final = result.final
         rows.append(

@@ -107,6 +107,18 @@ def _check_fields(config) -> None:
             object.__setattr__(config, name, _check_value(name, hint, value))
 
 
+def _check_arguments(func):
+    """``func`` applying the type rule to each annotated parameter a call passes."""
+    bind, types = signature(func).bind, _field_types(func)
+
+    @functools.wraps(func)
+    def checked(*args, **kwargs):
+        arguments = bind(*args, **kwargs).arguments.items()
+        return func(**{name: _check_value(name, types[name], v) for name, v in arguments})
+
+    return checked
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """Equality-constrained problem with deterministic selection oracles.
@@ -139,18 +151,22 @@ class ProblemInstance:
             raise ValueError("regularity_constant must be positive when given")
 
 
+# each noise kind with the NoiseModel fields it reads
+NOISE_KINDS = {"none": (), "uniform_box": ("bound",), "truncated_gaussian": ("bound",)}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Uniformly bounded zero-mean noise: every draw satisfies
     ``max_i |xi_i| <= bound`` exactly."""
 
-    kind: str = "none"  # none | uniform_box | truncated_gaussian
+    kind: str = "none"
     bound: float = 0.0
-    seed: int = 0  # not read yet: run() draws the noise from its own generator
+    seed: int = 0  # read by no kind: run() draws the noise from its own generator
 
     def __post_init__(self):
         _check_fields(self)
-        if self.kind not in ("none", "uniform_box", "truncated_gaussian"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.bound < 0.0:
             raise ValueError("noise bound must be >= 0")

@@ -201,45 +201,6 @@ class Ball(FeasibleSet):
         return self.center + r * d
 
 
-@dataclass(frozen=True)
-class BlockProduct(FeasibleSet):
-    """Cartesian product of sets over consecutive coordinate blocks."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
-            raise ValueError("product set needs at least one block")
-        # each block with the slice of its coordinates, built once
-        parts, start = [], 0
-        for b in self.blocks:
-            stop = start + int(b.dim)
-            parts.append((b, slice(start, stop)))
-            start = stop
-        object.__setattr__(self, "_parts", tuple(parts))
-
-    @property
-    def dim(self):
-        return self._parts[-1][1].stop
-
-    def project(self, x):
-        return np.concatenate([b.project(x[s]) for b, s in self._parts])
-
-    def prox_weighted(self, x, y, v):
-        return np.concatenate([b.prox_weighted(x[s], y[s], v[s]) for b, s in self._parts])
-
-    def normal_cone_distance(self, x, v):
-        parts = [b.normal_cone_distance(x[s], v[s]) for b, s in self._parts]
-        return float(np.linalg.norm(parts))
-
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return all(b.contains(x[s], tol) for b, s in self._parts)
-
-    def sample(self, rng):
-        return np.concatenate([b.sample(rng) for b in self.blocks])
-
-
 def _check_dim(fset: FeasibleSet, x: np.ndarray, name: str = "x") -> np.ndarray:
     x = _vec(x)
     if x.shape != (fset.dim,):

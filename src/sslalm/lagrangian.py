@@ -35,9 +35,12 @@ REGU_ZERO_TOL = 1e-14
 # run() draws the noise this many rows at a time
 NOISE_CHUNK = 256
 
-TRACKER_KINDS = ("exact", "correction")
-DUAL_KINDS = ("regu", "ialm")
-SCHEDULE_KINDS = ("constant", "inv_sqrt_epoch", "power")
+# each schedule kind with the StepSchedule fields it reads, and each tracker
+# and dual kind with the SolverConfig fields it reads
+SCHEDULE_KINDS = {"constant": ("c",), "inv_sqrt_epoch": ("c", "epoch_len"),
+                  "power": ("c", "exponent")}
+TRACKER_KINDS = {"exact": (), "correction": ("tau_tilde",)}
+DUAL_KINDS = {"regu": (), "ialm": ("beta_tilde", "sigma", "theta_tilde", "inner_steps")}
 
 
 @dataclass(frozen=True)

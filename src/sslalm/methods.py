@@ -19,17 +19,19 @@ from .geometry import FeasibleSet
 PROX_SGD = "prox_sgd"
 PROX_SGDM = "prox_sgdm"
 PROX_ADAM = "prox_adam"
-METHOD_KINDS = (PROX_SGD, PROX_SGDM, PROX_ADAM)
+# each method kind with the MethodConfig fields its step reads
+METHOD_KINDS = {PROX_SGD: (), PROX_SGDM: ("tau", "alpha"),
+                PROX_ADAM: ("tau1", "tau2", "alpha", "eps")}
 
 
 @dataclass(frozen=True)
 class MethodConfig:
     kind: str = PROX_SGD
-    tau: float = 1.0        # momentum rate (SGDM)
-    alpha: float = 1.0      # prox scale (SGDM, ADAM)
-    tau1: float = 1.0       # first-moment rate (ADAM)
-    tau2: float = 0.1       # second-moment rate (ADAM)
-    eps: float = 1e-8       # ADAM regularizer
+    tau: float = 1.0        # momentum rate
+    alpha: float = 1.0      # prox scale
+    tau1: float = 1.0       # first-moment rate
+    tau2: float = 0.1       # second-moment rate
+    eps: float = 1e-8       # second-moment regularizer
 
     def __post_init__(self):
         _check_fields(self)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemInstance, StochasticProblemInstance, _check_integer, _check_number
+from .core import ProblemInstance, StochasticProblemInstance, _check_arguments, _check_integer
 from .geometry import MEMBERSHIP_TOL, Box
 
 
@@ -151,6 +151,7 @@ def _affine_l1_mean(n, p, seed, lipschitz_scale):
     return prob, x_star, f_star, {"A": A, "b": b, "anchor": anchor}
 
 
+@_check_arguments
 def make_affine_l1(n: int = 6, p: int = 2, seed: int = 0) -> ProblemRecipe:
     """L1 deviation objective, orthonormal affine equalities, unit box."""
     inst, x_star, f_star, data = _affine_l1_mean(n, p, seed, 1.0)
@@ -165,6 +166,7 @@ def make_affine_l1(n: int = 6, p: int = 2, seed: int = 0) -> ProblemRecipe:
     )
 
 
+@_check_arguments
 def make_stochastic_affine(
     n: int = 5, p: int = 2, noise_scale: float = 0.5, seed: int = 0
 ) -> ProblemRecipe:
@@ -175,7 +177,6 @@ def make_stochastic_affine(
     the L1 terms by nonnegative factors of unit mean. The analytic mean
     problem is kept for tracker-error measurement.
     """
-    _check_number("noise_scale", noise_scale)
     if not noise_scale >= 0:
         raise ValueError(f"noise_scale must be >= 0, got {noise_scale!r}")
     # weight half-width < 1 keeps the per-sample losses convex with
@@ -220,6 +221,7 @@ def _blob_dataset(rng, dim_in, n_points):
     return inputs, labels
 
 
+@_check_arguments
 def make_slack_l1_net(
     layer_widths=(2, 8, 2),
     radius: float = 1.0,
@@ -242,8 +244,6 @@ def make_slack_l1_net(
     widths = tuple(_check_integer("layer_widths", w) for w in layer_widths)
     if min(widths) < 1:
         raise ValueError(f"layer_widths must be positive integers, got {layer_widths!r}")
-    _check_number("radius", radius)
-    _check_number("init_scale", init_scale)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not 1 <= batch_size <= n_train:
@@ -372,6 +372,7 @@ def make_slack_l1_net(
     )
 
 
+@_check_arguments
 def make_exactness_1d(slope: float = 2.0) -> ProblemRecipe:
     """Linear objective ``-slope * x`` on [-1, 1] with constraint ``x = 0``.
 
@@ -379,7 +380,6 @@ def make_exactness_1d(slope: float = 2.0) -> ProblemRecipe:
     exactly when ``beta > slope``; below the threshold its minimizer sits at
     ``(slope - beta)/rho`` clipped into the box.
     """
-    _check_number("slope", slope)
     if slope <= 0:
         raise ValueError("slope must be positive")
     inst = ProblemInstance(

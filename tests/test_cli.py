@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 from dataclasses import replace
@@ -429,7 +430,7 @@ class TestMainEntry:
             {"solver": {"method": {"kind": "prox_sgd"}, "beta": float("nan")}},
             {"solver": {"method": {"kind": "prox_sgd"}, "rho": float("nan")}},
             {"solver": {"method": {"kind": "prox_sgd"}, "theta": {"c": float("nan")}}},
-            {"solver": {"method": {"kind": "prox_sgd", "alpha": float("inf")}}},
+            {"solver": {"method": {"kind": "prox_sgdm", "alpha": float("inf")}}},
             {"solver": {"method": {"kind": "prox_sgd"},
                         "dual": {"kind": "ialm", "sigma": float("inf")}}},
             {"kkt_probe": float("inf")},
@@ -617,3 +618,176 @@ def test_compare_prints_aligned_table(tmp_path, capsys):
     cmd_compare([cfg], quiet=False)
     out = capsys.readouterr().out
     assert "step" in out and "prox_sgd_regu_loss" in out
+
+
+# The kind rule. Each kinded table under "solver", each of its kinds with the
+# keys it reads, written out here as the rule's specification.
+SCHEDULE_KEYS = {"constant": ["c"], "inv_sqrt_epoch": ["c", "epoch_len"], "power": ["c", "exponent"]}
+KIND_KEYS = {
+    "method": {
+        "prox_sgd": [],
+        "prox_sgdm": ["alpha", "tau"],
+        "prox_adam": ["alpha", "eps", "tau1", "tau2"],
+    },
+    "theta": SCHEDULE_KEYS,
+    "eta": SCHEDULE_KEYS,
+    "noise": {"none": [], "uniform_box": ["bound"], "truncated_gaussian": ["bound"]},
+    "tracker": {"exact": [], "correction": ["tau_tilde"]},
+    "dual": {"regu": [], "ialm": ["beta_tilde", "inner_steps", "sigma", "theta_tilde"]},
+}
+# a valid value of each key, and a second valid value
+VALUES = {
+    "alpha": (0.2, 0.1), "tau": (1.0, 0.5), "tau1": (1.0, 0.5), "tau2": (0.1, 0.2),
+    "eps": (1e-8, 1e-2), "c": (0.1, 0.2), "epoch_len": (2, 3), "exponent": (0.75, 1.0),
+    "bound": (0.1, 0.2), "tau_tilde": (1.0, 2.0), "beta_tilde": (1e-3, 2e-3),
+    "inner_steps": (2, 3), "sigma": (2.0, 3.0), "theta_tilde": (1.0, 0.5), "seed": (3, 4),
+}
+KINDED = [(table, kind) for table, kinds in KIND_KEYS.items() for kind in kinds]
+UNKNOWN_KIND = {
+    "method": "unknown method kind 'bogus'",
+    "theta": "unknown schedule kind 'bogus'",
+    "eta": "unknown schedule kind 'bogus'",
+    "noise": "unknown noise kind 'bogus'",
+    "tracker": "unknown tracker 'bogus'",
+    "dual": "unknown dual rule 'bogus'",
+}
+
+
+def kind_table(table, kind, **changed):
+    """The ``table`` of ``kind`` with every key it reads, at its first value
+    unless ``changed``."""
+    return {"kind": kind, **{key: VALUES[key][0] for key in KIND_KEYS[table][kind]}, **changed}
+
+
+def with_solver(**tables):
+    return {"problem": {"kind": "stochastic_affine", "n": 3, "p": 1}, "solver": tables}
+
+
+class TestKindRule:
+    @pytest.mark.parametrize("table, kind", KINDED)
+    def test_table_holds_only_the_keys_its_kind_reads(self, table, kind):
+        cfg = config_from_dict(with_solver(**{table: kind_table(table, kind)}))
+        assert serialize_config(cfg)["solver"][table] == kind_table(table, kind)
+        # a key that another kind of the table reads, or that no kind reads
+        others = {key for keys in KIND_KEYS[table].values() for key in keys}
+        others = sorted(others - set(KIND_KEYS[table][kind]) | ({"seed"} if table == "noise" else set()))
+        for key in others:
+            raw = with_solver(**{table: kind_table(table, kind, **{key: VALUES[key][0]})})
+            allowed = sorted(["kind", *KIND_KEYS[table][kind]])
+            message = f"solver.{table}: unknown keys [{key!r}] for kind {kind!r}; allowed: {allowed}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "table, key",
+        [(table, key) for table, kinds in KIND_KEYS.items() for key in sorted(set().union(*kinds.values()))],
+    )
+    def test_every_key_a_kind_reads_has_an_effect(self, table, key):
+        kind = next(kind for kind, keys in KIND_KEYS[table].items() if key in keys)
+        finals = []
+        for value in VALUES[key]:
+            raw = with_solver(**{table: kind_table(table, kind, **{key: value})}, max_iters=60)
+            cfg = config_from_dict({**raw, "kkt_probe": None})
+            state = cli.run_repetition(cfg, cli.build_recipe(cfg)).state
+            finals.append(np.concatenate([state.x, state.lam, state.w]).tobytes())
+        assert finals[0] != finals[1]
+
+    @pytest.mark.parametrize("table", KIND_KEYS)
+    def test_unknown_kind_keeps_its_message(self, table):
+        any_key = next(keys[0] for keys in KIND_KEYS[table].values() if keys)
+        raw = with_solver(**{table: {"kind": "bogus", any_key: VALUES[any_key][0]}})
+        with pytest.raises(ConfigError, match=f": {UNKNOWN_KIND[table]}$"):
+            config_from_dict(raw)
+
+    def test_every_combination_of_kinds_round_trips_with_live_keys(self):
+        for kinds in itertools.product(*(KIND_KEYS[table] for table in KIND_KEYS)):
+            tables = {table: kind_table(table, kind) for table, kind in zip(KIND_KEYS, kinds)}
+            raw = serialize_config(config_from_dict(with_solver(**tables)))
+            assert {table: raw["solver"][table] for table in KIND_KEYS} == tables
+            assert serialize_config(config_from_dict(raw)) == raw
+
+    def test_default_config_serializes_only_live_keys(self):
+        solver = serialize_config(config_from_dict({"problem": {"kind": "affine_l1"}}))["solver"]
+        assert solver == {
+            "method": {"kind": "prox_sgd"},
+            "rho": 0.0,
+            "beta": 1.0,
+            "theta": {"kind": "constant", "c": 0.5},
+            "eta": {"kind": "inv_sqrt_epoch", "c": 0.1, "epoch_len": 1},
+            "tracker": {"kind": "exact"},
+            "dual": {"kind": "regu"},
+            "noise": {"kind": "none"},
+            "max_iters": 1000,
+            "seed": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "solver, message",
+        [
+            ({"noise": {"bound": 0.1}}, "solver.noise: unknown keys ['bound'] for kind 'none'"),
+            ({"eta": {"c": 0.5, "epoch_len": 10}},
+             "solver.eta: unknown keys ['epoch_len'] for kind 'constant'"),
+            ({"method": {"alpha": 0.05}}, "solver.method: unknown keys ['alpha'] for kind 'prox_sgd'"),
+            ({"theta": {"kind": "constant", "c": 0.5, "exponent": 0.7}},
+             "solver.theta: unknown keys ['exponent'] for kind 'constant'"),
+            ({"dual": {"kind": "regu", "sigma": 3.0}},
+             "solver.dual: unknown keys ['sigma'] for kind 'regu'; allowed: ['kind']"),
+            ({"tracker": {"kind": "exact", "tau_tilde": 7.0}},
+             "solver.tracker: unknown keys ['tau_tilde'] for kind 'exact'"),
+            ({"noise": {"kind": "uniform_box", "bound": 0.1, "seed": 3}},
+             "solver.noise: unknown keys ['seed'] for kind 'uniform_box'"),
+        ],
+        ids=["noise-bound", "eta-epoch_len", "method-alpha", "theta-exponent", "dual-sigma",
+             "tracker-tau_tilde", "noise-seed"],
+    )
+    def test_key_its_kind_does_not_read_exits_2(self, tmp_path, capsys, solver, message):
+        path = minimal_config(tmp_path, solver={"max_iters": 5, **solver})
+        assert main(["run", "--config", str(path), "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parameter", ["solver.dual.sigma", "solver.noise.seed"])
+    def test_sweep_of_a_key_no_kind_here_reads_is_an_unknown_path(self, tmp_path, parameter):
+        cfg = parse_config(minimal_config(tmp_path))
+        with pytest.raises(ConfigError, match=f"unknown parameter path {parameter!r}"):
+            cmd_sweep(cfg, parameter, [3.0], quiet=True)
+
+    def test_sweep_to_a_kind_that_does_not_read_a_key_exits_2(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        solver = {"method": {"kind": "prox_sgdm", "alpha": 0.1}, "max_iters": 5}
+        path = minimal_config(tmp_path, solver=solver)
+        argv = ["sweep", "--config", str(path), "--param", "solver.method.kind",
+                "--values", "prox_sgdm,prox_sgd", "--quiet"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "solver.method: unknown keys ['alpha', 'tau'] for kind 'prox_sgd'" in err
+        assert runs == [] and not (tmp_path / "out").exists()
+
+
+class TestNothingWrittenForABadConfig:
+    def _recipe_refuses(self, tmp_path):
+        problem = {"kind": "affine_l1", "n": 3, "p": 5}
+        return parse_config(minimal_config(tmp_path, problem=problem))
+
+    @pytest.mark.parametrize("command", [
+        lambda cfg: cmd_run(cfg, quiet=True),
+        lambda cfg: cmd_compare([cfg], quiet=True),
+        lambda cfg: cmd_sweep(cfg, "solver.rho", [0.5], quiet=True),
+    ], ids=["run", "compare", "sweep"])
+    def test_recipe_refusal_leaves_no_directory(self, tmp_path, command):
+        with pytest.raises(ConfigError, match="need 1 <= p < n"):
+            command(self._recipe_refuses(tmp_path))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("parameter, values", [
+        ("solver.rho", "0.5,0.1,-1"),
+        ("problem.p", "1,2,5"),
+    ])
+    def test_sweep_checks_every_value_before_its_first_run(self, tmp_path, monkeypatch, parameter, values):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        path = minimal_config(tmp_path)
+        argv = ["sweep", "--config", str(path), "--param", parameter, "--values", values, "--quiet"]
+        assert main(argv) == 2
+        assert runs == [] and not (tmp_path / "out").exists()

@@ -6,7 +6,6 @@ from scipy.optimize import minimize
 
 from sslalm.geometry import (
     Ball,
-    BlockProduct,
     Box,
     NonnegativeOrthant,
     WholeSpace,
@@ -30,7 +29,6 @@ ALL_SETS = [
     unit_box(3),
     Ball(np.zeros(3), 1.0),
     NonnegativeOrthant(3),
-    BlockProduct((unit_box(2), NonnegativeOrthant(2))),
     weights_and_slacks(3, 2),
 ]
 
@@ -51,7 +49,7 @@ class TestProject:
         assert NonnegativeOrthant(2).project(np.array([-1.0, 2.0])) == pytest.approx([0.0, 2.0])
 
     def test_product_blockwise(self):
-        fset = BlockProduct((unit_box(2), NonnegativeOrthant(1)))
+        fset = weights_and_slacks(2, 1)
         z = fset.project(np.array([2.0, -2.0, -1.0]))
         assert z == pytest.approx([1.0, -1.0, 0.0])
 
@@ -184,7 +182,7 @@ class TestNormalConeDistance:
     def test_product_combines_block_distances(self):
         # box block: upper face absorbs -v_0 = 2, interior -v_1 = -1 counts;
         # orthant block: active -v_2 = 1 counts, interior -v_3 = -3 counts
-        fset = BlockProduct((unit_box(2), NonnegativeOrthant(2)))
+        fset = weights_and_slacks(2, 2)
         d = normal_cone_distance(fset, [1.0, 0.0, 0.0, 1.0], [-2.0, 1.0, -1.0, 3.0])
         assert d == pytest.approx(np.sqrt(11.0))
 
@@ -214,7 +212,6 @@ def test_sample_points_are_feasible():
         (lambda: Ball(np.zeros(2), np.nan), "radius must be positive"),
         (lambda: Ball(np.zeros((2, 1)), 1.0), "finite 1-d array"),
         (lambda: Ball(np.array([np.nan, 0.0]), 1.0), "finite 1-d array"),
-        (lambda: BlockProduct(()), "at least one block"),
         (lambda: prox_preconditioned(unit_box(2), np.zeros(3), np.zeros(2), np.ones(2)),
          r"x has shape \(3,\), expected \(2,\)"),
         (lambda: normal_cone_distance(unit_box(2), np.zeros(2), np.zeros((2, 1))),
@@ -224,58 +221,6 @@ def test_sample_points_are_feasible():
 def test_set_validation(make, message):
     with pytest.raises(ValueError, match=message):
         make()
-
-
-def test_nested_block_product():
-    inner = BlockProduct((unit_box(1), NonnegativeOrthant(1)))
-    outer = BlockProduct((inner, Ball(np.zeros(2), 1.0)))
-    assert outer.dim == 4
-    x = np.array([2.0, -3.0, 3.0, 4.0])
-    z = outer.project(x)
-    assert z == pytest.approx([1.0, 0.0, 0.6, 0.8])
-    assert outer.contains(z)
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        assert outer.contains(outer.sample(rng))
-
-
-BLOCK_KINDS = {
-    "box": lambda d: Box(np.linspace(-1.0, 0.0, d), np.linspace(0.5, 2.0, d)),
-    "orthant": NonnegativeOrthant,
-    "ball": lambda d: Ball(np.full(d, 0.5), 1.5),
-    "whole": WholeSpace,
-    "product": lambda d: BlockProduct((unit_box(d), NonnegativeOrthant(1))),
-    "mixed": lambda d: weights_and_slacks(d, 1),
-}
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    kinds=st.lists(st.tuples(st.sampled_from(sorted(BLOCK_KINDS)), st.integers(1, 3)),
-                   min_size=1, max_size=4),
-    data=st.data(),
-)
-def test_block_product_equals_per_block_concatenation(kinds, data):
-    blocks = tuple(BLOCK_KINDS[kind](d) for kind, d in kinds)
-    fset = BlockProduct(blocks)
-    n = sum(b.dim for b in blocks)
-    assert fset.dim == n
-    finite = st.floats(-5.0, 5.0, allow_nan=False)
-    x = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
-    y = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
-    v = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
-    cuts = np.cumsum([0] + [b.dim for b in blocks])
-    parts = [slice(cuts[i], cuts[i + 1]) for i in range(len(blocks))]
-    proj = np.concatenate([b.project(x[s]) for b, s in zip(blocks, parts)])
-    prox = np.concatenate([b.prox_weighted(x[s], y[s], v[s]) for b, s in zip(blocks, parts)])
-    z = fset.project(x)
-    assert z.tobytes() == proj.tobytes()
-    assert fset.prox_weighted(x, y, v).tobytes() == prox.tobytes()
-    assert fset.project(z).tobytes() == z.tobytes()
-    assert fset.contains(z)
-    # the normal-cone distance is the norm of the per-block distances
-    per_block = [b.normal_cone_distance(z[s], y[s]) for b, s in zip(blocks, parts)]
-    assert fset.normal_cone_distance(z, y) == float(np.linalg.norm(per_block))
 
 
 def test_ball_projection_lands_inside_when_rescaling_stalls():

@@ -660,14 +660,22 @@ def test_non_number_rejected_naming_its_field(name, value):
 @pytest.mark.parametrize("name", list(FLOAT_FIELDS))
 def test_numpy_number_accepted(name, value):
     made = FLOAT_FIELDS[name](value)
-    # a config stores the value as a float; a recipe builds its problem
-    if not isinstance(made, ProblemRecipe):
-        assert type(getattr(made, name)) is float and getattr(made, name) == value
+    # a config stores the value as a float, and a recipe its parameter
+    stored = made.params[name] if isinstance(made, ProblemRecipe) else getattr(made, name)
+    assert type(stored) is float and stored == value
 
 
-# each library config field and run() argument that takes an int, built with
-# one value: a config maker returns the value as stored, the run the step of
-# its second record
+# a small network recipe, whose integer parameters admit the value 5
+SMALL_NET = dict(layer_widths=(2, 3, 2), n_train=16, n_test=8, batch_size=4)
+
+
+def _net_param(name, value):
+    return make_slack_l1_net(**{**SMALL_NET, name: value}).params[name]
+
+
+# each library config field, recipe parameter and run() argument that takes an
+# int, built with one value: a config or recipe maker returns the value as
+# stored, the run the step of its second record
 INT_FIELDS = {
     "max_iters": ("max_iters", lambda v: SolverConfig(max_iters=v).max_iters),
     "seed": ("seed", lambda v: SolverConfig(seed=v).seed),
@@ -680,6 +688,13 @@ INT_FIELDS = {
         "record_every",
         lambda v: run(scalar_problem(), SolverConfig(max_iters=5), record_every=v).records[1].k,
     ),
+    "problem.n": ("n", lambda v: make_affine_l1(n=v).params["n"]),
+    "problem.p": ("p", lambda v: make_affine_l1(p=v).params["p"]),
+    "problem.seed": ("seed", lambda v: make_affine_l1(seed=v).params["seed"]),
+    **{
+        f"problem.{name}": (name, lambda v, name=name: _net_param(name, v))
+        for name in ("dataset_seed", "n_train", "n_test", "batch_size")
+    },
 }
 
 

@@ -4,7 +4,7 @@ from scipy.optimize import linprog, minimize
 
 from sslalm.core import eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
-from sslalm.geometry import MEMBERSHIP_TOL, BlockProduct, Box, NonnegativeOrthant
+from sslalm.geometry import MEMBERSHIP_TOL, Box, NonnegativeOrthant
 from sslalm.problems import (
     _certify_multiplier,
     l1_affine_oracle,
@@ -269,7 +269,11 @@ class TestSlackL1NetRecipe:
         fset = rec.instance.mean.feasible_set
         n, n_w, L = rec.instance.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
         assert isinstance(fset, Box)
-        ref = BlockProduct((Box(np.full(n_w, -1.0), np.full(n_w, 1.0)), NonnegativeOrthant(L)))
+        # the reference: the weights' box and the slacks' orthant, block by block
+        blocks = ((Box(np.full(n_w, -1.0), np.full(n_w, 1.0)), slice(0, n_w)),
+                  (NonnegativeOrthant(L), slice(n_w, n)))
+        project = lambda x: np.concatenate([b.project(x[s]) for b, s in blocks])
+        prox = lambda x, y, v: np.concatenate([b.prox_weighted(x[s], y[s], v[s]) for b, s in blocks])
         rng = np.random.default_rng(13)
         for _ in range(500):
             x = 2.0 * rng.standard_normal(n)
@@ -278,8 +282,8 @@ class TestSlackL1NetRecipe:
                 z[rng.random(n) < 0.2] = 0.0
                 z[rng.random(n) < 0.1] = -0.0
             v = rng.uniform(0.1, 5.0, n)
-            assert fset.project(x).tobytes() == ref.project(x).tobytes()
-            assert fset.prox_weighted(x, y, v).tobytes() == ref.prox_weighted(x, y, v).tobytes()
+            assert fset.project(x).tobytes() == project(x).tobytes()
+            assert fset.prox_weighted(x, y, v).tobytes() == prox(x, y, v).tobytes()
 
     def test_loss_subgradient_matches_finite_differences(self):
         # piecewise-linear in the parameters: central differences agree at
