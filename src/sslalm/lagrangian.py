@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,11 +130,11 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 0")
 
 
-@dataclass(frozen=True)
-class LagrangianState:
+class LagrangianState(NamedTuple):
     """One solver state: the primal point ``x``, the embedded method's auxiliary
     block ``y`` (of size ``method.aux_dim(n)``), the multipliers ``lam``, the
-    tracker ``w`` and the iteration count ``k``."""
+    tracker ``w`` and the iteration count ``k``. An immutable named tuple:
+    every step builds one, and a tuple is the cheapest immutable record."""
 
     x: np.ndarray
     y: np.ndarray
@@ -223,18 +224,16 @@ class _Driver:
         self.fset = self.mean.feasible_set
         self.n = self.mean.dim_primal
         self.p = self.mean.dim_constraint
-        self._d_shape, self._jac_shape = (self.n,), (self.n, self.p)
+        self._d_shape, self._c_shape, self._jac_shape = (self.n,), (self.p,), (self.n, self.p)
         self.use_noise = config.noise.kind != "none" and config.noise.bound > 0.0
         self.max_contraction_slack = -math.inf
         self.max_dual_excess = -math.inf
         self._burned_in = False
         # the last regu multiplier and its norm, reused as the next step's ||lam||
-        self._lam_norm = (None, 0.0)
+        self._last_lam, self._last_norm = None, 0.0
         # the exact tracker holds c(x) itself, bit for bit, and draws no sample
         self._w_is_c = config.tracker == "exact"
-        self._track = self._track_exact if self._w_is_c else self._track_correction
-        self._tracker_draw = (lambda rng: None) if self._w_is_c else prob.draw_constraint_sample
-        self._dual = self._dual_regu if config.dual == "regu" else self._dual_ialm
+        self._regu = config.dual == "regu"
         mc = config.method
         self._lyapunov = {
             PROX_SGD: lambda g, s: None,
@@ -256,85 +255,85 @@ class _Driver:
             w0 = as_vector(self.prob.constraint_sample(x0, tok), self.p, "C(x0)")
         return LagrangianState(x=x0, y=y0, lam=np.zeros(self.p), w=w0, k=0)
 
-    def _shaped(self, c) -> np.ndarray:
-        # c(x) at a point the driver made; its finiteness is checked with the new state
-        return as_vector(c, self.p, "constraint value", finite=False)
-
-    def _track_exact(self, w, x, x_next, tok, eta):
-        return self._shaped(self.mean.constraint(x_next))
-
-    def _track_correction(self, w, x, x_next, tok, eta):
-        c_x = self._shaped(self.prob.constraint_sample(x, tok))
-        c_xn = self._shaped(self.prob.constraint_sample(x_next, tok))
-        return track_correction(w, c_x, c_xn, self.config.tau_tilde, eta)
-
-    def _dual_regu(self, lam, w_next, k):
-        # the step plus its contraction bookkeeping; None if not finite
-        cfg = self.config
-        theta = cfg.theta(k)
-        lam_next = dual_step_regu(lam, w_next, theta, cfg.beta)
-        last_lam, last_norm = self._lam_norm
-        pre = last_norm if last_lam is lam else _norm(lam)
-        post = _norm(lam_next)
-        self._lam_norm = (lam_next, post)
-        slack = (post - cfg.beta) - (1.0 - theta / cfg.beta) * (pre - cfg.beta)
-        if slack > self.max_contraction_slack:
-            self.max_contraction_slack = slack
-        if not self._burned_in and pre <= cfg.beta:
-            self._burned_in = True
-        if self._burned_in and post - cfg.beta > self.max_dual_excess:
-            self.max_dual_excess = post - cfg.beta
-        # a finite norm has only finite entries under it
-        return lam_next if math.isfinite(post) or bool(np.isfinite(lam_next).all()) else None
-
-    def _dual_ialm(self, lam, w_next, k):
-        # a step every inner_steps iterations; None if not finite
-        cfg = self.config
-        if (k + 1) % cfg.inner_steps != 0:
-            return lam
-        n_dual = (k + 1) // cfg.inner_steps - 1
-        lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma, n_dual)
-        return lam_next if _all_finite(lam_next) else None
-
     def step(self, state: LagrangianState, rng, noise):
         """One iteration: ``rng`` draws the sample tokens (the tracker pair
         shares one constraint token, the Jacobian draws its own) and ``noise``
         is this step's noise row, None when the run injects no noise."""
+        x, y, lam, w, k = state
         cfg = self.config
         prob = self.prob
-        k = state.k
         eta = cfg.eta(k)
-        x, lam, w = state.x, state.lam, state.w
 
-        tok_f = prob.draw_objective_sample(rng)
-        d = np.asarray(prob.objective_subgradient_sample(x, tok_f), dtype=np.float64)
-        tok_c = self._tracker_draw(rng)
-        tok_jac = prob.draw_constraint_sample(rng)
-        J = np.asarray(prob.constraint_jacobian_sample(x, tok_jac), dtype=np.float64)
+        d = np.asarray(prob.objective_subgradient_sample(x, prob.draw_objective_sample(rng)),
+                       dtype=np.float64)
+        tok_c = None if self._w_is_c else prob.draw_constraint_sample(rng)
+        J = np.asarray(prob.constraint_jacobian_sample(x, prob.draw_constraint_sample(rng)),
+                       dtype=np.float64)
         # shapes only: the direction's finiteness check covers the values
         if d.shape != self._d_shape:
             d = as_vector(d, self.n, "subgradient", finite=False)
         if J.shape != self._jac_shape:
             raise _jacobian_shape_error(J, self.n, self.p)
 
-        direction = d + J @ (lam + cfg.rho * w)
+        # ndarray.dot gives matmul's bits for a matrix times a vector, at half
+        # its call cost; the adds go in place into the new product
+        direction = J.dot(lam + cfg.rho * w)
+        direction += d
         if self.use_noise:
-            direction = direction + noise
+            direction += noise
         if not _all_finite(direction):
             return state, "non-finite primal direction"
 
-        x_next, y_next = method_step(self.fset, x, state.y, direction, eta, cfg.method)
+        x_next, y_next = method_step(self.fset, x, y, direction, eta, cfg.method)
         # each part of the new state is checked for finiteness once, before
-        # anything is computed from it
+        # anything is computed from it; the constraint values only for their
+        # shape, as their finiteness is checked with w_next
         if not _all_finite(x_next):
             return state, "non-finite state"
-        w_next = self._track(w, x, x_next, tok_c, eta)
+        c_shape = self._c_shape
+        if self._w_is_c:
+            w_next = np.asarray(self.mean.constraint(x_next), dtype=np.float64)
+            if w_next.shape != c_shape:
+                w_next = as_vector(w_next, self.p, "constraint value", finite=False)
+        else:
+            c_x = np.asarray(prob.constraint_sample(x, tok_c), dtype=np.float64)
+            if c_x.shape != c_shape:
+                c_x = as_vector(c_x, self.p, "constraint value", finite=False)
+            c_xn = np.asarray(prob.constraint_sample(x_next, tok_c), dtype=np.float64)
+            if c_xn.shape != c_shape:
+                c_xn = as_vector(c_xn, self.p, "constraint value", finite=False)
+            w_next = track_correction(w, c_x, c_xn, cfg.tau_tilde, eta)
         if not _all_finite(w_next):
             return state, "non-finite state"
-        lam_next = self._dual(lam, w_next, k)
-        if lam_next is None:
-            return state, "non-finite state"
-        return LagrangianState(x=x_next, y=y_next, lam=lam_next, w=w_next, k=k + 1), None
+
+        if self._regu:
+            # the step plus its contraction bookkeeping
+            beta = cfg.beta
+            theta = cfg.theta(k)
+            lam_next = dual_step_regu(lam, w_next, theta, beta)
+            pre = self._last_norm if self._last_lam is lam else _norm(lam)
+            post = _norm(lam_next)
+            self._last_lam, self._last_norm = lam_next, post
+            slack = (post - beta) - (1.0 - theta / beta) * (pre - beta)
+            if slack > self.max_contraction_slack:
+                self.max_contraction_slack = slack
+            if not self._burned_in and pre <= beta:
+                self._burned_in = True
+            if self._burned_in and post - beta > self.max_dual_excess:
+                self.max_dual_excess = post - beta
+            # a finite norm has only finite entries under it
+            if not (math.isfinite(post) or bool(np.isfinite(lam_next).all())):
+                return state, "non-finite state"
+        elif (k + 1) % cfg.inner_steps == 0:
+            # an ialm step every inner_steps iterations
+            n_dual = (k + 1) // cfg.inner_steps - 1
+            lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma,
+                                      n_dual)
+            if not _all_finite(lam_next):
+                return state, "non-finite state"
+        else:
+            lam_next = lam
+        return LagrangianState(x_next, y_next, lam_next, w_next, k + 1), None
 
     def metrics(self, state: LagrangianState, kkt_probe: float | None) -> MetricsRecord:
         cfg = self.config

@@ -141,7 +141,7 @@ def _affine_l1_mean(n, p, seed, lipschitz_scale):
         dim_constraint=p,
         objective=lambda x: float(np.abs(x - anchor).sum()),
         objective_subgradient=lambda x: np.sign(x - anchor),
-        constraint=lambda x: A @ x - b,
+        constraint=lambda x: A.dot(x) - b,
         constraint_jacobian=lambda x: AT,
         feasible_set=box,
         lipschitz_bound_f=float(np.sqrt(n)) * lipschitz_scale,
@@ -189,9 +189,19 @@ def make_stochastic_affine(
         return gen.uniform(1.0 - a_obj, 1.0 + a_obj, n)
 
     def draw_con(gen):
-        dB = gen.uniform(-noise_scale, noise_scale, (p, n))
-        dd = gen.uniform(-noise_scale, noise_scale, p)
-        return dB, dd
+        # one call fills dB row by row and then dd: the same stream as a
+        # (p, n) draw followed by a p draw
+        z = gen.uniform(-noise_scale, noise_scale, p * n + p)
+        return z[: p * n].reshape(p, n), z[p * n :]
+
+    # the tracker pair evaluates one token at two points: the perturbed data
+    # of the last token evaluated is kept for the second
+    perturbed = [None, None, None]
+
+    def constraint_sample(x, tok):
+        if tok is not perturbed[0]:
+            perturbed[:] = tok, A + tok[0], b + tok[1]
+        return perturbed[1].dot(x) - perturbed[2]
 
     inst = StochasticProblemInstance(
         mean=mean,
@@ -199,7 +209,7 @@ def make_stochastic_affine(
         draw_constraint_sample=draw_con,
         objective_sample=lambda x, u: float((u * np.abs(x - anchor)).sum()),
         objective_subgradient_sample=lambda x, u: u * np.sign(x - anchor),
-        constraint_sample=lambda x, tok: (A + tok[0]) @ x - (b + tok[1]),
+        constraint_sample=constraint_sample,
         constraint_jacobian_sample=lambda x, tok: (A + tok[0]).T,
     )
     return ProblemRecipe(
@@ -276,19 +286,27 @@ def make_slack_l1_net(
             acts.append(a)
         return pre, acts
 
-    def loss_and_grad(x, inputs, targets):
+    def residual_and_grad(x, inputs, targets):
+        # the forward/backward pass: the output residual and the gradient of
+        # the mean absolute residual; loss(resid) is the value, computed
+        # only where it is read
         weights = unpack(x)
         pre, acts = forward(weights, inputs)
-        m = inputs.shape[0]
         resid = acts[-1] - targets
-        value = float(np.abs(resid).sum()) / m
-        delta = np.sign(resid) / m
+        delta = np.sign(resid) / inputs.shape[0]
         grad = np.zeros(n)
         for i in range(L - 1, -1, -1):
             grad[offsets[i] : offsets[i + 1]] = (acts[i].T @ delta).ravel()
             if i > 0:
                 delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
-        return value, grad
+        return resid, grad
+
+    def loss(resid):
+        return float(np.abs(resid).sum()) / resid.shape[0]
+
+    def minibatch(idx):
+        # take() gathers the same rows as fancy indexing, at less call cost
+        return train_x.take(idx, axis=0), train_t.take(idx, axis=0)
 
     layer_slices = [slice(offsets[i], offsets[i + 1]) for i in range(L)]
 
@@ -318,7 +336,8 @@ def make_slack_l1_net(
         x = np.asarray(x, dtype=np.float64)
         key = x.tobytes()
         if full_batch.get("key") != key:
-            full_batch["value"] = loss_and_grad(x, train_x, train_t)
+            resid, grad = residual_and_grad(x, train_x, train_t)
+            full_batch["value"] = loss(resid), grad
             full_batch["key"] = key
         return full_batch["value"]
 
@@ -337,8 +356,8 @@ def make_slack_l1_net(
         mean=mean,
         draw_objective_sample=lambda gen: gen.integers(0, n_train, batch_size),
         draw_constraint_sample=lambda gen: None,
-        objective_sample=lambda x, idx: loss_and_grad(x, train_x[idx], train_t[idx])[0],
-        objective_subgradient_sample=lambda x, idx: loss_and_grad(x, train_x[idx], train_t[idx])[1],
+        objective_sample=lambda x, idx: loss(residual_and_grad(x, *minibatch(idx))[0]),
+        objective_subgradient_sample=lambda x, idx: residual_and_grad(x, *minibatch(idx))[1],
         constraint_sample=lambda x, tok: constraint(x),
         constraint_jacobian_sample=lambda x, tok: jacobian(x),
     )

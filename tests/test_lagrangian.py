@@ -282,8 +282,27 @@ class TestDriverStep:
         assert nxt.x == pytest.approx([-0.4])
         assert nxt.lam == pytest.approx([2.0])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dot_equals_matmul_bitwise(self, order):
+        # the step forms J @ v as J.dot(v), and the affine recipes their
+        # constraint products the same way; tests/reference.py writes @
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            n, p = (int(v) for v in rng.integers(1, 40, 2))
+            J = np.asarray(rng.standard_normal((n, p)), order=order)
+            v = rng.standard_normal(p)
+            assert J.dot(v).tobytes() == (J @ v).tobytes()
+
 
 class TestRun:
+    def test_state_is_immutable(self):
+        rec = make_affine_l1(n=3, p=1, seed=0)
+        res = run(rec.instance, SolverConfig(max_iters=3), x0=rec.start)
+        for name in ("x", "y", "lam", "w", "k"):
+            with pytest.raises(AttributeError):
+                setattr(res.state, name, getattr(res.state, name))
+        assert res.state.k == 3
+
     def test_zero_iterations_records_initial_metrics(self):
         rec = make_affine_l1(n=3, p=1, seed=0)
         cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), max_iters=0)

@@ -327,6 +327,20 @@ class TestSlackL1NetRecipe:
         x = rec.start
         assert sp.objective_sample(x, idx1) == sp.objective_sample(x, idx2)
 
+    @pytest.mark.parametrize("widths", [(2, 8, 2), (2, 3, 4, 2), (5, 17, 33, 3)])
+    def test_full_index_sample_equals_full_batch_bitwise(self, widths):
+        # the minibatch gather and the gradient-only pass against the
+        # full-batch oracles, which compute the loss and gradient together
+        rec = make_slack_l1_net(layer_widths=widths, n_train=24, n_test=8, batch_size=8)
+        sp = rec.instance
+        idx = np.arange(24)
+        rng = np.random.default_rng(17)
+        for x in [rec.start] + [rng.uniform(-1, 1, sp.dim_primal) for _ in range(10)]:
+            d = sp.objective_subgradient_sample(x, idx)
+            assert d.tobytes() == sp.mean.objective_subgradient(x).tobytes()
+            f = sp.objective_sample(x, idx)
+            assert np.float64(f).tobytes() == np.float64(sp.mean.objective(x)).tobytes()
+
     def test_metadata(self):
         rec = make_slack_l1_net(n_train=256, n_test=128, batch_size=128)
         assert rec.metadata["epoch_len"] == 2
@@ -357,6 +371,33 @@ class TestStochasticAffineRecipe:
             [sp.objective_subgradient_sample(x, sp.draw_objective_sample(rng)) for _ in range(20000)]
         )
         assert draws.mean(axis=0) == pytest.approx(sp.mean.objective_subgradient(x), abs=0.02)
+
+    @pytest.mark.parametrize("n, p, noise_scale", [(2, 1, 0.5), (5, 2, 0.5), (8, 3, 0.1),
+                                                  (12, 11, 2.0), (6, 2, 0.0)])
+    def test_one_call_token_equals_two_draws_bitwise(self, n, p, noise_scale):
+        sp = make_stochastic_affine(n=n, p=p, noise_scale=noise_scale, seed=3).instance
+        one, two = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(50):
+            dB, dd = sp.draw_constraint_sample(one)
+            ref_dB = two.uniform(-noise_scale, noise_scale, (p, n))
+            ref_dd = two.uniform(-noise_scale, noise_scale, p)
+            assert dB.shape == (p, n) and dd.shape == (p,)
+            assert dB.tobytes() == ref_dB.tobytes() and dd.tobytes() == ref_dd.tobytes()
+        assert one.bit_generator.state == two.bit_generator.state
+
+    def test_constraint_sample_of_interleaved_tokens_bitwise(self):
+        # the second evaluation of a token reuses its perturbed data; any
+        # order of tokens and points gives (A + dB) x - (b + dd)
+        rec = make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=4)
+        sp, A, b = rec.instance, rec.metadata["A"], rec.metadata["b"]
+        rng = np.random.default_rng(6)
+        toks = [sp.draw_constraint_sample(rng) for _ in range(3)]
+        xs = [rng.uniform(-1, 1, 5) for _ in range(3)]
+        for i in [0, 0, 1, 0, 2, 2, 1, 1, 0]:
+            for x in xs[i:] + xs[:i]:
+                dB, dd = toks[i]
+                ref = (A + dB) @ x - (b + dd)
+                assert sp.constraint_sample(x, toks[i]).tobytes() == ref.tobytes()
 
     def test_interior_regularity(self):
         rec = make_stochastic_affine(n=4, p=2, noise_scale=0.3, seed=9)
