@@ -20,7 +20,7 @@ from .core import NOISE_KINDS, NoiseModel, _check_fields, _check_value, _field_t
 from .diagnostics import exact_penalty_margin
 from .lagrangian import DUAL_KINDS, SCHEDULE_KINDS, TRACKER_KINDS, StepSchedule
 from .lagrangian import RunResult, SolverConfig, run
-from .methods import METHOD_KINDS, MethodConfig
+from .methods import METHODS, MethodConfig
 from .problems import RECIPES, ProblemRecipe, make_recipe
 
 
@@ -31,7 +31,7 @@ class ConfigError(ValueError):
 # A kinded table holds "kind" and the fields its kind reads: the tables of these
 # config classes, and the solver's tables of flat SolverConfig fields, whose
 # "kind" sets the field named like the table
-_KINDS = {MethodConfig: METHOD_KINDS, StepSchedule: SCHEDULE_KINDS, NoiseModel: NOISE_KINDS}
+_KINDS = {MethodConfig: METHODS, StepSchedule: SCHEDULE_KINDS, NoiseModel: NOISE_KINDS}
 _SOLVER_TABLES = {"tracker": TRACKER_KINDS, "dual": DUAL_KINDS}
 _SOLVER_FIELDS = set().union(*TRACKER_KINDS.values(), *DUAL_KINDS.values())
 
@@ -73,12 +73,17 @@ def _check_keys(table: dict, allowed: set, path: str, kinds=None, default=None):
         raise ConfigError(f"{path}: expected a key-value table")
     kind, of_kind = table.get("kind", default), ""
     if kinds and isinstance(kind, str) and kind in kinds:
-        allowed, of_kind = {"kind", *kinds[kind]}, f" for kind {kind!r}"
+        allowed, of_kind = {"kind", *_reads(kinds, kind)}, f" for kind {kind!r}"
     unknown = set(table) - allowed
     if unknown:
         raise ConfigError(
             f"{path}: unknown keys {sorted(unknown)}{of_kind}; allowed: {sorted(allowed)}"
         )
+
+
+def _reads(kinds: dict, kind: str) -> tuple:
+    """The fields ``kind`` reads: named by its ``METHODS`` record, or in its kind table."""
+    return kinds[kind].fields if kinds is METHODS else kinds[kind]
 
 
 def _solver_fields(table: dict) -> dict:
@@ -164,7 +169,7 @@ def serialize_config(cfg: RunConfig) -> dict:
         kinds = _SOLVER_TABLES.get(name) or _KINDS.get(hint)
         if kinds:
             table = solver[name]
-            solver[name] = {key: table[key] for key in ("kind", *kinds[table["kind"]])}
+            solver[name] = {key: table[key] for key in ("kind", *_reads(kinds, table["kind"]))}
     return raw
 
 

@@ -29,7 +29,7 @@ from .core import (
     eval_constraints,
 )
 from .diagnostics import MetricsRecord, assemble_record, lyapunov_adam, lyapunov_momentum
-from .methods import PROX_ADAM, PROX_SGD, PROX_SGDM, MethodConfig, method_step, split_adam_state
+from .methods import PROX_ADAM, PROX_SGDM, MethodConfig, method_step, split_adam_state
 
 REGU_ZERO_TOL = 1e-14
 
@@ -234,14 +234,15 @@ class _Driver:
         # the exact tracker holds c(x) itself, bit for bit, and draws no sample
         self._w_is_c = config.tracker == "exact"
         self._regu = config.dual == "regu"
+        # the descent certificates of the methods that have one; any other
+        # kind records no Lyapunov value
         mc = config.method
         self._lyapunov = {
-            PROX_SGD: lambda g, s: None,
             PROX_SGDM: lambda g, s: lyapunov_momentum(g, self.fset, s.x, s.y, mc.tau, mc.alpha),
             PROX_ADAM: lambda g, s: lyapunov_adam(
                 g, self.fset, s.x, *split_adam_state(s.y), mc.tau1, mc.alpha, mc.eps
             ),
-        }[mc.kind]
+        }.get(mc.kind, lambda g, s: None)
 
     def initial_state(self, x0, rng) -> LagrangianState:
         if x0 is None:
@@ -368,38 +369,43 @@ def run(
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     t0 = time.perf_counter()
-    driver = _Driver(prob, config)
-    rng = np.random.default_rng(config.seed)
-    state = driver.initial_state(x0, rng)
-    records = [driver.metrics(state, kkt_probe)]
-    reason = None
-    noise = None
-    for k in range(config.max_iters):
-        if driver.use_noise:
-            row = k % NOISE_CHUNK
-            if row == 0:
-                rows = min(NOISE_CHUNK, config.max_iters - k)
-                block = config.noise.draw(rng, (rows, driver.n))
-            noise = block[row]
-        state_next, reason = driver.step(state, rng, noise)
-        if reason is not None:
-            break
-        state = state_next
-        if (k + 1) % record_every == 0 or k + 1 == config.max_iters:
-            try:
-                rec = driver.metrics(state, kkt_probe)
-            except NonFiniteError:
-                # an oracle turned non-finite at x; the records so far stand
-                reason = "non-finite metrics"
+    # numpy's overflow and invalid-value warnings would only leak to stderr: the
+    # finiteness checks' v.dot(v) overflows on finite entries above about 1e154, and
+    # an overflowed auxiliary block gives inf - inf, then a NaN point, at the next
+    # step; the run checks every point it computes and stops with a named reason
+    with np.errstate(over="ignore", invalid="ignore"):
+        driver = _Driver(prob, config)
+        rng = np.random.default_rng(config.seed)
+        state = driver.initial_state(x0, rng)
+        records = [driver.metrics(state, kkt_probe)]
+        reason = None
+        noise = None
+        for k in range(config.max_iters):
+            if driver.use_noise:
+                row = k % NOISE_CHUNK
+                if row == 0:
+                    rows = min(NOISE_CHUNK, config.max_iters - k)
+                    block = config.noise.draw(rng, (rows, driver.n))
+                noise = block[row]
+            state_next, reason = driver.step(state, rng, noise)
+            if reason is not None:
                 break
-            records.append(rec)
-            # a diverging run can overflow its diagnostics while the raw state
-            # is still representable; keep the offending record and stop
-            core_vals = (rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val,
-                         rec.lambda_norm, rec.tracker_err)
-            if not all(math.isfinite(v) for v in core_vals):
-                reason = "non-finite metrics"
-                break
+            state = state_next
+            if (k + 1) % record_every == 0 or k + 1 == config.max_iters:
+                try:
+                    rec = driver.metrics(state, kkt_probe)
+                except NonFiniteError:
+                    # an oracle turned non-finite at x; the records so far stand
+                    reason = "non-finite metrics"
+                    break
+                records.append(rec)
+                # a diverging run can overflow its diagnostics while the raw state
+                # is still representable; keep the offending record and stop
+                core_vals = (rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val,
+                             rec.lambda_norm, rec.tracker_err)
+                if not all(math.isfinite(v) for v in core_vals):
+                    reason = "non-finite metrics"
+                    break
     slack = driver.max_contraction_slack
     excess = driver.max_dual_excess
     return RunResult(

@@ -6,10 +6,15 @@ Each method is a stateless single-step update
 direction vector ``g`` and a stepsize ``eta``; the auxiliary block ``y`` is
 empty for SGD, the momentum for SGDM, and the packed (momentum, second moment)
 pair for ADAM. All steps keep ``x`` inside the feasible set.
+
+``METHODS`` holds one ``EmbeddedMethod`` record per kind, which
+``MethodConfig``, ``method_step`` and the CLI read when called: a method is
+embedded by adding one entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,9 +24,6 @@ from .geometry import FeasibleSet
 PROX_SGD = "prox_sgd"
 PROX_SGDM = "prox_sgdm"
 PROX_ADAM = "prox_adam"
-# each method kind with the MethodConfig fields its step reads
-METHOD_KINDS = {PROX_SGD: (), PROX_SGDM: ("tau", "alpha"),
-                PROX_ADAM: ("tau1", "tau2", "alpha", "eps")}
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class MethodConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.kind not in METHOD_KINDS:
+        if self.kind not in METHODS:
             raise ValueError(f"unknown method kind {self.kind!r}")
         if self.tau <= 0 or self.alpha <= 0 or self.eps <= 0:
             raise ValueError("tau, alpha, and eps must be positive")
@@ -44,21 +46,39 @@ class MethodConfig:
 
     def check_stepsize(self, eta: float) -> None:
         """The stepsize rule of every step, and of ``SolverConfig`` at the largest
-        ``eta``: ``eta > 0``; ``eta <= 1`` for momentum and ADAM, so ``x`` stays
-        feasible; ``eta * tau2 <= 1`` for ADAM, so the second moment stays >= 0."""
+        ``eta``: ``eta > 0``, then the stepsize rule of the kind's ``METHODS`` record."""
         if not eta > 0.0:
             raise ValueError(f"stepsize must be positive, got {eta!r}")
-        if self.kind != PROX_SGD and eta > 1.0:
-            raise ValueError("eta <= 1 required for momentum and ADAM steps")
-        if self.kind == PROX_ADAM and eta * self.tau2 > 1.0:
-            raise ValueError("eta * tau2 <= 1 required to keep the ADAM second moment nonnegative")
+        METHODS[self.kind].stepsize_rule(eta, self)
 
     def aux_dim(self, n: int) -> int:
-        if self.kind == PROX_SGD:
-            return 0
-        if self.kind == PROX_SGDM:
-            return n
-        return 2 * n
+        return METHODS[self.kind].aux_blocks * n
+
+
+@dataclass(frozen=True)
+class EmbeddedMethod:
+    """One embedded method: the ``MethodConfig`` fields its step reads, the
+    number of size-``n`` vectors in its auxiliary block, its stepsize rule
+    beyond ``eta > 0`` (``stepsize_rule(eta, cfg)`` raises ``ValueError``) and
+    its step ``step(fset, x, y, g, eta, cfg) -> (x_next, y_next)``."""
+
+    fields: tuple[str, ...]
+    aux_blocks: int
+    stepsize_rule: Callable[[float, MethodConfig], None]
+    step: Callable
+
+
+def _stepsize_at_most_one(eta: float, cfg: MethodConfig) -> None:
+    """``eta <= 1`` keeps the convex combination with the prox point feasible."""
+    if eta > 1.0:
+        raise ValueError("eta <= 1 required for momentum and ADAM steps")
+
+
+def _adam_stepsize(eta: float, cfg: MethodConfig) -> None:
+    """``eta <= 1``, and ``eta * tau2 <= 1`` so the second moment stays >= 0."""
+    _stepsize_at_most_one(eta, cfg)
+    if eta * cfg.tau2 > 1.0:
+        raise ValueError("eta * tau2 <= 1 required to keep the ADAM second moment nonnegative")
 
 
 def split_adam_state(y: np.ndarray):
@@ -94,9 +114,14 @@ def step_prox_adam(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
     return x_next, np.concatenate((m_next, v_next))
 
 
-_STEPS = {PROX_SGD: step_prox_sgd, PROX_SGDM: step_prox_sgdm, PROX_ADAM: step_prox_adam}
+METHODS = {
+    # a projected step stays feasible for every eta > 0
+    PROX_SGD: EmbeddedMethod((), 0, lambda eta, cfg: None, step_prox_sgd),
+    PROX_SGDM: EmbeddedMethod(("tau", "alpha"), 1, _stepsize_at_most_one, step_prox_sgdm),
+    PROX_ADAM: EmbeddedMethod(("tau1", "tau2", "alpha", "eps"), 2, _adam_stepsize, step_prox_adam),
+}
 
 
 def method_step(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
     """One step of the configured method: ``(x, y) -> (x_next, y_next)``."""
-    return _STEPS[cfg.kind](fset, x, y, g, eta, cfg)
+    return METHODS[cfg.kind].step(fset, x, y, g, eta, cfg)

@@ -19,9 +19,31 @@ def stepsize(s, k):
     return s.c / (k + 1) ** s.exponent
 
 
-def reference_run(prob, cfg, x0):
+def prox_sgd(fset, x, y, g, eta, mc):
+    return fset.project(x - eta * g), y
+
+
+def prox_sgdm(fset, x, y, g, eta, mc):
+    y = y - mc.tau * eta * (y - g)
+    return (1.0 - eta) * x + eta * fset.project(x - mc.alpha * y), y
+
+
+def prox_adam(fset, x, y, g, eta, mc):
+    n = x.size
+    m = y[:n] - mc.tau1 * eta * (y[:n] - g)
+    v = y[n:] - mc.tau2 * eta * (y[n:] - g * g)
+    z = fset.prox_weighted(x, m, np.sqrt(v + mc.eps) / mc.alpha)
+    return (1.0 - eta) * x + eta * z, np.concatenate((m, v))
+
+
+# each method kind: the number of size-n vectors in its auxiliary block, and its update
+UPDATES = {"prox_sgd": (0, prox_sgd), "prox_sgdm": (1, prox_sgdm), "prox_adam": (2, prox_adam)}
+
+
+def reference_run(prob, cfg, x0, updates=UPDATES):
     """``(x, lam, w, max_contraction_slack, max_dual_excess)`` after
-    ``cfg.max_iters`` steps from ``x0``, on a generator seeded with ``cfg.seed``."""
+    ``cfg.max_iters`` steps from ``x0``, on a generator seeded with ``cfg.seed``;
+    ``updates`` holds the method's update under its kind."""
     mean = getattr(prob, "mean", prob)
     if mean is prob:  # exact oracles: the tokens are None and draw nothing
         draw_f = draw_c = lambda rng: None  # noqa: E731
@@ -36,7 +58,8 @@ def reference_run(prob, cfg, x0):
     mc, fset, n, exact = cfg.method, mean.feasible_set, mean.dim_primal, cfg.tracker == "exact"
     rng = np.random.default_rng(cfg.seed)
     x = fset.project(vec(x0))
-    y = np.zeros({"prox_sgd": 0, "prox_sgdm": n, "prox_adam": 2 * n}[mc.kind])
+    blocks, update = updates[mc.kind]
+    y = np.zeros(blocks * n)
     lam = np.zeros(mean.dim_constraint)
     w = vec(mean.constraint(x) if exact else con(x, draw_c(rng)))
     noisy = cfg.noise.kind != "none" and cfg.noise.bound > 0.0
@@ -51,16 +74,7 @@ def reference_run(prob, cfg, x0):
         g = d + vec(jac(x, draw_c(rng))) @ (lam + cfg.rho * w)
         if noisy:
             g = g + block[k % NOISE_ROWS]
-        if mc.kind == "prox_sgd":
-            x_next = fset.project(x - eta * g)
-        elif mc.kind == "prox_sgdm":
-            y = y - mc.tau * eta * (y - g)
-            x_next = (1.0 - eta) * x + eta * fset.project(x - mc.alpha * y)
-        else:
-            m = y[:n] - mc.tau1 * eta * (y[:n] - g)
-            v = y[n:] - mc.tau2 * eta * (y[n:] - g * g)
-            z = fset.prox_weighted(x, m, np.sqrt(v + mc.eps) / mc.alpha)
-            x_next, y = (1.0 - eta) * x + eta * z, np.concatenate((m, v))
+        x_next, y = update(fset, x, y, g, eta, mc)
         if exact:
             w = vec(mean.constraint(x_next))
         else:

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -248,8 +251,7 @@ class TestCmdRun:
                 "kkt_probe": None,
             },
         )
-        with np.errstate(over="ignore"):
-            code = main(["run", "--config", str(path), "--quiet"])
+        code = main(["run", "--config", str(path), "--quiet"])
         assert code == 1
         assert (tmp_path / "out" / "metrics_rep000.jsonl").exists()
 
@@ -483,6 +485,18 @@ class TestMainEntry:
         assert main(argv + ["--quiet"]) == 2
         assert "rho must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_overflowing_finiteness_check_writes_no_warning(self, tmp_path):
+        # rho 1e200 puts entries above 1e154 into the direction, whose v.dot(v)
+        # overflows; the run finishes, and stderr stays empty in a fresh process
+        path = minimal_config(tmp_path, solver={"method": {"kind": "prox_sgd"}, "max_iters": 50,
+                                                "rho": 1e200})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "sslalm.cli", "run", "--config", str(path),
+                               "--quiet"], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_integral_floats_accepted(self, tmp_path):
         path = minimal_config(

@@ -1,9 +1,10 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sslalm import lagrangian
@@ -31,6 +32,7 @@ from sslalm.lagrangian import (
 from sslalm.methods import MethodConfig, method_step
 from sslalm.problems import (
     ProblemRecipe,
+    make_recipe,
     make_affine_l1,
     make_exactness_1d,
     make_slack_l1_net,
@@ -393,8 +395,7 @@ class TestRun:
         cfg = SolverConfig(
             method=MethodConfig(kind="prox_sgd"), eta=StepSchedule("constant", eta), max_iters=50,
         )
-        with np.errstate(over="ignore"):
-            res = run(prob, cfg, x0=np.zeros(1), kkt_probe=None)
+        res = run(prob, cfg, x0=np.zeros(1), kkt_probe=None)
         assert res.aborted
         assert res.abort_reason == reason
         assert len(res.records) == 1
@@ -405,13 +406,29 @@ class TestRun:
         # the partial trajectory survives, with only the last record blown up
         prob = scalar_problem(subgrad=lambda x: -1e4 * x)
         cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=500)
-        with np.errstate(over="ignore"):
-            res = run(prob, cfg, x0=np.ones(1), kkt_probe=None, record_every=5)
+        res = run(prob, cfg, x0=np.ones(1), kkt_probe=None, record_every=5)
         assert res.aborted
         assert res.abort_reason == "non-finite metrics"
         assert len(res.records) >= 2
         assert all(np.isfinite(r.feas) for r in res.records[:-1])
         assert not np.isfinite(res.records[-1].feas)
+
+    @pytest.mark.parametrize(
+        "method",
+        [MethodConfig("prox_sgdm", tau=1e12), MethodConfig("prox_adam", tau1=1e12, tau2=1.0)],
+        ids=lambda m: m.kind,
+    )
+    def test_overflowing_auxiliary_block_aborts_without_warning(self, method):
+        # tau * eta = 1e12 overflows the auxiliary block while the projected point
+        # stays finite; the next step's inf - inf gives a NaN point, and the run
+        # stops there with a named reason and no numpy warning
+        rec = make_affine_l1(n=4, p=2, seed=1)
+        cfg = SolverConfig(method=method, eta=StepSchedule("constant", 1.0), max_iters=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(rec.instance, cfg, x0=rec.start, kkt_probe=None)
+        assert res.abort_reason == "non-finite state"
+        assert 0 < res.state.k < 60
 
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
     def test_nonfinite_constraint_aborts_keeping_trajectory(self, tracker):
@@ -422,8 +439,8 @@ class TestRun:
             method=MethodConfig(kind="prox_sgd"), rho=0.5, eta=ETA_01,
             tracker=tracker, max_iters=100,
         )
-        with np.errstate(invalid="ignore"):  # the tracker sees inf - inf
-            res = run(prob, cfg, x0=np.array([0.5]), record_every=1000 if tracker == "correction" else 5)
+        # the tracker sees inf - inf, which run() keeps silent
+        res = run(prob, cfg, x0=np.array([0.5]), record_every=1000 if tracker == "correction" else 5)
         assert res.aborted
         assert res.abort_reason == "non-finite state"
         assert 0 < res.state.k < 100
@@ -506,8 +523,7 @@ class TestRun:
             method=MethodConfig(kind="prox_sgd"), eta=ETA_01,
             dual="ialm", theta_tilde=1e308, beta_tilde=1e308, sigma=2.0, max_iters=10,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = run(prob, cfg, x0=np.array([0.5]), record_every=1000, kkt_probe=None)
+        res = run(prob, cfg, x0=np.array([0.5]), record_every=1000, kkt_probe=None)
         assert res.aborted
         assert res.abort_reason == "non-finite state"
         assert res.state.k == 1
@@ -540,6 +556,71 @@ class TestRun:
         assert not res.aborted
         assert len(moves) == cfg.max_iters
         assert all(moved <= limit + 1e-9 for moved, limit in moves)
+
+
+# the failure-path fuzz: small shapes of every recipe, with its scales, and the
+# solver's, drawn from 1e-12 to 1e12
+FUZZ_RECIPES = {
+    "affine_l1": ({"n": 4, "p": 2, "seed": 1}, ()),
+    "stochastic_affine": ({"n": 4, "p": 2, "seed": 1}, ("noise_scale",)),
+    "exactness_1d": ({}, ("slope",)),
+    "slack_l1_net": ({"layer_widths": (2, 3, 2), "n_train": 8, "n_test": 4, "batch_size": 4},
+                     ("radius", "init_scale")),
+}
+ABORT_REASONS = [None, "non-finite primal direction", "non-finite state", "non-finite metrics"]
+# powers of ten, with the ends of the range and 1 favoured: the overflows need them
+SCALE = st.one_of(st.sampled_from([1e-12, 1.0, 1e12]),
+                  st.floats(-12.0, 12.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def fuzzed_solver_tables(draw):
+    """SolverConfig keyword tables, not all of them valid: theta_max < beta,
+    tau2 <= 4*tau1 and sigma > 1 are drawn to hold, the stepsize rules are not."""
+    below = st.floats(-12.0, 0.0, exclude_max=True).map(lambda e: 10.0**e)
+
+    def schedule(c):
+        kind = draw(st.sampled_from(["constant", "inv_sqrt_epoch", "power"]))
+        return StepSchedule(kind, c, epoch_len=draw(st.integers(1, 5)),
+                            exponent=draw(st.floats(0.5, 1.0, exclude_min=True)))
+
+    beta, tau1 = draw(SCALE), draw(SCALE)
+    method = dict(tau=draw(SCALE), alpha=draw(SCALE), tau1=tau1, tau2=4.0 * tau1 * draw(below),
+                  eps=draw(SCALE))
+    dual = draw(st.sampled_from(["regu", "ialm"]))
+    return dict(
+        method=(draw(st.sampled_from(["prox_sgd", "prox_sgdm", "prox_adam"])), method),
+        rho=draw(SCALE), beta=beta, theta=schedule(beta * draw(below)),
+        eta=schedule(draw(SCALE)),
+        tracker=draw(st.sampled_from(["exact", "correction"])), tau_tilde=draw(SCALE),
+        dual=dual, beta_tilde=draw(SCALE), sigma=1.0 + draw(SCALE), theta_tilde=draw(SCALE),
+        inner_steps=draw(st.integers(1, 4)) if dual == "ialm" else 1,
+        noise=(draw(st.sampled_from(["none", "uniform_box", "truncated_gaussian"])), draw(SCALE)),
+        # all 30 iterations favoured too, as a blow-up takes many steps
+        max_iters=draw(st.one_of(st.just(30), st.integers(0, 30))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=350, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(FUZZ_RECIPES)), scales=st.lists(SCALE, min_size=2, max_size=2),
+       table=fuzzed_solver_tables(), record_every=st.integers(1, 30),
+       kkt_probe=st.sampled_from([None, 1e-3]))
+def test_accepted_config_finishes_or_aborts_with_a_named_reason(kind, scales, table, record_every,
+                                                                 kkt_probe):
+    # every config the library accepts runs without raising or warning
+    params, scaled = FUZZ_RECIPES[kind]
+    (method_kind, method), (noise_kind, bound) = table["method"], table["noise"]
+    try:
+        rec = make_recipe(kind, **params, **dict(zip(scaled, scales)))
+        cfg = SolverConfig(**{**table, "method": MethodConfig(method_kind, **method),
+                              "noise": NoiseModel(noise_kind, bound)})
+    except ValueError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run(rec.instance, cfg, x0=rec.start, record_every=record_every, kkt_probe=kkt_probe)
+    assert res.abort_reason in ABORT_REASONS
 
 
 def counting_constraint_problem(constraint):

@@ -6,6 +6,7 @@ import pytest
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import SolverConfig, StepSchedule
 from sslalm.methods import (
+    METHODS,
     MethodConfig,
     method_step,
     split_adam_state,
@@ -143,8 +144,9 @@ class TestProxAdam:
 
 def test_steps_share_one_signature():
     # the embedded methods are black boxes: (x, y) -> (x_next, y_next)
-    params = [list(inspect.signature(f).parameters) for f in (step_prox_sgd, step_prox_sgdm,
-                                                                step_prox_adam)]
+    steps = [method.step for method in METHODS.values()]
+    assert steps == [step_prox_sgd, step_prox_sgdm, step_prox_adam]
+    params = [list(inspect.signature(f).parameters) for f in steps]
     assert params == [["fset", "x", "y", "g", "eta", "cfg"]] * 3
 
 
