@@ -168,7 +168,7 @@ class NoiseModel:
         _check_fields(self)
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.bound < 0.0:
+        if "bound" in NOISE_KINDS[self.kind] and self.bound < 0.0:
             raise ValueError("noise bound must be >= 0")
 
     def draw(self, rng: np.random.Generator, n) -> Array:
@@ -190,6 +190,8 @@ class StochasticProblemInstance:
     otherwise); solvers use it for metrics while the per-sample oracles drive
     the iteration. Token draws for the objective and the constraints come from
     independent ``draw_*`` calls so the two sample spaces stay separate.
+    A token is the sample itself: every sampled oracle is a function of
+    ``(x, token)`` alone, so calls that share a token share the sample.
     """
 
     mean: ProblemInstance

@@ -61,7 +61,7 @@ class StepSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.c < 0:
             raise ValueError("schedule scale must be nonnegative")
-        if self.epoch_len < 1:
+        if "epoch_len" in SCHEDULE_KINDS[self.kind] and self.epoch_len < 1:
             raise ValueError("epoch_len must be >= 1")
         if self.kind == "power" and not (0.5 < self.exponent <= 1.0):
             raise ValueError("power schedule exponent must lie in (0.5, 1]")
@@ -286,10 +286,11 @@ class _Driver:
             return state, "non-finite primal direction"
 
         x_next, y_next = method_step(self.fset, x, y, direction, eta, cfg.method)
-        # each part of the new state is checked for finiteness once, before
-        # anything is computed from it; the constraint values only for their
-        # shape, as their finiteness is checked with w_next
-        if not _all_finite(x_next):
+        # each part of the new state is checked for finiteness once: y_next unless
+        # it is the block the method was given, the constraint values only for
+        # their shape, and on the regu path w_next through lam_next, which a
+        # non-finite w_next makes NaN
+        if not _all_finite(x_next) or (y_next is not y and not _all_finite(y_next)):
             return state, "non-finite state"
         c_shape = self._c_shape
         if self._w_is_c:
@@ -304,8 +305,6 @@ class _Driver:
             if c_xn.shape != c_shape:
                 c_xn = as_vector(c_xn, self.p, "constraint value", finite=False)
             w_next = track_correction(w, c_x, c_xn, cfg.tau_tilde, eta)
-        if not _all_finite(w_next):
-            return state, "non-finite state"
 
         if self._regu:
             # the step plus its contraction bookkeeping
@@ -325,6 +324,8 @@ class _Driver:
             # a finite norm has only finite entries under it
             if not (math.isfinite(post) or bool(np.isfinite(lam_next).all())):
                 return state, "non-finite state"
+        elif not _all_finite(w_next):
+            return state, "non-finite state"
         elif (k + 1) % cfg.inner_steps == 0:
             # an ialm step every inner_steps iterations
             n_dual = (k + 1) // cfg.inner_steps - 1
@@ -371,8 +372,8 @@ def run(
     t0 = time.perf_counter()
     # numpy's overflow and invalid-value warnings would only leak to stderr: the
     # finiteness checks' v.dot(v) overflows on finite entries above about 1e154, and
-    # an overflowed auxiliary block gives inf - inf, then a NaN point, at the next
-    # step; the run checks every point it computes and stops with a named reason
+    # a non-finite tracker value gives inf / inf in regu(w_next); the run checks
+    # every point it computes and stops with a named reason
     with np.errstate(over="ignore", invalid="ignore"):
         driver = _Driver(prob, config)
         rng = np.random.default_rng(config.seed)

@@ -39,9 +39,10 @@ class MethodConfig:
         _check_fields(self)
         if self.kind not in METHODS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.tau <= 0 or self.alpha <= 0 or self.eps <= 0:
+        reads = METHODS[self.kind].fields  # a value rule binds only a field the kind reads
+        if any(getattr(self, name) <= 0 for name in ("tau", "alpha", "eps") if name in reads):
             raise ValueError("tau, alpha, and eps must be positive")
-        if not (0.0 < self.tau2 <= 4.0 * self.tau1):
+        if "tau2" in reads and not (0.0 < self.tau2 <= 4.0 * self.tau1):
             raise ValueError("ADAM moment rates must satisfy 0 < tau2 <= 4*tau1")
 
     def check_stepsize(self, eta: float) -> None:

@@ -172,8 +172,9 @@ def make_stochastic_affine(
 ) -> ProblemRecipe:
     """Affine family with bounded zero-mean perturbations on both oracles.
 
-    Constraint samples are ``(A + dB) x - (b + dd)`` with entrywise-uniform
-    perturbations of half-width ``noise_scale``; objective samples reweight
+    A constraint token is the perturbed data ``(A + dB, b + dd)``, with
+    entrywise-uniform perturbations of half-width ``noise_scale``, and its
+    sample is ``(A + dB) x - (b + dd)``; objective samples reweight
     the L1 terms by nonnegative factors of unit mean. The analytic mean
     problem is kept for tracker-error measurement.
     """
@@ -192,16 +193,7 @@ def make_stochastic_affine(
         # one call fills dB row by row and then dd: the same stream as a
         # (p, n) draw followed by a p draw
         z = gen.uniform(-noise_scale, noise_scale, p * n + p)
-        return z[: p * n].reshape(p, n), z[p * n :]
-
-    # the tracker pair evaluates one token at two points: the perturbed data
-    # of the last token evaluated is kept for the second
-    perturbed = [None, None, None]
-
-    def constraint_sample(x, tok):
-        if tok is not perturbed[0]:
-            perturbed[:] = tok, A + tok[0], b + tok[1]
-        return perturbed[1].dot(x) - perturbed[2]
+        return A + z[: p * n].reshape(p, n), b + z[p * n :]
 
     inst = StochasticProblemInstance(
         mean=mean,
@@ -209,8 +201,8 @@ def make_stochastic_affine(
         draw_constraint_sample=draw_con,
         objective_sample=lambda x, u: float((u * np.abs(x - anchor)).sum()),
         objective_subgradient_sample=lambda x, u: u * np.sign(x - anchor),
-        constraint_sample=constraint_sample,
-        constraint_jacobian_sample=lambda x, tok: (A + tok[0]).T,
+        constraint_sample=lambda x, tok: tok[0].dot(x) - tok[1],
+        constraint_jacobian_sample=lambda x, tok: tok[0].T,
     )
     return ProblemRecipe(
         kind="stochastic_affine",

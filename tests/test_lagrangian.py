@@ -429,6 +429,7 @@ class TestRun:
             res = run(rec.instance, cfg, x0=rec.start, kkt_probe=None)
         assert res.abort_reason == "non-finite state"
         assert 0 < res.state.k < 60
+        assert np.isfinite(res.state.y).all()
 
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
     def test_nonfinite_constraint_aborts_keeping_trajectory(self, tracker):
@@ -846,6 +847,19 @@ class TestSolverConfigValidation:
     def test_invalid_setting_rejected(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: MethodConfig(kind="prox_sgd", tau1=0.01),
+            lambda: MethodConfig(kind="prox_sgdm", eps=0.0),
+            lambda: StepSchedule("constant", 0.5, epoch_len=0),
+            lambda: NoiseModel("none", -1.0),
+        ],
+    )
+    def test_value_rule_of_an_unread_field_does_not_bind(self, make):
+        # each value lies outside its field's range, which the kind never reads
+        make()
 
     def test_theta_must_stay_below_beta(self):
         with pytest.raises(ValueError, match="theta_max < beta"):

@@ -375,27 +375,31 @@ class TestStochasticAffineRecipe:
     @pytest.mark.parametrize("n, p, noise_scale", [(2, 1, 0.5), (5, 2, 0.5), (8, 3, 0.1),
                                                   (12, 11, 2.0), (6, 2, 0.0)])
     def test_one_call_token_equals_two_draws_bitwise(self, n, p, noise_scale):
-        sp = make_stochastic_affine(n=n, p=p, noise_scale=noise_scale, seed=3).instance
+        rec = make_stochastic_affine(n=n, p=p, noise_scale=noise_scale, seed=3)
+        sp, A, b = rec.instance, rec.metadata["A"], rec.metadata["b"]
         one, two = np.random.default_rng(21), np.random.default_rng(21)
         for _ in range(50):
-            dB, dd = sp.draw_constraint_sample(one)
+            B, d = sp.draw_constraint_sample(one)
             ref_dB = two.uniform(-noise_scale, noise_scale, (p, n))
             ref_dd = two.uniform(-noise_scale, noise_scale, p)
-            assert dB.shape == (p, n) and dd.shape == (p,)
-            assert dB.tobytes() == ref_dB.tobytes() and dd.tobytes() == ref_dd.tobytes()
+            assert B.shape == (p, n) and d.shape == (p,)
+            assert B.tobytes() == (A + ref_dB).tobytes() and d.tobytes() == (b + ref_dd).tobytes()
         assert one.bit_generator.state == two.bit_generator.state
 
     def test_constraint_sample_of_interleaved_tokens_bitwise(self):
-        # the second evaluation of a token reuses its perturbed data; any
-        # order of tokens and points gives (A + dB) x - (b + dd)
+        # a sample is a function of the point and the token alone: any order of
+        # tokens and points gives (A + dB) x - (b + dd), with dB and dd drawn
+        # from a second generator of the same seed
         rec = make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=4)
         sp, A, b = rec.instance, rec.metadata["A"], rec.metadata["b"]
-        rng = np.random.default_rng(6)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
         toks = [sp.draw_constraint_sample(rng) for _ in range(3)]
+        perturbations = [(ref_rng.uniform(-0.5, 0.5, (2, 5)), ref_rng.uniform(-0.5, 0.5, 2))
+                         for _ in range(3)]
         xs = [rng.uniform(-1, 1, 5) for _ in range(3)]
         for i in [0, 0, 1, 0, 2, 2, 1, 1, 0]:
             for x in xs[i:] + xs[:i]:
-                dB, dd = toks[i]
+                dB, dd = perturbations[i]
                 ref = (A + dB) @ x - (b + dd)
                 assert sp.constraint_sample(x, toks[i]).tobytes() == ref.tobytes()
 
