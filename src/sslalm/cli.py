@@ -19,7 +19,7 @@ from pathlib import Path
 from .core import NOISE_KINDS, NoiseModel, _check_fields, _check_value, _field_types, as_stochastic
 from .diagnostics import exact_penalty_margin
 from .lagrangian import DUAL_KINDS, SCHEDULE_KINDS, TRACKER_KINDS, StepSchedule
-from .lagrangian import RunResult, SolverConfig, run
+from .lagrangian import SolverConfig, run
 from .methods import METHODS, MethodConfig
 from .problems import RECIPES, ProblemRecipe, make_recipe
 
@@ -181,16 +181,10 @@ def build_recipe(cfg: RunConfig) -> ProblemRecipe:
         raise ConfigError(f"problem: {exc}") from exc
 
 
-def run_repetition(cfg: RunConfig, recipe: ProblemRecipe, seed=None) -> RunResult:
-    """One run of ``cfg`` on the recipe's problem; ``seed`` overrides the config's."""
+def _seeded(cfg: RunConfig, seed=None, **changes) -> RunConfig:
+    """``cfg`` with ``changes`` and, unless ``seed`` is None, ``seed`` as its solver's seed."""
     solver = cfg.solver if seed is None else replace(cfg.solver, seed=seed)
-    return run(
-        recipe.instance,
-        solver,
-        x0=recipe.start,
-        record_every=cfg.record_every,
-        kkt_probe=cfg.kkt_probe,
-    )
+    return replace(cfg, solver=solver, **changes)
 
 
 def _fmt(x) -> str:
@@ -201,12 +195,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _out_dir(out, cfg: RunConfig) -> Path:
-    out_dir = Path(out if out is not None else cfg.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _write_csv(path: Path, header: list, rows: list):
     """One line per row dict under ``header``; a key missing from a row
     leaves its cell blank."""
@@ -214,17 +202,36 @@ def _write_csv(path: Path, header: list, rows: list):
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
-    recipe = build_recipe(cfg)
-    out_dir = _out_dir(out, cfg)
-    accuracy = recipe.metadata.get("accuracy")
-    margin = exact_penalty_margin(as_stochastic(recipe.instance).mean, cfg.solver.beta)
+def _run_chains(chains: list, out):
+    """Reject no chains or a chain of more than one repetition, build each
+    distinct problem once, then make the output directory: ``out``, else the first
+    chain's ``output_path``. Returns the directory, each chain's recipe, and a
+    generator that runs the chains in order and yields each result as it finishes."""
+    if not chains:
+        raise ConfigError("empty input: compare needs at least one config, sweep one value")
+    if any(cfg.repetitions != 1 for cfg in chains):
+        raise ConfigError("repetitions: only run reads it; compare and sweep take 1")
+    recipes = []
+    for cfg in chains:
+        same = [recipe for c, recipe in zip(chains, recipes) if c.problem == cfg.problem]
+        recipes.append(same[0] if same else build_recipe(cfg))
+    out_dir = Path(out if out is not None else chains[0].output_path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = (run(recipe.instance, cfg.solver, x0=recipe.start, record_every=cfg.record_every,
+                   kkt_probe=cfg.kkt_probe) for cfg, recipe in zip(chains, recipes))
+    return out_dir, recipes, results
+
+
+def cmd_run(cfg: RunConfig, *, out=None, seed=None, quiet=False) -> int:
+    cfg = _seeded(cfg, seed)
+    chains = [_seeded(cfg, cfg.solver.seed + rep, repetitions=1) for rep in range(cfg.repetitions)]
+    out_dir, recipes, results = _run_chains(chains, out)
+    accuracy = recipes[0].metadata.get("accuracy")
+    margin = exact_penalty_margin(as_stochastic(recipes[0].instance).mean, cfg.solver.beta)
     if margin is not None and not quiet:
         print(f"penalty exactness margin beta - M/nu = {margin:.4g}")
-    first_seed = cfg.solver.seed if seed is None else seed
     rows = []
-    for rep in range(cfg.repetitions):
-        result = run_repetition(cfg, recipe, first_seed + rep)
+    for rep, (chain, result) in enumerate(zip(chains, results)):
         with open(out_dir / f"metrics_rep{rep:03d}.jsonl", "w") as fh:
             for rec in result.records:
                 fh.write(rec.to_json_line() + "\n")
@@ -232,7 +239,7 @@ def cmd_run(cfg: RunConfig, out=None, seed=None, quiet=False) -> int:
         rows.append(
             {
                 "rep": rep,
-                "seed": first_seed + rep,
+                "seed": chain.solver.seed,
                 "final_f": final.f_val,
                 "final_feas": final.feas,
                 "final_kkt_residual": final.kkt_residual,
@@ -260,16 +267,13 @@ def _label(cfg: RunConfig, seen: dict) -> str:
     return f"{base}_{seen[base]}" if seen[base] else base
 
 
-def cmd_compare(configs: list, out=None, quiet=False, seed=None) -> int:
-    if not configs:
-        raise ConfigError("compare needs at least one config")
+def cmd_compare(configs: list, *, out=None, seed=None, quiet=False) -> int:
     if any(cfg.problem != configs[0].problem for cfg in configs[1:]):
         raise ConfigError("compare: configs must reference the same problem")
-    recipe = build_recipe(configs[0])
-    out_dir = _out_dir(out, configs[0])
+    out_dir, _, results = _run_chains([_seeded(cfg, seed) for cfg in configs], out)
     seen: dict = {}
     labels = [_label(c, seen) for c in configs]
-    results = [run_repetition(cfg, recipe, seed) for cfg in configs]
+    results = list(results)
     header = ["step"]
     by_step = {}
     for label, result in zip(labels, results):
@@ -308,17 +312,15 @@ def _set_dotted(table: dict, dotted: str, value):
     return table
 
 
-def cmd_sweep(cfg: RunConfig, parameter: str, values: list, out=None, quiet=False, seed=None) -> int:
-    if not values:
-        raise ConfigError("sweep: empty value list")
-    configs = [config_from_dict(_set_dotted(serialize_config(cfg), parameter, v)) for v in values]
-    # values of a solver or run parameter share one problem
-    shared = None if parameter.split(".")[0] == "problem" else build_recipe(cfg)
-    recipes = [shared or build_recipe(cfg_v) for cfg_v in configs]
-    out_dir = _out_dir(out, cfg)
+def cmd_sweep(cfg: RunConfig, parameter: str, values: list, *, out=None, seed=None,
+              quiet=False) -> int:
+    if parameter == "output_path":
+        raise ConfigError("sweep: output_path has no effect; sweep.csv goes to one directory")
+    cfg = _seeded(cfg, seed)
+    chains = [config_from_dict(_set_dotted(serialize_config(cfg), parameter, v)) for v in values]
+    out_dir, _, results = _run_chains(chains, out)
     rows = []
-    for value, cfg_v, recipe in zip(values, configs, recipes):
-        result = run_repetition(cfg_v, recipe, seed)
+    for value, result in zip(values, results):
         initial_feas = result.records[0].feas
         final = result.final
         rows.append(
@@ -397,17 +399,15 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "list-problems":
+            return cmd_list_problems()
+        opts = {"out": args.out, "seed": args.seed, "quiet": args.quiet}
         if args.command == "run":
-            return cmd_run(parse_config(args.config), args.out, args.seed, args.quiet)
+            return cmd_run(parse_config(args.config), **opts)
         if args.command == "compare":
-            cfgs = [parse_config(p) for p in args.config]
-            return cmd_compare(cfgs, args.out, args.quiet, args.seed)
-        if args.command == "sweep":
-            values = [_parse_value(v) for v in args.values.split(",") if v != ""]
-            return cmd_sweep(
-                parse_config(args.config), args.param, values, args.out, args.quiet, args.seed
-            )
-        return cmd_list_problems()
+            return cmd_compare([parse_config(p) for p in args.config], **opts)
+        values = [_parse_value(v) for v in args.values.split(",") if v != ""]
+        return cmd_sweep(parse_config(args.config), args.param, values, **opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sslalm
 from sslalm import cli
 from sslalm.cli import (
     ConfigError,
@@ -357,23 +358,6 @@ class TestCmdSweep:
         lines = (tmp_path / "s" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 4
 
-    @pytest.mark.parametrize("parameter, values, builds", [
-        ("solver.rho", [0.0, 0.5, 1.0], 1),
-        ("problem.seed", [0, 1, 2], 3),
-    ])
-    def test_problem_built_once_unless_swept(self, tmp_path, monkeypatch, parameter, values, builds):
-        calls = []
-
-        def counting(kind, **params):
-            calls.append(params)
-            return make_recipe(kind, **params)
-
-        monkeypatch.setattr(cli, "make_recipe", counting)
-        cfg = parse_config(minimal_config(tmp_path))
-        assert cmd_sweep(cfg, parameter, values, out=str(tmp_path / "s"), quiet=True) == 0
-        assert len(calls) == builds
-        assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == len(values) + 1
-
     def test_admissible_selection_rule(self, tmp_path):
         cfg = self._net_config(tmp_path)
         cmd_sweep(cfg, "solver.rho", [1e-2, 1e-5], out=str(tmp_path / "sel"), quiet=True)
@@ -391,6 +375,100 @@ class TestCmdSweep:
             assert float(selected[0][i_f]) == best
         else:
             assert not selected
+
+
+def with_rho(cfg, rho):
+    return replace(cfg, solver=replace(cfg.solver, rho=rho))
+
+
+# noise makes the seed matter
+NOISY_SOLVER = {
+    "method": {"kind": "prox_sgd"},
+    "noise": {"kind": "uniform_box", "bound": 0.3},
+    "max_iters": 40,
+}
+
+
+class TestChains:
+    """Each command turns its input into chains, configs whose seed is set, and
+    one runner builds their problems and runs them in order."""
+
+    @pytest.mark.parametrize("command, chains", [
+        (lambda cfg, out: cmd_run(replace(cfg, repetitions=3), out=out, seed=5, quiet=True),
+         [(0.0, 5), (0.0, 6), (0.0, 7)]),
+        (lambda cfg, out: cmd_compare([cfg, with_rho(cfg, 0.5)], out=out, seed=5, quiet=True),
+         [(0.0, 5), (0.5, 5)]),
+        (lambda cfg, out: cmd_sweep(cfg, "solver.rho", [1.0, 0.25, 0.5], out=out, seed=5, quiet=True),
+         [(1.0, 5), (0.25, 5), (0.5, 5)]),
+    ], ids=["run", "compare", "sweep"])
+    def test_run_called_once_per_chain_in_order(self, tmp_path, monkeypatch, command, chains):
+        calls, original = [], cli.run
+
+        def counting(prob, config, *args, **kwargs):
+            result = original(prob, config, *args, **kwargs)
+            calls.append((config, result))
+            return result
+
+        monkeypatch.setattr(cli, "run", counting)
+        cfg = parse_config(minimal_config(tmp_path, solver=NOISY_SOLVER))
+        assert command(cfg, str(tmp_path / "c")) == 0
+        assert [(config.rho, config.seed) for config, _ in calls] == chains
+        metrics = sorted((tmp_path / "c").glob("metrics_rep*.jsonl"))
+        for path, (_, result) in zip(metrics, calls):
+            assert path.read_text() == "".join(r.to_json_line() + "\n" for r in result.records)
+
+    # table: the file with one row per chain, and its line count (header included)
+    @pytest.mark.parametrize("command, builds, table", [
+        (lambda cfg, out: cmd_sweep(cfg, "solver.rho", [0.0, 0.5, 1.0], out=out, quiet=True), 1,
+         ("sweep.csv", 4)),
+        (lambda cfg, out: cmd_sweep(cfg, "problem.seed", [0, 1, 2], out=out, quiet=True), 3,
+         ("sweep.csv", 4)),
+        (lambda cfg, out: cmd_run(replace(cfg, repetitions=3), out=out, quiet=True), 1,
+         ("summary.csv", 4)),
+        (lambda cfg, out: cmd_compare([cfg, with_rho(cfg, 0.5)], out=out, quiet=True), 1, None),
+    ], ids=["sweep-rho", "sweep-problem", "run-repetitions", "compare"])
+    def test_problem_built_once_unless_swept(self, tmp_path, monkeypatch, command, builds, table):
+        calls = []
+
+        def counting(kind, **params):
+            calls.append(params)
+            return make_recipe(kind, **params)
+
+        monkeypatch.setattr(cli, "make_recipe", counting)
+        assert command(parse_config(minimal_config(tmp_path)), str(tmp_path / "s")) == 0
+        assert len(calls) == builds
+        if table:
+            name, lines = table
+            assert len((tmp_path / "s" / name).read_text().splitlines()) == lines
+
+    def test_swept_seed_wins_over_seed_option(self, tmp_path):
+        path = minimal_config(tmp_path, solver=NOISY_SOLVER)
+        argv = ["sweep", "--config", str(path), "--param", "solver.seed", "--values", "0,1,2",
+                "--quiet"]
+        assert main(argv + ["--seed", "5", "--out", str(tmp_path / "a")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        table = (tmp_path / "a" / "sweep.csv").read_text()
+        assert table == (tmp_path / "b" / "sweep.csv").read_text()
+        rows = [line.split(",", 1)[1] for line in table.splitlines()[1:]]
+        assert len(set(rows)) == 3
+
+    @pytest.mark.parametrize("command, repetitions, extra, message", [
+        ("compare", 3, [], "repetitions: only run reads it"),
+        ("sweep", 2, ["--param", "solver.rho", "--values", "0.5"], "repetitions: only run reads it"),
+        ("sweep", 1, ["--param", "repetitions", "--values", "1,3"], "repetitions: only run reads it"),
+        ("sweep", 1, ["--param", "output_path", "--values", "a,b"],
+         "sweep: output_path has no effect"),
+    ], ids=["compare-repetitions", "sweep-repetitions", "sweep-over-repetitions",
+            "sweep-over-output_path"])
+    def test_key_without_effect_on_the_command_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, repetitions, extra, message
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        path = minimal_config(tmp_path, repetitions=repetitions)
+        assert main([command, "--config", str(path), *extra, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert runs == [] and not (tmp_path / "out").exists()
 
 
 class TestMainEntry:
@@ -702,7 +780,9 @@ class TestKindRule:
         for value in VALUES[key]:
             raw = with_solver(**{table: kind_table(table, kind, **{key: value})}, max_iters=60)
             cfg = config_from_dict({**raw, "kkt_probe": None})
-            state = cli.run_repetition(cfg, cli.build_recipe(cfg)).state
+            recipe = cli.build_recipe(cfg)
+            state = sslalm.run(recipe.instance, cfg.solver, x0=recipe.start,
+                               record_every=cfg.record_every, kkt_probe=cfg.kkt_probe).state
             finals.append(np.concatenate([state.x, state.lam, state.w]).tobytes())
         assert finals[0] != finals[1]
 

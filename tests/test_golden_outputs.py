@@ -4,7 +4,9 @@ Every config under ``configs/`` runs with each embedded method (iterations
 capped), the affine config also with three repetitions, the network problem
 runs through ``compare`` with both dual rules, two affine configs with
 different ``record_every`` through ``compare`` (blank cells), and one config
-is swept over ``solver.rho`` and over ``solver.dual.kind``.
+is swept over ``solver.rho`` and over ``solver.dual.kind``. The repetitions
+case, the ``record_every`` comparison and the ``solver.rho`` sweep also run
+with ``--seed``, and a sweep over ``solver.seed`` shows that a swept seed wins.
 The wall-clock column of ``summary.csv`` is dropped before hashing; every
 other byte must stay the same across refactors. When an output change is
 intended, regenerate the hashes and say why in CHANGES.md:
@@ -89,6 +91,13 @@ def _cases():
     cases["sweep/dual"] = (
         "sweep", [affine], ["--param", "solver.dual.kind", "--values", "regu,ialm"]
     )
+    # --seed sets each config's solver.seed before a sweep sets its values,
+    # and run counts its repetitions' seeds up from it
+    seed = ["--seed", "5"]
+    for name in ("run/affine_l1_sgd/repetitions", "compare/affine_record_every", "sweep/rho"):
+        command, tables, extra = cases[name]
+        cases[f"{name}/seed"] = (command, tables, extra + seed)
+    cases["sweep/seed"] = ("sweep", [affine], ["--param", "solver.seed", "--values", "0,1,2"] + seed)
     return cases
 
 
