@@ -270,6 +270,8 @@ def _label(cfg: RunConfig, seen: dict) -> str:
 def cmd_compare(configs: list, *, out=None, seed=None, quiet=False) -> int:
     if any(cfg.problem != configs[0].problem for cfg in configs[1:]):
         raise ConfigError("compare: configs must reference the same problem")
+    if any(cfg.output_path != configs[0].output_path for cfg in configs[1:]):
+        raise ConfigError("compare: configs must share one output_path")
     out_dir, _, results = _run_chains([_seeded(cfg, seed) for cfg in configs], out)
     seen: dict = {}
     labels = [_label(c, seen) for c in configs]

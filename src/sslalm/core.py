@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from inspect import signature
-from typing import Any, Callable, get_type_hints
+from typing import Any, Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -192,11 +192,16 @@ class StochasticProblemInstance:
     independent ``draw_*`` calls so the two sample spaces stay separate.
     A token is the sample itself: every sampled oracle is a function of
     ``(x, token)`` alone, so calls that share a token share the sample.
+
+    ``draw_*(gen, size)`` returns a sequence of ``size`` tokens. They equal,
+    bit for bit, the tokens of ``size`` successive one-token draws
+    ``draw_*(gen, 1)[0]``, and leave ``gen`` in the same state, so a solver
+    may draw its tokens in blocks of any size.
     """
 
     mean: ProblemInstance
-    draw_objective_sample: Callable[[np.random.Generator], Any]
-    draw_constraint_sample: Callable[[np.random.Generator], Any]
+    draw_objective_sample: Callable[[np.random.Generator, int], Sequence]
+    draw_constraint_sample: Callable[[np.random.Generator, int], Sequence]
     objective_sample: Callable[[Array, Any], float]
     objective_subgradient_sample: Callable[[Array, Any], Array]
     constraint_sample: Callable[[Array, Any], Array]
@@ -266,8 +271,8 @@ def as_stochastic(prob) -> StochasticProblemInstance:
         return prob
     return StochasticProblemInstance(
         mean=prob,
-        draw_objective_sample=lambda rng: None,
-        draw_constraint_sample=lambda rng: None,
+        draw_objective_sample=lambda rng, size: [None] * size,
+        draw_constraint_sample=lambda rng, size: [None] * size,
         objective_sample=lambda x, tok: prob.objective(x),
         objective_subgradient_sample=lambda x, tok: prob.objective_subgradient(x),
         constraint_sample=lambda x, tok: prob.constraint(x),

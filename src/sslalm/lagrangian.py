@@ -9,6 +9,7 @@ an optional inner-step budget between dual updates.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ import numpy as np
 from .core import (
     NoiseModel,
     NonFiniteError,
+    OracleError,
     _all_finite,
     _check_fields,
     _check_integer,
@@ -33,7 +35,7 @@ from .methods import PROX_ADAM, PROX_SGDM, MethodConfig, method_step, split_adam
 
 REGU_ZERO_TOL = 1e-14
 
-# run() draws the noise this many rows at a time
+# run() draws the noise and each source's sample tokens this many steps at a time
 NOISE_CHUNK = 256
 
 # each schedule kind with the StepSchedule fields it reads, and each tracker
@@ -244,7 +246,9 @@ class _Driver:
             ),
         }.get(mc.kind, lambda g, s: None)
 
-    def initial_state(self, x0, rng) -> LagrangianState:
+    def initial_state(self, x0, con_gen) -> LagrangianState:
+        """The state at ``x0``; the correction tracker starts from ``C(x0)`` on
+        the first token of the constraint generator ``con_gen``."""
         if x0 is None:
             x0 = np.zeros(self.n)
         x0 = self.fset.project(as_vector(x0, self.n, "x0"))
@@ -252,24 +256,37 @@ class _Driver:
         if self._w_is_c:
             w0 = eval_constraints(self.mean, x0)
         else:
-            tok = self.prob.draw_constraint_sample(rng)
+            tok = self.prob.draw_constraint_sample(con_gen, 1)[0]
             w0 = as_vector(self.prob.constraint_sample(x0, tok), self.p, "C(x0)")
         return LagrangianState(x=x0, y=y0, lam=np.zeros(self.p), w=w0, k=0)
 
-    def step(self, state: LagrangianState, rng, noise):
-        """One iteration: ``rng`` draws the sample tokens (the tracker pair
-        shares one constraint token, the Jacobian draws its own) and ``noise``
-        is this step's noise row, None when the run injects no noise."""
+    def draw_tokens(self, obj_gen, con_gen, steps: int) -> list:
+        """The sample tokens of ``steps`` successive steps, one block from each
+        source's generator: per step ``(objective, tracker pair, Jacobian)``.
+        Under the correction tracker a step takes two constraint tokens, the
+        pair's first; under the exact tracker the pair's token is None."""
+        n_con = steps if self._w_is_c else 2 * steps
+        obj = self.prob.draw_objective_sample(obj_gen, steps)
+        con = self.prob.draw_constraint_sample(con_gen, n_con)
+        if len(obj) != steps or len(con) != n_con:
+            raise OracleError(f"sample draws returned {len(obj)} objective and {len(con)} "
+                              f"constraint tokens, expected {steps} and {n_con}")
+        if self._w_is_c:
+            return list(zip(obj, itertools.repeat(None), con))
+        return list(zip(obj, con[::2], con[1::2]))
+
+    def step(self, state: LagrangianState, tokens, noise):
+        """One iteration on this step's sample tokens ``(objective, tracker
+        pair, Jacobian)``, the tracker pair sharing its token, and its noise
+        row ``noise``, None when the run injects no noise."""
         x, y, lam, w, k = state
         cfg = self.config
         prob = self.prob
         eta = cfg.eta(k)
+        tok_f, tok_c, tok_j = tokens
 
-        d = np.asarray(prob.objective_subgradient_sample(x, prob.draw_objective_sample(rng)),
-                       dtype=np.float64)
-        tok_c = None if self._w_is_c else prob.draw_constraint_sample(rng)
-        J = np.asarray(prob.constraint_jacobian_sample(x, prob.draw_constraint_sample(rng)),
-                       dtype=np.float64)
+        d = np.asarray(prob.objective_subgradient_sample(x, tok_f), dtype=np.float64)
+        J = np.asarray(prob.constraint_jacobian_sample(x, tok_j), dtype=np.float64)
         # shapes only: the direction's finiteness check covers the values
         if d.shape != self._d_shape:
             d = as_vector(d, self.n, "subgradient", finite=False)
@@ -362,9 +379,12 @@ def run(
     a later record (its own numbers, or an oracle it evaluates), the run stops
     and the partial trajectory is returned with its ``abort_reason`` set.
 
-    The noise is drawn from the run's generator ``NOISE_CHUNK`` rows at a
-    time: the block for steps ``k`` to ``k + NOISE_CHUNK - 1`` at step ``k``,
-    before that step's sample tokens.
+    Each source of randomness has its own generator. The noise comes from
+    ``default_rng(config.seed)``; a sampled problem's objective tokens and
+    constraint tokens come from the two generators of
+    ``SeedSequence(config.seed).spawn(2)``, in that order. Each source is
+    drawn in blocks of ``NOISE_CHUNK`` steps, the block for steps ``k`` to
+    ``k + NOISE_CHUNK - 1`` at step ``k`` (see ``_Driver.draw_tokens``).
     """
     record_every = _check_integer("record_every", record_every)
     if record_every < 1:
@@ -377,18 +397,18 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         driver = _Driver(prob, config)
         rng = np.random.default_rng(config.seed)
-        state = driver.initial_state(x0, rng)
+        obj_gen, con_gen = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+        state = driver.initial_state(x0, con_gen)
         records = [driver.metrics(state, kkt_probe)]
         reason = None
-        noise = None
         for k in range(config.max_iters):
-            if driver.use_noise:
-                row = k % NOISE_CHUNK
-                if row == 0:
-                    rows = min(NOISE_CHUNK, config.max_iters - k)
-                    block = config.noise.draw(rng, (rows, driver.n))
-                noise = block[row]
-            state_next, reason = driver.step(state, rng, noise)
+            row = k % NOISE_CHUNK
+            if row == 0:
+                rows = min(NOISE_CHUNK, config.max_iters - k)
+                tokens = driver.draw_tokens(obj_gen, con_gen, rows)
+                noise = (config.noise.draw(rng, (rows, driver.n)) if driver.use_noise
+                         else [None] * rows)
+            state_next, reason = driver.step(state, tokens[row], noise[row])
             if reason is not None:
                 break
             state = state_next

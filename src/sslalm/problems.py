@@ -186,14 +186,14 @@ def make_stochastic_affine(
     mean, x_star, f_star, data = _affine_l1_mean(n, p, seed, 1.0 + a_obj)
     A, b, anchor = data["A"], data["b"], data["anchor"]
 
-    def draw_obj(gen):
-        return gen.uniform(1.0 - a_obj, 1.0 + a_obj, n)
+    def draw_obj(gen, size):
+        return gen.uniform(1.0 - a_obj, 1.0 + a_obj, (size, n))
 
-    def draw_con(gen):
-        # one call fills dB row by row and then dd: the same stream as a
-        # (p, n) draw followed by a p draw
-        z = gen.uniform(-noise_scale, noise_scale, p * n + p)
-        return A + z[: p * n].reshape(p, n), b + z[p * n :]
+    def draw_con(gen, size):
+        # one call fills each token's dB row by row and then its dd, token
+        # after token: the same stream as a (p, n) and a p draw per token
+        z = gen.uniform(-noise_scale, noise_scale, (size, p * n + p))
+        return list(zip(A + z[:, : p * n].reshape(size, p, n), b + z[:, p * n :]))
 
     inst = StochasticProblemInstance(
         mean=mean,
@@ -346,8 +346,8 @@ def make_slack_l1_net(
 
     inst = StochasticProblemInstance(
         mean=mean,
-        draw_objective_sample=lambda gen: gen.integers(0, n_train, batch_size),
-        draw_constraint_sample=lambda gen: None,
+        draw_objective_sample=lambda gen, size: gen.integers(0, n_train, (size, batch_size)),
+        draw_constraint_sample=lambda gen, size: [None] * size,
         objective_sample=lambda x, idx: loss(residual_and_grad(x, *minibatch(idx))[0]),
         objective_subgradient_sample=lambda x, idx: residual_and_grad(x, *minibatch(idx))[1],
         constraint_sample=lambda x, tok: constraint(x),

@@ -1,6 +1,6 @@
 """Test-only helpers: a stateful perturbed-oracle wrapper for stress runs, the
-embedded methods' per-step displacement bound, and a loader for the repo's
-scripts. Nothing in the package calls them."""
+embedded methods' per-step displacement bound, sample tokens as comparable
+bytes, and a loader for the repo's scripts. Nothing in the package calls them."""
 from __future__ import annotations
 
 import importlib.util
@@ -84,3 +84,14 @@ def method_displacement_bound(
 def state_distance(x_a, y_a, x_b, y_b) -> float:
     """Euclidean distance between the method states ``(x_a, y_a)`` and ``(x_b, y_b)``."""
     return float(np.hypot(np.linalg.norm(x_a - x_b), np.linalg.norm(y_a - y_b)))
+
+
+def token_bytes(tok):
+    """A sample token as comparable bytes: None, or the shape, dtype and bytes
+    of each array it holds."""
+    if tok is None:
+        return None
+    if isinstance(tok, tuple):
+        return tuple(token_bytes(part) for part in tok)
+    tok = np.asarray(tok)
+    return tok.shape, tok.dtype.str, tok.tobytes()

@@ -42,26 +42,30 @@ UPDATES = {"prox_sgd": (0, prox_sgd), "prox_sgdm": (1, prox_sgdm), "prox_adam": 
 
 def reference_run(prob, cfg, x0, updates=UPDATES):
     """``(x, lam, w, max_contraction_slack, max_dual_excess)`` after
-    ``cfg.max_iters`` steps from ``x0``, on a generator seeded with ``cfg.seed``;
-    ``updates`` holds the method's update under its kind."""
+    ``cfg.max_iters`` steps from ``x0``; ``updates`` holds the method's update
+    under its kind. The noise comes from a generator seeded with ``cfg.seed``,
+    the objective and the constraint tokens from the two generators spawned
+    from ``cfg.seed``, one token per draw."""
     mean = getattr(prob, "mean", prob)
     if mean is prob:  # exact oracles: the tokens are None and draw nothing
-        draw_f = draw_c = lambda rng: None  # noqa: E731
+        draw_f = draw_c = lambda gen: None  # noqa: E731
         subgrad = lambda x, tok: prob.objective_subgradient(x)  # noqa: E731
         jac = lambda x, tok: prob.constraint_jacobian(x)  # noqa: E731
         con = lambda x, tok: prob.constraint(x)  # noqa: E731
     else:
-        draw_f, draw_c = prob.draw_objective_sample, prob.draw_constraint_sample
+        draw_f = lambda gen: prob.draw_objective_sample(gen, 1)[0]  # noqa: E731
+        draw_c = lambda gen: prob.draw_constraint_sample(gen, 1)[0]  # noqa: E731
         subgrad, jac = prob.objective_subgradient_sample, prob.constraint_jacobian_sample
         con = prob.constraint_sample
     vec = lambda v: np.asarray(v, dtype=np.float64)  # noqa: E731
     mc, fset, n, exact = cfg.method, mean.feasible_set, mean.dim_primal, cfg.tracker == "exact"
     rng = np.random.default_rng(cfg.seed)
+    gen_f, gen_c = (np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(2))
     x = fset.project(vec(x0))
     blocks, update = updates[mc.kind]
     y = np.zeros(blocks * n)
     lam = np.zeros(mean.dim_constraint)
-    w = vec(mean.constraint(x) if exact else con(x, draw_c(rng)))
+    w = vec(mean.constraint(x) if exact else con(x, draw_c(gen_c)))
     noisy = cfg.noise.kind != "none" and cfg.noise.bound > 0.0
     slack = excess = -math.inf
     burned_in = False
@@ -69,9 +73,9 @@ def reference_run(prob, cfg, x0, updates=UPDATES):
         if noisy and k % NOISE_ROWS == 0:
             block = cfg.noise.draw(rng, (min(NOISE_ROWS, cfg.max_iters - k), n))
         eta = stepsize(cfg.eta, k)
-        d = vec(subgrad(x, draw_f(rng)))
-        tok = None if exact else draw_c(rng)  # one token for both tracker samples
-        g = d + vec(jac(x, draw_c(rng))) @ (lam + cfg.rho * w)
+        d = vec(subgrad(x, draw_f(gen_f)))
+        tok = None if exact else draw_c(gen_c)  # one token for both tracker samples
+        g = d + vec(jac(x, draw_c(gen_c))) @ (lam + cfg.rho * w)
         if noisy:
             g = g + block[k % NOISE_ROWS]
         x_next, y = update(fset, x, y, g, eta, mc)

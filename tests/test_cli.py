@@ -300,6 +300,20 @@ class TestCmdCompare:
         with pytest.raises(ConfigError, match="same problem"):
             cmd_compare([cfg_a, config_from_dict(bad)], quiet=True)
 
+    def test_differing_output_paths_exit_2_and_write_nothing(self, tmp_path, capsys, monkeypatch):
+        # compare.csv goes to one directory, so a second output_path would have no effect
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        table = json.loads(minimal_config(tmp_path).read_text())
+        paths = []
+        for name in ("x", "y"):
+            table["output_path"] = str(tmp_path / name)
+            paths += ["--config", str(write_config(tmp_path / f"{name}.json", table))]
+        assert main(["compare", *paths, "--quiet"]) == 2
+        assert "compare: configs must share one output_path" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
     def test_empty_compare_rejected(self):
         with pytest.raises(ConfigError, match="at least one config"):
             cmd_compare([], quiet=True)

@@ -116,7 +116,7 @@ class TestConstraints:
         x = rng.uniform(-1, 1, 4)
         target = eval_constraints(sprob.mean, x)
         draws = np.array(
-            [sprob.constraint_sample(x, sprob.draw_constraint_sample(rng)) for _ in range(10000)]
+            [sprob.constraint_sample(x, tok) for tok in sprob.draw_constraint_sample(rng, 10000)]
         )
         err = np.abs(draws.mean(axis=0) - target)
         tol = 3.0 * draws.std(axis=0) / np.sqrt(10000)
@@ -129,8 +129,8 @@ class TestSampleConstraintPair:
         sprob = as_stochastic(prob)
         rng = np.random.default_rng(0)
         x = np.array([0.5, 0.2])
-        tok_f = sprob.draw_objective_sample(rng)
-        tok_c = sprob.draw_constraint_sample(rng)
+        tok_f = sprob.draw_objective_sample(rng, 1)[0]
+        tok_c = sprob.draw_constraint_sample(rng, 1)[0]
         assert sprob.objective_sample(x, tok_f) == prob.objective(x)
         d = sprob.objective_subgradient_sample(x, tok_f)
         assert np.array_equal(d, prob.objective_subgradient(x))
@@ -146,7 +146,7 @@ class TestSampleConstraintPair:
         x2 = x + np.array([0.05, 0.0, -0.1, 0.2])
         rng = np.random.default_rng(2)
         for _ in range(20):
-            tok = sprob.draw_constraint_sample(rng)
+            tok = sprob.draw_constraint_sample(rng, 1)[0]
             lhs = sprob.constraint_sample(x2, tok) - sprob.constraint_sample(x, tok)
             B = tok[0]
             assert lhs == pytest.approx(B @ (x2 - x), abs=1e-12)

@@ -395,11 +395,11 @@ def _record_chain(recipe_name, method, steps=25):
         seed=5,
     )
     driver = _Driver(rec.instance, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    state = driver.initial_state(rec.start, rng)
+    obj_gen, con_gen = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
+    state = driver.initial_state(rec.start, con_gen)
     out = []
-    for _ in range(steps):
-        state, err = driver.step(state, rng, None)
+    for tokens in driver.draw_tokens(obj_gen, con_gen, steps):
+        state, err = driver.step(state, tokens, None)
         assert err is None
         out.append((state, driver.metrics(state, kkt_probe=1e-3)))
     return driver.mean, cfg, out

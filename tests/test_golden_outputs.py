@@ -7,9 +7,11 @@ different ``record_every`` through ``compare`` (blank cells), and one config
 is swept over ``solver.rho`` and over ``solver.dual.kind``. The repetitions
 case, the ``record_every`` comparison and the ``solver.rho`` sweep also run
 with ``--seed``, and a sweep over ``solver.seed`` shows that a swept seed wins.
+The sampled tracker config is swept over ``solver.rho`` too, with ``--seed``.
 The wall-clock column of ``summary.csv`` is dropped before hashing; every
 other byte must stay the same across refactors. When an output change is
-intended, regenerate the hashes and say why in CHANGES.md:
+intended, regenerate the hashes and say why in CHANGES.md; the regeneration
+prints which cases it added, removed and changed:
 
     PYTHONPATH=src python tests/test_golden_outputs.py --regenerate
 """
@@ -98,6 +100,11 @@ def _cases():
         command, tables, extra = cases[name]
         cases[f"{name}/seed"] = (command, tables, extra + seed)
     cases["sweep/seed"] = ("sweep", [affine], ["--param", "solver.seed", "--values", "0,1,2"] + seed)
+    # many sampled chains of one problem under the correction tracker
+    cases["sweep/tracker_correction/rho"] = (
+        "sweep", [_capped(_load("tracker_correction.json"))],
+        ["--param", "solver.rho", "--values", "0.05,0.1,0.4"] + seed,
+    )
     return cases
 
 
@@ -141,12 +148,19 @@ def test_outputs_match_golden_hashes(name, tmp_path):
 
 
 def regenerate():
+    old = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else {}
     cases = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             cases[name] = run_case(name, Path(tmp))
     GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=2) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}")
+    for label, names in (
+        ("added", cases.keys() - old.keys()),
+        ("removed", old.keys() - cases.keys()),
+        ("changed", {name for name in cases.keys() & old.keys() if cases[name] != old[name]}),
+    ):
+        print(f"{label} ({len(names)}): {', '.join(sorted(names)) or '-'}")
 
 
 if __name__ == "__main__":

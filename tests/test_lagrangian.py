@@ -38,7 +38,10 @@ from sslalm.problems import (
     make_slack_l1_net,
     make_stochastic_affine,
 )
-from helpers import method_displacement_bound, perturbed_instance, state_distance
+from helpers import method_displacement_bound, perturbed_instance, state_distance, token_bytes
+
+# a deterministic problem's step tokens: (objective, tracker pair, Jacobian)
+NO_TOKENS = (None, None, None)
 
 
 def scalar_problem(objective=None, subgrad=None, fset=None):
@@ -190,7 +193,7 @@ class TestTrackers:
                                 w=np.array([0.37]))
         for _ in range(10):
             x_prev = state.x
-            state, err = driver.step(state, rng, cfg.noise.draw(rng, 1))
+            state, err = driver.step(state, NO_TOKENS, cfg.noise.draw(rng, 1))
             assert err is None
             assert not np.array_equal(state.x, x_prev)
             assert np.array_equal(state.w, prob.constraint(state.x))
@@ -243,7 +246,7 @@ class TestDriverStep:
             w=np.array([1.0]),
         )
         driver = _Driver(prob, cfg)
-        nxt, err = driver.step(state, np.random.default_rng(0), None)
+        nxt, err = driver.step(state, NO_TOKENS, None)
         rec = driver.metrics(nxt, 1e-3)
         assert err is None
         assert nxt.x == pytest.approx([0.95])
@@ -277,7 +280,7 @@ class TestDriverStep:
             lam=np.array([5.0]),
             w=np.array([0.1]),
         )
-        nxt, err = _Driver(prob, cfg).step(state, np.random.default_rng(0), None)
+        nxt, err = _Driver(prob, cfg).step(state, NO_TOKENS, None)
         assert err is None
         # x+ = 0.1 - 0.1*5 = -0.4, regu(w+) = -1: lam+ = 5 + 0.5*(-1 - 5) = 2
         # consuming the stale w would have given 5 + 0.5*(1 - 5) = 3
@@ -515,6 +518,17 @@ class TestRun:
         with pytest.raises(error, match=message):
             run(prob, cfg, kkt_probe=None)
 
+    @pytest.mark.parametrize("oracle", ["draw_objective_sample", "draw_constraint_sample"])
+    def test_draw_of_the_wrong_token_count_raises(self, oracle):
+        # a draw that ignores its count would hand one token's numbers out
+        # as the tokens of several steps
+        inst = make_stochastic_affine(n=3, p=2, noise_scale=0.1, seed=1).instance
+        prob = replace(inst, **{oracle: lambda gen, size, f=getattr(inst, oracle): f(gen, 1)})
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01,
+                           tracker="correction", max_iters=5)
+        with pytest.raises(OracleError, match="sample draws returned"):
+            run(prob, cfg, kkt_probe=None)
+
     def test_overflowing_ialm_multiplier_leaves_regu_bookkeeping_unset(self):
         # huge ialm steps overflow lam on the second dual update (c(x) = x
         # keeps its sign on [0.5, 1]); the run aborts on that step and the
@@ -699,6 +713,53 @@ class TestExpectationConstrained:
         tail = np.mean(errs[-len(errs) // 10 :])
         assert tail < head
         assert tail <= 0.1
+
+    @staticmethod
+    def _consumed_tokens(prob, **changes):
+        """The objective tokens and the constraint tokens, as bytes in the order
+        the oracles read them, of a sampled run past one token block."""
+        read = {"objective": [], "constraint": []}
+
+        def reading(source, oracle):
+            def wrapped(x, tok):
+                read[source].append(token_bytes(tok))
+                return oracle(x, tok)
+            return wrapped
+
+        prob = replace(
+            prob,
+            objective_subgradient_sample=reading("objective", prob.objective_subgradient_sample),
+            constraint_sample=reading("constraint", prob.constraint_sample),
+            constraint_jacobian_sample=reading("constraint", prob.constraint_jacobian_sample),
+        )
+        settings = dict(method=MethodConfig(kind="prox_sgd"), rho=0.1, beta=1.0,
+                        eta=StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=50),
+                        tracker="correction", max_iters=lagrangian.NOISE_CHUNK + 40, seed=3)
+        cfg = SolverConfig(**{**settings, **changes})
+        res = run(prob, cfg, record_every=cfg.max_iters, kkt_probe=None)
+        assert not res.aborted and len(read["objective"]) == cfg.max_iters
+        return read
+
+    @pytest.mark.parametrize("kind", ["stochastic_affine", "slack_l1_net"])
+    def test_objective_tokens_independent_of_tracker_and_noise(self, kind):
+        # each source has its own stream: which constraint tokens and which noise
+        # a run draws does not shift its objective tokens
+        params = {"slack_l1_net": dict(layer_widths=(2, 3, 2), n_train=16, n_test=8,
+                                       batch_size=4)}.get(kind, {})
+        prob = make_recipe(kind, **params).instance
+        runs = [self._consumed_tokens(prob, tracker=tracker, noise=noise)
+                for tracker in ("exact", "correction")
+                for noise in (NoiseModel(), NoiseModel("uniform_box", 0.1))]
+        assert all(r["objective"] == runs[0]["objective"] for r in runs[1:])
+
+    def test_constraint_tokens_independent_of_noise(self):
+        prob = make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=1).instance
+        quiet = self._consumed_tokens(prob)
+        noisy = self._consumed_tokens(prob, noise=NoiseModel("uniform_box", 0.1))
+        # C(x0) on the first token, then per step the tracker pair's token
+        # twice and the Jacobian's
+        assert len(quiet["constraint"]) == 1 + 3 * (lagrangian.NOISE_CHUNK + 40)
+        assert noisy["constraint"] == quiet["constraint"]
 
     def test_stochastic_run_deterministic_under_seed(self):
         rec = make_stochastic_affine(n=3, p=1, noise_scale=0.3, seed=2)
@@ -902,7 +963,7 @@ class TestSolverConfigValidation:
             lam=np.array([0.0]),
             w=np.array([1.0]),
         )
-        nxt, err = _Driver(prob, cfg).step(state, np.random.default_rng(0), None)
+        nxt, err = _Driver(prob, cfg).step(state, NO_TOKENS, None)
         assert err is None
         assert np.array_equal(nxt.lam, state.lam)  # k=1 not a multiple of 3
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
 
-from sslalm.core import eval_constraints, eval_objective
+from sslalm.core import as_stochastic, eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
 from sslalm.geometry import MEMBERSHIP_TOL, Box, NonnegativeOrthant
 from sslalm.problems import (
@@ -14,6 +14,7 @@ from sslalm.problems import (
     make_slack_l1_net,
     make_stochastic_affine,
 )
+from helpers import token_bytes
 
 
 def lp_reference(A, b, anchor, lower, upper):
@@ -321,8 +322,8 @@ class TestSlackL1NetRecipe:
     def test_minibatch_sampling_deterministic(self):
         rec = make_slack_l1_net(n_train=64, n_test=8, batch_size=16)
         sp = rec.instance
-        idx1 = sp.draw_objective_sample(np.random.default_rng(5))
-        idx2 = sp.draw_objective_sample(np.random.default_rng(5))
+        idx1 = sp.draw_objective_sample(np.random.default_rng(5), 1)[0]
+        idx2 = sp.draw_objective_sample(np.random.default_rng(5), 1)[0]
         assert np.array_equal(idx1, idx2)
         x = rec.start
         assert sp.objective_sample(x, idx1) == sp.objective_sample(x, idx2)
@@ -355,11 +356,11 @@ class TestStochasticAffineRecipe:
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, 4)
         for _ in range(10):
-            tok = sp.draw_constraint_sample(rng)
+            tok = sp.draw_constraint_sample(rng, 1)[0]
             assert sp.constraint_sample(x, tok) == pytest.approx(
                 eval_constraints(sp.mean, x), abs=1e-15
             )
-            u = sp.draw_objective_sample(rng)
+            u = sp.draw_objective_sample(rng, 1)[0]
             assert sp.objective_sample(x, u) == pytest.approx(sp.mean.objective(x), abs=1e-15)
 
     def test_subgradient_sample_unbiased(self):
@@ -368,7 +369,7 @@ class TestStochasticAffineRecipe:
         rng = np.random.default_rng(1)
         x = np.array([0.4, -0.3, 0.2])
         draws = np.array(
-            [sp.objective_subgradient_sample(x, sp.draw_objective_sample(rng)) for _ in range(20000)]
+            [sp.objective_subgradient_sample(x, u) for u in sp.draw_objective_sample(rng, 20000)]
         )
         assert draws.mean(axis=0) == pytest.approx(sp.mean.objective_subgradient(x), abs=0.02)
 
@@ -379,7 +380,7 @@ class TestStochasticAffineRecipe:
         sp, A, b = rec.instance, rec.metadata["A"], rec.metadata["b"]
         one, two = np.random.default_rng(21), np.random.default_rng(21)
         for _ in range(50):
-            B, d = sp.draw_constraint_sample(one)
+            B, d = sp.draw_constraint_sample(one, 1)[0]
             ref_dB = two.uniform(-noise_scale, noise_scale, (p, n))
             ref_dd = two.uniform(-noise_scale, noise_scale, p)
             assert B.shape == (p, n) and d.shape == (p,)
@@ -393,7 +394,7 @@ class TestStochasticAffineRecipe:
         rec = make_stochastic_affine(n=5, p=2, noise_scale=0.5, seed=4)
         sp, A, b = rec.instance, rec.metadata["A"], rec.metadata["b"]
         rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
-        toks = [sp.draw_constraint_sample(rng) for _ in range(3)]
+        toks = [sp.draw_constraint_sample(rng, 1)[0] for _ in range(3)]
         perturbations = [(ref_rng.uniform(-0.5, 0.5, (2, 5)), ref_rng.uniform(-0.5, 0.5, 2))
                          for _ in range(3)]
         xs = [rng.uniform(-1, 1, 5) for _ in range(3)]
@@ -408,6 +409,45 @@ class TestStochasticAffineRecipe:
         rng = np.random.default_rng(2)
         pts = [rng.uniform(-0.9, 0.9, 4) for _ in range(200)]
         assert estimate_regularity(rec.instance.mean, pts) >= 0.99
+
+
+BLOCK_DRAW_CASES = {
+    "stochastic_affine/5-2-0.5": lambda: make_stochastic_affine(n=5, p=2, noise_scale=0.5),
+    "stochastic_affine/8-3-0.1": lambda: make_stochastic_affine(n=8, p=3, noise_scale=0.1, seed=2),
+    "stochastic_affine/4-2-0": lambda: make_stochastic_affine(n=4, p=2, noise_scale=0.0, seed=7),
+    # index ranges that are not a power of two make numpy reject some samples
+    "slack_l1_net/256-128": lambda: make_slack_l1_net(n_train=256, n_test=8, batch_size=128),
+    "slack_l1_net/100-7": lambda: make_slack_l1_net(n_train=100, n_test=8, batch_size=7),
+    "slack_l1_net/16-8": lambda: make_slack_l1_net(n_train=16, n_test=8, batch_size=8),
+}
+# block sizes drawn one after the other, so that blocks also start mid-stream
+BLOCK_SIZES = (1, 3, 7, 256)
+
+
+class TestBlockDraws:
+    """``draw_*(gen, K)``: the tokens of K successive ``draw_*(gen, 1)[0]``,
+    bit for bit, with the generator left in the same state."""
+
+    @pytest.mark.parametrize("oracle", ["draw_objective_sample", "draw_constraint_sample"])
+    @pytest.mark.parametrize("case", list(BLOCK_DRAW_CASES))
+    def test_block_equals_one_token_draws_bitwise(self, case, oracle):
+        draw = getattr(BLOCK_DRAW_CASES[case]().instance, oracle)
+        block_gen, token_gen = np.random.default_rng(31), np.random.default_rng(31)
+        for size in BLOCK_SIZES:
+            block = draw(block_gen, size)
+            tokens = [draw(token_gen, 1)[0] for _ in range(size)]
+            assert len(block) == size
+            assert [token_bytes(t) for t in block] == [token_bytes(t) for t in tokens]
+            assert block_gen.bit_generator.state == token_gen.bit_generator.state
+
+    @pytest.mark.parametrize("oracle", ["draw_objective_sample", "draw_constraint_sample"])
+    def test_exact_problem_draws_leave_the_generator_untouched(self, oracle):
+        draw = getattr(as_stochastic(make_affine_l1(n=4, p=2).instance), oracle)
+        gen = np.random.default_rng(31)
+        state = gen.bit_generator.state
+        for size in BLOCK_SIZES:
+            assert list(draw(gen, size)) == [None] * size
+        assert gen.bit_generator.state == state
 
 
 class TestExactness1d:
@@ -452,10 +492,10 @@ def test_stochastic_affine_samples_uniformly_bounded_on_box():
     f_bound = 1.5 * (np.abs(np.full(4, 1.0)) + np.abs(rec.metadata["anchor"])).sum()
     for _ in range(1000):
         x = rng.uniform(-1, 1, 4)
-        tok = sp.draw_constraint_sample(rng)
+        tok = sp.draw_constraint_sample(rng, 1)[0]
         assert np.linalg.norm(sp.constraint_sample(x, tok)) <= c_bound
         assert np.all(np.abs(sp.constraint_jacobian_sample(x, tok)) <= np.abs(A.T) + 0.5)
-        u = sp.draw_objective_sample(rng)
+        u = sp.draw_objective_sample(rng, 1)[0]
         assert abs(sp.objective_sample(x, u)) <= f_bound
         assert np.max(np.abs(sp.objective_subgradient_sample(x, u))) <= 1.5
 
