@@ -6,6 +6,7 @@ constraint regularity constant.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,19 @@ class MetricsRecord:
     lyapunov: float | None = None
 
     def to_json_line(self) -> str:
-        # the fields are plain numbers, so no deep copy is needed
-        return json.dumps(vars(self))
+        # the fields are plain numbers, so no deep copy is needed; strict JSON
+        # has no NaN, so a KKT probe that did not run is written null
+        fields = vars(self)
+        if math.isnan(self.kkt_residual):
+            fields = {**fields, "kkt_residual": None}
+        return json.dumps(fields)
 
     @staticmethod
     def from_json_line(line: str) -> "MetricsRecord":
-        return MetricsRecord(**json.loads(line))
+        rec = MetricsRecord(**json.loads(line))
+        if rec.kkt_residual is None:
+            rec.kkt_residual = float("nan")
+        return rec
 
 
 def _quad(rho: float, feas: float) -> float:

@@ -382,7 +382,8 @@ def run(
     Each source of randomness has its own generator. The noise comes from
     ``default_rng(config.seed)``; a sampled problem's objective tokens and
     constraint tokens come from the two generators of
-    ``SeedSequence(config.seed).spawn(2)``, in that order. Each source is
+    ``SeedSequence(config.seed).spawn(2)``, in that order (a deterministic
+    problem, whose draws take nothing, spawns neither). Each source is
     drawn in blocks of ``NOISE_CHUNK`` steps, the block for steps ``k`` to
     ``k + NOISE_CHUNK - 1`` at step ``k`` (see ``_Driver.draw_tokens``).
     """
@@ -397,7 +398,11 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         driver = _Driver(prob, config)
         rng = np.random.default_rng(config.seed)
-        obj_gen, con_gen = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
+        # a wrapped deterministic problem draws nothing from its token generators
+        obj_gen = con_gen = None
+        if driver.prob is prob:
+            obj_gen, con_gen = map(np.random.default_rng,
+                                   np.random.SeedSequence(config.seed).spawn(2))
         state = driver.initial_state(x0, con_gen)
         records = [driver.metrics(state, kkt_probe)]
         reason = None

@@ -14,6 +14,7 @@ Four families:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,15 +40,29 @@ class ProblemRecipe:
     metadata: dict = field(default_factory=dict)
 
 
+ORACLE_CHUNK = 4096  # candidate points l1_affine_oracle holds at a time
+
+
+def _grid(cands):
+    """The product of the value lists ``cands`` in meshgrid ``ij`` order, one
+    point per column: shape ``(len(cands), product of their lengths)``."""
+    return np.array(np.meshgrid(*cands, indexing="ij")).reshape(
+        len(cands), math.prod(map(len, cands))
+    )
+
+
 def l1_affine_oracle(A, b, anchor, lower, upper):
     """Minimize ``||x - anchor||_1`` over ``{Ax = b, lower <= x <= upper}``.
 
     Brute force, capped at n <= 12: every minimizer of a piecewise-linear
     convex function over a polytope is attained where the p equality rows
     plus n - p coordinate fixings (a bound or the kink value ``anchor_i``)
-    are active, so all such candidate points are enumerated. Returns
-    ``(x_star, f_star)``. Intended purely as an acceptance oracle; shares no
-    code with the solver.
+    are active, so all such candidate points are enumerated. For each set of
+    p free coordinates the grid of fixings (lower, upper, then ``anchor_i``
+    when strictly inside, in meshgrid ``ij`` order) is walked in blocks of at
+    most ``ORACLE_CHUNK`` points; the first minimizer in that order is kept.
+    Returns ``(x_star, f_star)``. Intended purely as an acceptance oracle;
+    shares no code with the solver.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -59,37 +74,51 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
         raise ValueError("brute-force oracle is capped at n <= 12")
     best_f = np.inf
     best_x = None
-    lo, hi = lower[:, None] - MEMBERSHIP_TOL, upper[:, None] + MEMBERSHIP_TOL
     for free in itertools.combinations(range(n), p):
+        free = list(free)
         fixed = [i for i in range(n) if i not in free]
         A_free = A[:, free]
         if np.linalg.cond(A_free) > 1e10:
             continue
-        if fixed:
-            cands = []
-            for i in fixed:
-                vals = [lower[i], upper[i]]
-                if lower[i] < anchor[i] < upper[i]:
-                    vals.append(anchor[i])
-                cands.append(vals)
-            grids = np.meshgrid(*cands, indexing="ij")
-            V = np.stack([g.ravel() for g in grids])  # (n-p, M)
-            rhs = b[:, None] - A[:, fixed] @ V
-            X_free = np.linalg.solve(A_free, rhs)  # (p, M)
-            X = np.empty((n, V.shape[1]))
-            X[fixed, :] = V
-            X[list(free), :] = X_free
-        else:
-            X = np.linalg.solve(A_free, b).reshape(n, 1)
-        ok = np.all((X >= lo) & (X <= hi), axis=0)
-        if not ok.any():
-            continue
-        fvals = np.abs(X - anchor[:, None]).sum(axis=0)
-        fvals[~ok] = np.inf
-        j = int(np.argmin(fvals))
-        if fvals[j] < best_f:
-            best_f = float(fvals[j])
-            best_x = np.clip(X[:, j], lower, upper)
+        A_fixed = A[:, fixed]
+        # a fixed coordinate sits on a bound or strictly inside the box, so only
+        # the free rows can leave it
+        lo, hi = lower[free][:, None] - MEMBERSHIP_TOL, upper[free][:, None] + MEMBERSHIP_TOL
+        cands = [
+            [lower[i], upper[i]] + ([anchor[i]] if lower[i] < anchor[i] < upper[i] else [])
+            for i in fixed
+        ]
+        # the grid is an outer grid of the leading fixings times an inner grid of
+        # the trailing ones, as many as fit in ORACLE_CHUNK points; both built once
+        split = next(s for s in range(len(fixed) + 1)
+                     if math.prod(map(len, cands[s:])) <= ORACLE_CHUNK)
+        outer, inner = _grid(cands[:split]), _grid(cands[split:])
+        size = inner.shape[1]
+        total = outer.shape[1] * size
+        for start in range(0, total, ORACLE_CHUNK):
+            stop = min(start + ORACLE_CHUNK, total)
+            V = np.empty((len(fixed), stop - start))  # (n-p, m)
+            for o in range(start // size, (stop - 1) // size + 1):
+                # the block's points that share outer point o
+                i0, i1 = max(start, o * size), min(stop, (o + 1) * size)
+                V[:split, i0 - start : i1 - start] = outer[:, o : o + 1]
+                V[split:, i0 - start : i1 - start] = inner[:, i0 - o * size : i1 - o * size]
+            X_free = np.linalg.solve(A_free, b[:, None] - A_fixed @ V)  # (p, m)
+            cols = np.flatnonzero(np.all((X_free >= lo) & (X_free <= hi), axis=0))
+            if cols.size == 0:
+                continue
+            if cols.size == 1 and total > 1:
+                # numpy sums a one-column array pairwise but a wider one row by
+                # row, as it summed the whole grid: a lone column goes in twice
+                cols = cols.repeat(2)
+            X = np.empty((n, cols.size))
+            X[fixed] = V[:, cols]
+            X[free] = X_free[:, cols]
+            fvals = np.abs(X - anchor[:, None]).sum(axis=0)
+            j = int(np.argmin(fvals))
+            if fvals[j] < best_f:
+                best_f = float(fvals[j])
+                best_x = np.clip(X[:, j], lower, upper)
     if best_x is None:
         raise ValueError("constraint system admits no feasible candidate point")
     return best_x, best_f
@@ -262,17 +291,18 @@ def make_slack_l1_net(
     train_t = np.eye(widths[-1])[train_y]
     test_t = np.eye(widths[-1])[test_y]
 
-    def unpack(x):
-        return [
-            x[offsets[i] : offsets[i + 1]].reshape(shapes[i]) for i in range(L)
-        ]
+    layer_slices = [slice(offsets[i], offsets[i + 1]) for i in range(L)]
 
+    def unpack(x):
+        return [x[s].reshape(shape) for s, shape in zip(layer_slices, shapes)]
+
+    # ndarray.dot gives matmul's bits for these 2-D products, at less call cost
     def forward(weights, inputs):
         pre = []
         acts = [inputs]
         a = inputs
         for i in range(L):
-            z = a @ weights[i]
+            z = a.dot(weights[i])
             pre.append(z)
             a = np.maximum(z, 0.0) if i < L - 1 else z
             acts.append(a)
@@ -288,9 +318,9 @@ def make_slack_l1_net(
         delta = np.sign(resid) / inputs.shape[0]
         grad = np.zeros(n)
         for i in range(L - 1, -1, -1):
-            grad[offsets[i] : offsets[i + 1]] = (acts[i].T @ delta).ravel()
+            grad[layer_slices[i]] = acts[i].T.dot(delta).ravel()
             if i > 0:
-                delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
+                delta = delta.dot(weights[i].T) * (pre[i - 1] > 0.0)
         return resid, grad
 
     def loss(resid):
@@ -299,8 +329,6 @@ def make_slack_l1_net(
     def minibatch(idx):
         # take() gathers the same rows as fancy indexing, at less call cost
         return train_x.take(idx, axis=0), train_t.take(idx, axis=0)
-
-    layer_slices = [slice(offsets[i], offsets[i + 1]) for i in range(L)]
 
     def layer_norms(x):
         w = np.abs(x[:n_w])

@@ -1,8 +1,11 @@
 """The single-loop iteration restated from the docstrings of
-``sslalm.lagrangian`` and ``sslalm.methods``, for bitwise checks of ``run()``.
+``sslalm.lagrangian`` and ``sslalm.methods``, for bitwise checks of ``run()``,
+and the brute-force affine oracle in its whole-grid form, for bitwise checks
+of ``problems.l1_affine_oracle``.
 
-It calls only the problem's oracles, ``FeasibleSet.project`` and
+The iteration calls only the problem's oracles, ``FeasibleSet.project`` and
 ``prox_weighted``, and ``NoiseModel.draw``; no helper of the solver."""
+import itertools
 import math
 
 import numpy as np
@@ -99,3 +102,41 @@ def reference_run(prob, cfg, x0, updates=UPDATES):
             lam = lam + min(cfg.theta_tilde / np.linalg.norm(w), cap) * w
     unset = lambda v: math.nan if v == -math.inf else float(v)  # noqa: E731
     return x, lam, w, unset(slack), unset(excess)
+
+
+def meshgrid_l1_affine_oracle(A, b, anchor, lower, upper, tol=1e-9):
+    """``l1_affine_oracle`` holding each free set's whole candidate grid at
+    once: ``(x_star, f_star)``, the first minimizer in meshgrid ``ij`` order
+    of the fixings (lower, upper, then ``anchor_i`` when strictly inside)."""
+    p, n = A.shape
+    best_f, best_x = np.inf, None
+    lo, hi = lower[:, None] - tol, upper[:, None] + tol
+    for free in itertools.combinations(range(n), p):
+        fixed = [i for i in range(n) if i not in free]
+        A_free = A[:, free]
+        if np.linalg.cond(A_free) > 1e10:
+            continue
+        if fixed:
+            cands = []
+            for i in fixed:
+                vals = [lower[i], upper[i]]
+                if lower[i] < anchor[i] < upper[i]:
+                    vals.append(anchor[i])
+                cands.append(vals)
+            grids = np.meshgrid(*cands, indexing="ij")
+            V = np.stack([g.ravel() for g in grids])  # (n-p, M)
+            X_free = np.linalg.solve(A_free, b[:, None] - A[:, fixed] @ V)
+            X = np.empty((n, V.shape[1]))
+            X[fixed, :] = V
+            X[list(free), :] = X_free
+        else:
+            X = np.linalg.solve(A_free, b).reshape(n, 1)
+        ok = np.all((X >= lo) & (X <= hi), axis=0)
+        if not ok.any():
+            continue
+        fvals = np.abs(X - anchor[:, None]).sum(axis=0)
+        fvals[~ok] = np.inf
+        j = int(np.argmin(fvals))
+        if fvals[j] < best_f:
+            best_f, best_x = float(fvals[j]), np.clip(X[:, j], lower, upper)
+    return best_x, best_f

@@ -119,8 +119,8 @@ def _without_wall_time(data: bytes) -> bytes:
     return "".join(",".join(r[:col] + r[col + 1:]) + "\n" for r in rows).encode()
 
 
-def run_case(name, workdir: Path) -> dict:
-    """Run one case in ``workdir``; return its exit code and per-file hashes."""
+def _run_cli(name, workdir: Path):
+    """Run one case in ``workdir``; return its exit code and output directory."""
     command, tables, extra = CASES[name]
     argv = [command]
     for i, table in enumerate(tables):
@@ -128,7 +128,12 @@ def run_case(name, workdir: Path) -> dict:
         path.write_text(json.dumps(table))
         argv += ["--config", str(path)]
     out = workdir / "out"
-    code = main(argv + extra + ["--out", str(out), "--quiet"])
+    return main(argv + extra + ["--out", str(out), "--quiet"]), out
+
+
+def run_case(name, workdir: Path) -> dict:
+    """Run one case in ``workdir``; return its exit code and per-file hashes."""
+    code, out = _run_cli(name, workdir)
     hashes = {
         f.name: hashlib.sha256(_without_wall_time(f.read_bytes())).hexdigest()
         for f in sorted(out.iterdir())
@@ -145,6 +150,24 @@ def test_outputs_match_golden_hashes(name, tmp_path):
         f"{golden['numpy']}, running numpy {np.__version__}). If the change is "
         f"intended, regenerate with `{REGENERATE}` and say why in CHANGES.md."
     )
+
+
+def _refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
+# the run cases whose config switches the KKT probe off
+PROBE_OFF = sorted(name for name, (command, tables, _) in CASES.items()
+                   if command == "run" and tables[0].get("kkt_probe", 1e-3) is None)
+
+
+@pytest.mark.parametrize("name", PROBE_OFF)
+def test_metrics_lines_are_strict_json(name, tmp_path):
+    code, out = _run_cli(name, tmp_path)
+    assert code == 0
+    lines = (out / "metrics_rep000.jsonl").read_text().splitlines()
+    records = [json.loads(line, parse_constant=_refuse) for line in lines]
+    assert records and all(r["kkt_residual"] is None for r in records)
 
 
 def regenerate():

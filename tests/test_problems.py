@@ -1,3 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog, minimize
@@ -6,6 +13,7 @@ from sslalm.core import as_stochastic, eval_constraints, eval_objective
 from sslalm.diagnostics import estimate_regularity
 from sslalm.geometry import MEMBERSHIP_TOL, Box, NonnegativeOrthant
 from sslalm.problems import (
+    _blob_dataset,
     _certify_multiplier,
     l1_affine_oracle,
     make_affine_l1,
@@ -15,6 +23,8 @@ from sslalm.problems import (
     make_stochastic_affine,
 )
 from helpers import token_bytes
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def lp_reference(A, b, anchor, lower, upper):
@@ -68,6 +78,85 @@ class TestL1AffineOracle:
             l1_affine_oracle(
                 np.ones((1, 13)), np.zeros(1), np.zeros(13), np.full(13, -1.0), np.full(13, 1.0)
             )
+
+    def test_streamed_grid_matches_meshgrid_restatement_bitwise(self):
+        # a fresh interpreter on a single-threaded BLAS: a threaded product
+        # rounds the columns at its thread split in its own way, so the
+        # whole-grid oracle's own bits depend on the thread count
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+                   **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                           "MKL_NUM_THREADS")})
+        out = subprocess.run([sys.executable, "-c", ORACLE_SPREAD], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout.splitlines()[-1])
+        assert got["mismatches"] == []
+        assert got["multi_block"] >= 8 and got["square"] >= 12
+        assert got["solved"] >= got["cases"] - 4, got  # nearly every case has a solution
+
+    def test_transient_memory_is_bounded_by_the_block(self):
+        # 12 free sets of 3^11 candidates each: the whole-grid form held each
+        # grid at once, about 83 MB at its peak
+        rng = np.random.default_rng(0)
+        A = np.linalg.qr(rng.standard_normal((12, 1)))[0].T.copy()
+        b, anchor = A @ rng.uniform(-0.6, 0.6, 12), rng.uniform(-1.0, 1.0, 12)
+        tracemalloc.start()
+        try:
+            l1_affine_oracle(A, b, anchor, np.full(12, -1.0), np.full(12, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+# ``l1_affine_oracle`` against ``reference.meshgrid_l1_affine_oracle`` on three
+# instance families, printing the instances whose (x*, f*) bits differ
+ORACLE_SPREAD = """
+import itertools, json
+import numpy as np
+from reference import meshgrid_l1_affine_oracle
+from sslalm.problems import ORACLE_CHUNK, l1_affine_oracle
+
+def instance(n, p, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":  # many equal objective values: the tie rule decides
+        A = rng.integers(-2, 3, (p, n)).astype(float)
+        anchor = rng.integers(-2, 3, n) / 2.0
+        x = rng.uniform(-0.6, 0.6, n)
+    elif kind == "vertex":  # columns of mixed scale, b through a grid point
+        A = rng.standard_normal((p, n)) * np.exp(rng.uniform(-6.0, 3.0, n))
+        anchor = rng.uniform(-1.0, 1.0, n)
+        x = np.where(rng.random(n) < 0.5, anchor, rng.choice([-1.0, 1.0], n))
+    else:  # the recipe's family: orthonormal rows
+        A = np.linalg.qr(rng.standard_normal((n, p)))[0].T.copy()
+        anchor = rng.uniform(-1.0, 1.0, n)
+        x = rng.uniform(-0.6, 0.6, n)
+    return A, A @ x, anchor, np.full(n, -1.0), np.full(n, 1.0)
+
+kinds = ("orthonormal", "integer", "vertex")
+cases = [*itertools.product([(9, 1)], kinds, range(2)),
+         *itertools.product([(10, 2)], kinds[:2], range(1)),
+         ((12, 1), "orthonormal", 0),
+         *itertools.product([(1, 1), (4, 4), (8, 8), (12, 12), (5, 2), (7, 3)], kinds, range(3)),
+         # its minimizer is the only feasible point of its block
+         ((8, 2), "vertex", 73)]
+mismatches, multi_block, square, solved = [], 0, 0, 0
+for (n, p), kind, seed in cases:
+    args = instance(n, p, kind, seed)
+    x_want, f_want = meshgrid_l1_affine_oracle(*args)
+    try:
+        x_got, f_got = l1_affine_oracle(*args)
+    except ValueError:  # no candidate point: the restatement returns (None, inf)
+        x_got, f_got = None, np.inf
+    if (x_want is None) != (x_got is None) or (
+            x_want is not None and x_want.tobytes() != x_got.tobytes()) or f_want != f_got:
+        mismatches.append([n, p, kind, seed])
+    solved += x_want is not None
+    multi_block += 3 ** (n - p) > ORACLE_CHUNK
+    square += n == p
+print(json.dumps({"mismatches": mismatches, "multi_block": multi_block, "square": square,
+                  "solved": solved, "cases": len(cases)}))
+"""
 
 
 def certificate_resid2(A, x_star, anchor, lower, upper, lam):
@@ -199,7 +288,51 @@ class TestAffineL1Recipe:
             make_affine_l1(n=3, p=3, seed=0)
 
 
+def net_pass_with_matmul(widths, x, inputs, targets):
+    """The forward/backward pass of ``slack_l1_net`` written with ``@``: the
+    mean absolute residual, its gradient in ``x`` (zero on the slacks) and the
+    network's outputs."""
+    L = len(widths) - 1
+    weights, offset = [], 0
+    for rows, cols in zip(widths[:-1], widths[1:]):
+        weights.append(x[offset : offset + rows * cols].reshape(rows, cols))
+        offset += rows * cols
+    pre, acts = [], [inputs]
+    for i, W in enumerate(weights):
+        pre.append(acts[-1] @ W)
+        acts.append(np.maximum(pre[-1], 0.0) if i < L - 1 else pre[-1])
+    resid = acts[-1] - targets
+    delta = np.sign(resid) / inputs.shape[0]
+    grads = [None] * L
+    for i in range(L - 1, -1, -1):
+        grads[i] = (acts[i].T @ delta).ravel()
+        if i > 0:
+            delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
+    return float(np.abs(resid).sum()) / resid.shape[0], np.concatenate(grads + [np.zeros(L)]), acts[-1]
+
+
 class TestSlackL1NetRecipe:
+    @pytest.mark.parametrize("widths", [(2, 8, 2), (2, 3, 4, 2)])
+    def test_pass_matches_matmul_restatement_bitwise(self, widths):
+        rec = make_slack_l1_net(layer_widths=widths, n_train=64, n_test=32, batch_size=16)
+        prob = rec.instance
+        data = np.random.default_rng(rec.params["dataset_seed"])
+        train_x, train_y = _blob_dataset(data, widths[0], 64)
+        test_x, test_y = _blob_dataset(data, widths[0], 32)
+        train_t = np.eye(widths[-1])[train_y]
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = prob.mean.feasible_set.project(rng.uniform(-1.0, 1.0, prob.dim_primal))
+            loss, grad, _ = net_pass_with_matmul(widths, x, train_x, train_t)
+            assert prob.mean.objective(x) == loss
+            assert prob.mean.objective_subgradient(x).tobytes() == grad.tobytes()
+            idx = prob.draw_objective_sample(rng, 1)[0]
+            loss, grad, _ = net_pass_with_matmul(widths, x, train_x[idx], train_t[idx])
+            assert prob.objective_sample(x, idx) == loss
+            assert prob.objective_subgradient_sample(x, idx).tobytes() == grad.tobytes()
+            out = net_pass_with_matmul(widths, x, test_x, np.eye(widths[-1])[test_y])[2]
+            assert rec.metadata["accuracy"](x) == float(np.mean(np.argmax(out, axis=1) == test_y))
+
     def test_feasible_when_slack_absorbs_budget(self):
         rec = make_slack_l1_net(layer_widths=(2, 3, 2), n_train=16, n_test=8, batch_size=8)
         n_w = rec.metadata["n_weights"]
