@@ -44,6 +44,23 @@ def as_vector(x, dim: int | None = None, name: str = "x", finite: bool = True) -
     return v
 
 
+def as_stack(x, dim: int, name: str = "x") -> tuple[Array, bool]:
+    """Validate ``x``, one vector or a stack of vectors along a leading axis, as a
+    finite float64 ``(m, dim)`` array, and say whether it was one vector: a vector
+    is a stack of one, with ``as_vector``'s checks and messages."""
+    v = np.asarray(x, dtype=np.float64)
+    point = v.ndim < 2
+    if point:
+        v = v.reshape(1, -1)
+    elif v.ndim != 2:
+        raise ValueError(f"{name} must be 1-d, or 2-d for a stack, got shape {v.shape}")
+    if v.shape[1] != dim:
+        raise ValueError(f"{name} has dimension {v.shape[1]}, expected {dim}")
+    if not _all_finite(v.ravel()):
+        raise NonFiniteError(f"{name} contains non-finite entries")
+    return v, point
+
+
 def _norm(v: Array) -> float:
     """Euclidean norm of a 1-d float64 vector, bitwise equal to
     ``float(np.linalg.norm(v))``, which computes ``sqrt(v.dot(v))`` itself."""

@@ -1,7 +1,8 @@
 """Computable diagnostics: the per-iteration metrics record (penalty and
 merit values), projected stationarity residuals, auxiliary functions with
 closed-form gradients, Lyapunov values, and an empirical estimator of the
-constraint regularity constant.
+constraint regularity constant. The record, the residual and the auxiliary
+and Lyapunov values take one point or a stack of points.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from .core import (
     ProblemInstance,
     _constraints_at,
     _jacobian_at,
-    _norm,
     _objective_at,
+    as_stack,
     as_vector,
     eval_constraint_jacobian,
     eval_constraints,
@@ -57,12 +58,52 @@ class MetricsRecord:
         return rec
 
 
-def _quad(rho: float, feas: float) -> float:
-    # written so rho = 0 yields exactly 0 even when feas**2 overflows
-    return 0.5 * rho * feas * feas if rho != 0.0 else 0.0
+def _rows(a, m: int) -> np.ndarray:
+    """``a`` as float64 rows, one per point of an ``m``-point stack; unchecked."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.reshape(m, -1) if m else a.reshape(0, a.shape[-1])
 
 
-def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3) -> float:
+def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
+    """Validate ``a`` as a stack with one row per row of ``X``."""
+    A = as_stack(a, dim, name)[0]
+    if len(A) != len(X):
+        raise ValueError(f"{name} holds {len(A)} points, x holds {len(X)}")
+    return A
+
+
+def _penalty_values(h_x, X: np.ndarray, point: bool) -> np.ndarray:
+    """Validate ``h_x`` as one penalty value per point of ``X``: a scalar for one
+    point."""
+    H = np.asarray(h_x, dtype=np.float64)
+    want = () if point else (len(X),)
+    if H.shape != want:
+        raise ValueError(f"h_x has shape {H.shape}, expected {want}: one value per point of x")
+    return H
+
+
+# The functions below take one point or a stack of points along a leading axis
+# through one code path: a point is a stack of one and gives a float. They
+# validate each input once, call the oracles and the set's maps once per point
+# and compute every other formula once per stack, in the float order of the
+# one-point formula; np.vecdot gives each row ndarray.dot's bits. The one-point
+# formulas computed Python floats, which never warn, hence one errstate around
+# each function's stacked part. The ``_kkt_rows`` and ``_u_*_rows`` helpers
+# take validated stacks and leave the errstate to their caller.
+
+
+def _kkt_rows(prob: ProblemInstance, X, D, G, eta_probe: float) -> np.ndarray:
+    """The KKT residuals at the points ``X``, given the subgradient selections
+    ``D`` and the products ``G = J lam`` there."""
+    T = X - eta_probe * (D + G)
+    S = np.empty_like(T)
+    for j, t in enumerate(T):
+        S[j] = prob.feasible_set.project(t)
+    R = X - S
+    return np.sqrt(np.vecdot(R, R)) / eta_probe
+
+
+def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
     """Projected-subgradient stationarity residual with the fixed selections.
 
     Returns ``||x - P(x - eta*(d + J lam))|| / eta``. Zero exactly when the
@@ -71,46 +112,73 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3) -> floa
     """
     if not eta_probe > 0:
         raise ValueError("eta_probe must be positive")
-    x = as_vector(x, prob.dim_primal)
-    lam = as_vector(lam, prob.dim_constraint, "lam")
-    d = as_vector(prob.objective_subgradient(x), prob.dim_primal, "subgradient")
-    J = _jacobian_at(prob, x)
-    step = prob.feasible_set.project(x - eta_probe * (d + J @ lam))
-    return _norm(x - step) / eta_probe
+    X, point = as_stack(x, prob.dim_primal)
+    LAM = _matched(lam, prob.dim_constraint, "lam", X)
+    D, G = np.empty_like(X), np.empty_like(X)
+    for j, xj in enumerate(X):
+        D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
+        G[j] = _jacobian_at(prob, xj) @ LAM[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _kkt_rows(prob, X, D, G, eta_probe)
+    return float(res[0]) if point else res
 
 
-def u_momentum(fset: FeasibleSet, x, y, alpha: float) -> float:
+def _u_momentum_rows(fset: FeasibleSet, X, Y, alpha: float) -> np.ndarray:
+    """``u_momentum`` at each point of the stack ``X`` with momenta ``Y``."""
+    T = X - Y / alpha
+    P = np.empty_like(T)
+    for j, t in enumerate(T):
+        P[j] = fset.project(t)
+    D = P - X
+    return np.vecdot(D, Y) + 0.5 * alpha * np.vecdot(D, D)
+
+
+def _momentum_inputs(fset: FeasibleSet, x, y, alpha: float):
+    """Validate the inputs once; return the stacks ``(x, y)`` and whether ``x``
+    was one point."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    X, point = as_stack(x, fset.dim)
+    return X, _matched(y, fset.dim, "y", X), point
+
+
+def u_momentum(fset: FeasibleSet, x, y, alpha: float):
     """Auxiliary value ``min_w <w - x, y> + (alpha/2)*||w - x||^2`` over the set.
 
     Nonpositive whenever ``x`` is feasible; zero only when the momentum has no
     feasible descent direction left.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    x = as_vector(x, fset.dim)
-    y = as_vector(y, fset.dim, "y")
-    w = fset.project(x - y / alpha)
-    d = w - x
-    return float(d @ y) + 0.5 * alpha * float(d @ d)
+    X, Y, point = _momentum_inputs(fset, x, y, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = _u_momentum_rows(fset, X, Y, alpha)
+    return float(U[0]) if point else U
 
 
-def _u_adam_parts(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
-    """Validate the inputs once; return ``(x, y, root, z, d, value)`` with
-    ``root = sqrt(v + eps)``, the weighted prox point ``z`` and ``d = z - x``."""
-    x = as_vector(x, fset.dim)
-    y = as_vector(y, fset.dim, "y")
-    v = as_vector(v, fset.dim, "v")
-    if (v < 0).any():
+def _adam_inputs(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
+    """Validate the inputs once; return the stacks ``(x, y, v)`` and whether ``x``
+    was one point."""
+    X, point = as_stack(x, fset.dim)
+    Y = _matched(y, fset.dim, "y", X)
+    V = _matched(v, fset.dim, "v", X)
+    if (V < 0).any():
         raise ValueError("second-moment entries must be nonnegative")
     if not eps > 0:
         raise ValueError("eps must be positive")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")
-    root = np.sqrt(v + eps)
-    z = _prox_positive(fset, x, y, root / alpha)
-    d = z - x
-    value = float(d @ y) + float(root @ (d * d)) / (2.0 * alpha)
-    return x, y, root, z, d, value
+    return X, Y, V, point
+
+
+def _u_adam_rows(fset: FeasibleSet, X, Y, V, alpha: float, eps: float):
+    """``(root, z, d, value)`` at each point: ``root = sqrt(v + eps)``, the
+    weighted prox point ``z`` and ``d = z - x``."""
+    R = np.sqrt(V + eps)
+    weights = R / alpha
+    Z = np.empty_like(X)
+    for j, xj in enumerate(X):
+        Z[j] = _prox_positive(fset, xj, Y[j], weights[j])
+    D = Z - X
+    return R, Z, D, np.vecdot(D, Y) + np.vecdot(R, D * D) / (2.0 * alpha)
 
 
 def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
@@ -119,25 +187,32 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
     Returns ``(value, grad_x, grad_y, grad_v)`` for
     ``u(x,y,v) = min_z <z - x, y> + (1/(2*alpha)) <sqrt(v+eps)*(z-x), z-x>``.
     """
-    x, y, root, z, d, value = _u_adam_parts(fset, x, y, v, alpha, eps)
-    grad_x = -y + root * (x - z) / alpha
-    grad_y = d
-    grad_v = (d * d) / (4.0 * alpha * root)
-    return value, grad_x, grad_y, grad_v
+    X, Y, V, point = _adam_inputs(fset, x, y, v, alpha, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        R, Z, D, value = _u_adam_rows(fset, X, Y, V, alpha, eps)
+    grad_x = -Y + R * (X - Z) / alpha
+    grad_v = (D * D) / (4.0 * alpha * R)
+    if point:
+        return float(value[0]), grad_x[0], D[0], grad_v[0]
+    return value, grad_x, D, grad_v
 
 
-def lyapunov_momentum(h_x: float, fset: FeasibleSet, x, y, tau: float, alpha: float) -> float:
+def lyapunov_momentum(h_x, fset: FeasibleSet, x, y, tau: float, alpha: float):
     """Descent certificate ``h(x) - u_momentum(x, y, 1/alpha)/tau`` for momentum
     runs, given the penalty value ``h_x = h(x)``. ``alpha`` is the step's prox
     scale: the SGDM step moves toward ``P(x - alpha*y)``, the minimizer of
     ``u_momentum`` at scale ``1/alpha``."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    return float(h_x) - u_momentum(fset, x, y, 1.0 / alpha) / tau
+    X, Y, point = _momentum_inputs(fset, x, y, 1.0 / alpha)
+    H = _penalty_values(h_x, X, point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = H - _u_momentum_rows(fset, X, Y, 1.0 / alpha) / tau
+    return float(out[0]) if point else out
 
 
 def lyapunov_adam(
-    h_x: float,
+    h_x,
     fset: FeasibleSet,
     x,
     y,
@@ -145,11 +220,14 @@ def lyapunov_adam(
     tau1: float,
     alpha: float,
     eps: float,
-) -> float:
+):
     """Descent certificate ``h(x) - u_adam(x, y, v)/tau1`` for ADAM runs,
     given the penalty value ``h_x = h(x)``."""
-    value = _u_adam_parts(fset, x, y, v, alpha, eps)[-1]
-    return float(h_x) - value / tau1
+    X, Y, V, point = _adam_inputs(fset, x, y, v, alpha, eps)
+    H = _penalty_values(h_x, X, point)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = H - _u_adam_rows(fset, X, Y, V, alpha, eps)[-1] / tau1
+    return float(out[0]) if point else out
 
 
 def exact_penalty_margin(prob: ProblemInstance, beta: float) -> float | None:
@@ -186,39 +264,70 @@ def estimate_regularity(prob: ProblemInstance, sample_points) -> float:
 
 def assemble_record(
     prob: ProblemInstance,
-    k: int,
-    x: np.ndarray,
-    lam: np.ndarray,
-    w: np.ndarray,
+    k,
+    x,
+    lam,
+    w,
     beta: float,
     rho: float,
     kkt_probe: float | None,
-    c: np.ndarray | None = None,
-) -> MetricsRecord:
+    c=None,
+    *,
+    errors: list | None = None,
+):
     """Build one metrics record, the one place where the penalty ``g``, the
     merits ``L`` and ``H`` are computed; ``g_val`` uses the same floats as
     ``f_val`` and ``feas`` so the penalty identity holds bitwise on re-parse.
     ``c`` is the constraint value ``c(x)`` when the caller already holds it.
     The Lyapunov value is left unset; momentum and ADAM runs fill it in from
-    ``g_val``."""
-    x = as_vector(x, prob.dim_primal)
-    f_val = _objective_at(prob, x)
-    if c is None:
-        c = _constraints_at(prob, x)
-    feas = _norm(c)
-    quad = _quad(rho, feas)
-    g_val = f_val + beta * feas + quad
-    L_val = f_val + float(lam @ c) + quad
-    H_val = L_val - feas * float(lam @ lam) / (2.0 * beta)
-    kkt = kkt_residual(prob, x, lam, kkt_probe) if kkt_probe is not None else float("nan")
-    return MetricsRecord(
-        k=int(k),
-        f_val=f_val,
-        feas=feas,
-        g_val=g_val,
-        L_val=L_val,
-        H_val=H_val,
-        lambda_norm=_norm(lam),
-        kkt_residual=kkt,
-        tracker_err=_norm(w - c),
-    )
+    ``g_val``. Stacks of ``x``, ``lam``, ``w`` (and ``c``) with a sequence of
+    iteration counts ``k`` give a list of records.
+
+    The oracles run point by point, each once. With ``errors`` given, an oracle
+    that raises at a point of a stack ends the stack there: its exception is
+    appended to ``errors`` and the records of the points before it come back,
+    as a record-by-record run would have kept them without calling any oracle
+    twice."""
+    if kkt_probe is not None and not kkt_probe > 0:
+        raise ValueError("eta_probe must be positive")
+    X, point = as_stack(x, prob.dim_primal)
+    m = len(X)
+    ks = [k] if point else list(k)
+    W = _rows(w, m)
+    # the KKT probe checks lam, as kkt_residual does
+    LAM = _rows(lam, m) if kkt_probe is None else _matched(lam, prob.dim_constraint, "lam", X)
+    F = np.empty(m)
+    C = np.empty((m, prob.dim_constraint)) if c is None else _rows(c, m)
+    D, G = np.empty_like(X), np.empty_like(X)
+    for j, xj in enumerate(X):
+        try:
+            F[j] = _objective_at(prob, xj)
+            if c is None:
+                C[j] = _constraints_at(prob, xj)
+            if kkt_probe is not None:
+                # right after the objective at the same point, which a one-entry
+                # full-batch cache then serves
+                D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
+                G[j] = _jacobian_at(prob, xj) @ LAM[j]
+        except Exception as err:
+            if errors is None or point:
+                raise
+            errors.append(err)
+            m = j
+            X, LAM, W, F, C, D, G = (a[:m] for a in (X, LAM, W, F, C, D, G))
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        kkt = np.full(m, np.nan) if kkt_probe is None else _kkt_rows(prob, X, D, G, kkt_probe)
+        feas = np.sqrt(np.vecdot(C, C))
+        # rho = 0 yields exactly 0 even when feas**2 overflows
+        quad = 0.5 * rho * feas * feas if rho != 0.0 else np.zeros(m)
+        g_val = F + beta * feas + quad
+        L_val = F + np.vecdot(LAM, C) + quad
+        lam_sq = np.vecdot(LAM, LAM)
+        H_val = L_val - feas * lam_sq / (2.0 * beta)
+        track = W - C
+        columns = (F, feas, g_val, L_val, H_val, np.sqrt(lam_sq), kkt,
+                   np.sqrt(np.vecdot(track, track)))
+    records = [MetricsRecord(int(kj), *vals)
+               for kj, *vals in zip(ks, *(col.tolist() for col in columns))]
+    return records[0] if point else records

@@ -236,15 +236,15 @@ class _Driver:
         # the exact tracker holds c(x) itself, bit for bit, and draws no sample
         self._w_is_c = config.tracker == "exact"
         self._regu = config.dual == "regu"
-        # the descent certificates of the methods that have one; any other
-        # kind records no Lyapunov value
+        # the descent certificates of the methods that have one, on stacks of
+        # (g, x, y); any other kind records no Lyapunov value
         mc = config.method
         self._lyapunov = {
-            PROX_SGDM: lambda g, s: lyapunov_momentum(g, self.fset, s.x, s.y, mc.tau, mc.alpha),
-            PROX_ADAM: lambda g, s: lyapunov_adam(
-                g, self.fset, s.x, *split_adam_state(s.y), mc.tau1, mc.alpha, mc.eps
+            PROX_SGDM: lambda g, x, y: lyapunov_momentum(g, self.fset, x, y, mc.tau, mc.alpha),
+            PROX_ADAM: lambda g, x, y: lyapunov_adam(
+                g, self.fset, x, *split_adam_state(y), mc.tau1, mc.alpha, mc.eps
             ),
-        }.get(mc.kind, lambda g, s: None)
+        }.get(mc.kind)
 
     def initial_state(self, x0, con_gen) -> LagrangianState:
         """The state at ``x0``; the correction tracker starts from ``C(x0)`` on
@@ -354,15 +354,53 @@ class _Driver:
             lam_next = lam
         return LagrangianState(x_next, y_next, lam_next, w_next, k + 1), None
 
-    def metrics(self, state: LagrangianState, kkt_probe: float | None) -> MetricsRecord:
+    def metrics(self, states, kkt_probe: float | None,
+                errors: list | None = None) -> list[MetricsRecord]:
+        """The records of the list ``states``, assembled as one stack. With
+        ``errors`` given, an oracle that raises at a point ends the list there
+        (see ``assemble_record``)."""
         cfg = self.config
-        rec = assemble_record(
-            self.mean, state.k, state.x, state.lam, state.w, cfg.beta, cfg.rho, kkt_probe,
-            c=state.w if self._w_is_c else None,
+        X = np.array([s.x for s in states])
+        W = np.array([s.w for s in states])
+        records = assemble_record(
+            self.mean, [s.k for s in states], X, np.array([s.lam for s in states]), W,
+            cfg.beta, cfg.rho, kkt_probe, c=W if self._w_is_c else None, errors=errors,
         )
-        # the Lyapunov value reuses the record's penalty value g(x)
-        rec.lyapunov = self._lyapunov(rec.g_val, state)
-        return rec
+        m = len(records)
+        if self._lyapunov is not None and m:
+            # the Lyapunov value reuses the record's penalty value g(x)
+            lyap = self._lyapunov(np.array([rec.g_val for rec in records]), X[:m],
+                                  np.array([s.y for s in states[:m]]))
+            for rec, value in zip(records, lyap.tolist()):
+                rec.lyapunov = value
+        return records
+
+
+def _record_block(driver: _Driver, points: list, kkt_probe: float | None, records: list):
+    """Append the records of a block's record ``points``, ``(state, slack, excess)``
+    each, assembled as one stack, to ``records``; return the point where the run
+    aborts, or None. The outcome is that of recording each point as the run
+    reached it: a record with a non-finite core value is kept and aborts the run,
+    an oracle's NonFiniteError aborts it before its record, and any other
+    exception of an oracle is raised."""
+    if not points:
+        return None
+    errors = []
+    block = driver.metrics([p[0] for p in points], kkt_probe, errors)
+    for rec, point in zip(block, points):
+        records.append(rec)
+        # a diverging run can overflow its diagnostics while the raw state is
+        # still representable
+        core_vals = (rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val,
+                     rec.lambda_norm, rec.tracker_err)
+        if not all(math.isfinite(v) for v in core_vals):
+            return point
+    if not errors:
+        return None
+    if isinstance(errors[0], NonFiniteError):
+        # an oracle turned non-finite at this point; the records before it stand
+        return points[len(block)]
+    raise errors[0]
 
 
 def run(
@@ -378,6 +416,13 @@ def run(
     and at the final state. On a non-finite state, or a non-finite value in
     a later record (its own numbers, or an oracle it evaluates), the run stops
     and the partial trajectory is returned with its ``abort_reason`` set.
+
+    The records after the first are assembled a block of ``NOISE_CHUNK`` steps
+    at a time, as one stack of the block's record points: when the block ends,
+    when a step aborts or raises, and after the last step. The run notices an
+    aborting record only then, but its outcome is the one of recording each
+    point as the run reached it: the records up to that point, that point's
+    state, and the contraction slack and dual excess saved there.
 
     Each source of randomness has its own generator. The noise comes from
     ``default_rng(config.seed)``; a sampled problem's objective tokens and
@@ -404,36 +449,39 @@ def run(
             obj_gen, con_gen = map(np.random.default_rng,
                                    np.random.SeedSequence(config.seed).spawn(2))
         state = driver.initial_state(x0, con_gen)
-        records = [driver.metrics(state, kkt_probe)]
-        reason = None
-        for k in range(config.max_iters):
-            row = k % NOISE_CHUNK
-            if row == 0:
-                rows = min(NOISE_CHUNK, config.max_iters - k)
+        # the first record, a stack of one: there is no trajectory to keep yet,
+        # so an oracle's NonFiniteError propagates
+        records = driver.metrics([state], kkt_probe)
+        reason = stop = None
+        for start in range(0, config.max_iters, NOISE_CHUNK):
+            rows = min(NOISE_CHUNK, config.max_iters - start)
+            points = []  # the block's record points, recorded as one stack
+            try:
                 tokens = driver.draw_tokens(obj_gen, con_gen, rows)
                 noise = (config.noise.draw(rng, (rows, driver.n)) if driver.use_noise
                          else [None] * rows)
-            state_next, reason = driver.step(state, tokens[row], noise[row])
-            if reason is not None:
+                for row in range(rows):
+                    state_next, reason = driver.step(state, tokens[row], noise[row])
+                    if reason is not None:
+                        break
+                    state = state_next
+                    if state.k % record_every == 0 or state.k == config.max_iters:
+                        points.append((state, driver.max_contraction_slack,
+                                       driver.max_dual_excess))
+            except Exception:
+                # the block's records come first, as they would one at a time
+                if (stop := _record_block(driver, points, kkt_probe, records)) is None:
+                    raise
                 break
-            state = state_next
-            if (k + 1) % record_every == 0 or k + 1 == config.max_iters:
-                try:
-                    rec = driver.metrics(state, kkt_probe)
-                except NonFiniteError:
-                    # an oracle turned non-finite at x; the records so far stand
-                    reason = "non-finite metrics"
-                    break
-                records.append(rec)
-                # a diverging run can overflow its diagnostics while the raw state
-                # is still representable; keep the offending record and stop
-                core_vals = (rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val,
-                             rec.lambda_norm, rec.tracker_err)
-                if not all(math.isfinite(v) for v in core_vals):
-                    reason = "non-finite metrics"
-                    break
-    slack = driver.max_contraction_slack
-    excess = driver.max_dual_excess
+            stop = _record_block(driver, points, kkt_probe, records)
+            if stop is not None or reason is not None:
+                break
+    if stop is not None:
+        # the run ends at the aborting record's point, with its bookkeeping
+        state, slack, excess = stop
+        reason = "non-finite metrics"
+    else:
+        slack, excess = driver.max_contraction_slack, driver.max_dual_excess
     return RunResult(
         records=records,
         state=state,

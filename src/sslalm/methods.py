@@ -83,8 +83,9 @@ def _adam_stepsize(eta: float, cfg: MethodConfig) -> None:
 
 
 def split_adam_state(y: np.ndarray):
-    n = y.size // 2
-    return y[:n], y[n:]
+    """The (momentum, second moment) halves of ``y``, or of each row of a stack."""
+    n = y.shape[-1] // 2
+    return y[..., :n], y[..., n:]
 
 
 def step_prox_sgd(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -401,7 +402,7 @@ def _record_chain(recipe_name, method, steps=25):
     for tokens in driver.draw_tokens(obj_gen, con_gen, steps):
         state, err = driver.step(state, tokens, None)
         assert err is None
-        out.append((state, driver.metrics(state, kkt_probe=1e-3)))
+        out.append((state, *driver.metrics([state], kkt_probe=1e-3)))
     return driver.mean, cfg, out
 
 
@@ -539,3 +540,196 @@ class TestPublicChecks:
         prob = replace(self.problem(), objective=lambda x: float("inf"))
         with pytest.raises(NonFiniteError, match="objective"):
             assemble_record(prob, 0, np.zeros(2), np.zeros(1), np.zeros(1), 1.0, 0.0, None)
+
+
+def _bits(values):
+    """Each value's float64 bytes: the bitwise comparison of scalars and rows."""
+    return [np.float64(v).tobytes() if v is not None else None for v in values]
+
+
+def _stack_chain(set_kind, method, tracker, steps=7):
+    """(driver, states) of ``steps`` steps of a sampled affine problem over a box
+    or a ball, every state distinct."""
+    rec = make_recipe("stochastic_affine", n=5, p=2, noise_scale=0.3, seed=4)
+    inst = rec.instance
+    if set_kind == "ball":
+        ball = Ball(np.full(5, 0.1), 0.8)
+        inst = replace(inst, mean=replace(inst.mean, feasible_set=ball))
+    cfg = SolverConfig(
+        method=MethodConfig(kind=method, alpha=0.3, tau2=0.2), rho=0.5, beta=2.0,
+        theta=StepSchedule("constant", 0.5), eta=StepSchedule("inv_sqrt_epoch", 0.4),
+        tracker=tracker, seed=6,
+    )
+    driver = _Driver(inst, cfg)
+    obj_gen, con_gen = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
+    states = [driver.initial_state(rec.start, con_gen)]
+    for tokens in driver.draw_tokens(obj_gen, con_gen, steps - 1):
+        state, err = driver.step(states[-1], tokens, None)
+        assert err is None
+        states.append(state)
+    return driver, states
+
+
+class TestStackedPath:
+    """Each diagnostic on a stack of points equals, bit for bit, the same
+    diagnostic called on each point of the stack."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("probe", [1e-3, None])
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    @pytest.mark.parametrize("method", ["prox_sgd", "prox_sgdm", "prox_adam"])
+    @pytest.mark.parametrize("set_kind", ["box", "ball"])
+    def test_stack_matches_points_bitwise(self, set_kind, method, tracker, probe, size):
+        driver, states = _stack_chain(set_kind, method, tracker)
+        states = states[-size:]
+        mean, cfg, mc = driver.mean, driver.config, driver.config.method
+        fset = mean.feasible_set
+        X, Y = np.stack([s.x for s in states]), np.stack([s.y for s in states])
+        LAM, W = np.stack([s.lam for s in states]), np.stack([s.w for s in states])
+        c = W if tracker == "exact" else None
+        ks = [s.k for s in states]
+
+        stacked = assemble_record(mean, ks, X, LAM, W, cfg.beta, cfg.rho, probe, c=c)
+        points = [assemble_record(mean, s.k, s.x, s.lam, s.w, cfg.beta, cfg.rho, probe,
+                                  c=None if c is None else s.w) for s in states]
+        assert isinstance(stacked, list) and all(isinstance(r, MetricsRecord) for r in points)
+        assert [_bits(vars(r).values()) for r in stacked] == [_bits(vars(r).values())
+                                                               for r in points]
+        # the driver's records are the stacked ones, with their Lyapunov values
+        assert [_bits(vars(r).values())[:-1] for r in driver.metrics(states, probe)] == [
+            _bits(vars(r).values())[:-1] for r in stacked]
+
+        if probe is not None:
+            kkt = kkt_residual(mean, X, LAM, probe)
+            assert isinstance(kkt, np.ndarray) and kkt.shape == (size,)
+            one = [kkt_residual(mean, s.x, s.lam, probe) for s in states]
+            assert all(type(v) is float for v in one)
+            assert _bits(kkt) == _bits(one)
+
+        g = np.array([r.g_val for r in stacked])
+        if method == "prox_sgdm":
+            lyap = lyapunov_momentum(g, fset, X, Y, mc.tau, mc.alpha)
+            one = [lyapunov_momentum(h, fset, s.x, s.y, mc.tau, mc.alpha)
+                   for h, s in zip(g, states)]
+        elif method == "prox_adam":
+            M, V = split_adam_state(Y)
+            lyap = lyapunov_adam(g, fset, X, M, V, mc.tau1, mc.alpha, mc.eps)
+            one = [lyapunov_adam(h, fset, s.x, *split_adam_state(s.y), mc.tau1, mc.alpha,
+                                 mc.eps) for h, s in zip(g, states)]
+        else:
+            return
+        assert all(type(v) is float for v in one)
+        assert _bits(lyap) == _bits(one)
+        assert _bits(r.lyapunov for r in driver.metrics(states, probe)) == _bits(one)
+
+    def test_point_record_restates_the_scalar_formulas(self):
+        # the point path keeps the one-point formulas' floats: norms as
+        # sqrt(v.dot(v)) and every scalar step a Python float
+        driver, states = _stack_chain("box", "prox_sgdm", "correction")
+        mean, cfg = driver.mean, driver.config
+        for s in states:
+            rec = assemble_record(mean, s.k, s.x, s.lam, s.w, cfg.beta, cfg.rho, None)
+            c = mean.constraint(s.x)
+            feas = math.sqrt(c.dot(c))
+            quad = 0.5 * cfg.rho * feas * feas
+            f = float(mean.objective(s.x))
+            L = f + float(s.lam @ c) + quad
+            want = [f, feas, f + cfg.beta * feas + quad, L,
+                    L - feas * float(s.lam @ s.lam) / (2.0 * cfg.beta),
+                    math.sqrt(s.lam.dot(s.lam)), math.sqrt((s.w - c).dot(s.w - c))]
+            got = [rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val, rec.lambda_norm,
+                   rec.tracker_err]
+            assert _bits(got) == _bits(want)
+            assert all(type(v) is float for v in got)
+
+    def test_misshaped_and_nonfinite_stacks_raise_the_point_errors(self):
+        prob = TestPublicChecks.problem()
+        fset = prob.feasible_set
+        X, LAM = np.zeros((3, 2)), np.zeros((3, 1))
+        Y, V = np.zeros((3, 2)), np.ones((3, 2))
+        nan_row = X.copy()
+        nan_row[1, 0] = np.nan
+        calls = [
+            (ValueError, "^x has dimension 3, expected 2", lambda x: kkt_residual(prob, x, LAM),
+             np.zeros((3, 3))),
+            (ValueError, "^x must be 1-d, or 2-d", lambda x: kkt_residual(prob, x, LAM),
+             np.zeros((3, 2, 1))),
+            (NonFiniteError, "^x contains non-finite", lambda x: kkt_residual(prob, x, LAM),
+             nan_row),
+            (NonFiniteError, "^x contains non-finite",
+             lambda x: assemble_record(prob, range(3), x, LAM, LAM, 1.0, 0.0, None), nan_row),
+            # the KKT probe checks lam; without it lam is only a factor
+            (NonFiniteError, "^lam contains non-finite",
+             lambda lam: assemble_record(prob, range(3), X, lam, LAM, 1.0, 0.0, 1e-3),
+             nan_row[:, :1]),
+            (ValueError, "^lam holds 2 points, x holds 3",
+             lambda lam: assemble_record(prob, range(3), X, lam, LAM, 1.0, 0.0, 1e-3),
+             np.zeros((2, 1))),
+            (ValueError, "^x has dimension 1",
+             lambda x: lyapunov_momentum(np.zeros(3), fset, x, Y, 1.0, 1.0), np.zeros((3, 1))),
+            (NonFiniteError, "^y contains non-finite",
+             lambda y: lyapunov_momentum(np.zeros(3), fset, X, y, 1.0, 1.0), nan_row),
+            (NonFiniteError, "^v contains non-finite",
+             lambda v: lyapunov_adam(np.zeros(3), fset, X, Y, v, 1.0, 1.0, 1e-8), nan_row),
+            (ValueError, "^y has dimension 3",
+             lambda y: lyapunov_adam(np.zeros(3), fset, X, y, V, 1.0, 1.0, 1e-8),
+             np.zeros((3, 3))),
+            (ValueError, "^lam holds 2 points, x holds 3",
+             lambda lam: kkt_residual(prob, X, lam), np.zeros((2, 1))),
+            (ValueError, "nonnegative",
+             lambda v: lyapunov_adam(np.zeros(3), fset, X, Y, v, 1.0, 1.0, 1e-8), -V),
+            # the penalty values: one per point, a scalar for one point
+            (ValueError, r"^h_x has shape \(1,\), expected \(3,\)",
+             lambda h: lyapunov_momentum(h, fset, X, Y, 1.0, 1.0), np.zeros(1)),
+            (ValueError, r"^h_x has shape \(\), expected \(3,\)",
+             lambda h: lyapunov_adam(h, fset, X, Y, V, 1.0, 1.0, 1e-8), 0.0),
+            (ValueError, r"^h_x has shape \(4,\), expected \(3,\)",
+             lambda h: lyapunov_adam(h, fset, X, Y, V, 1.0, 1.0, 1e-8), np.zeros(4)),
+            (ValueError, r"^h_x has shape \(1,\), expected \(\)",
+             lambda h: lyapunov_momentum(h, fset, X[0], Y[0], 1.0, 1.0), np.zeros(1)),
+        ]
+        for err, match, call, bad in calls:
+            with pytest.raises(err, match=match):
+                call(bad)
+
+    @pytest.mark.parametrize("failing", [0, 1, 4])
+    def test_failing_point_raises_its_error(self, failing):
+        # an oracle or a projection failing at one point of a stack raises that
+        # point's error
+        base = TestPublicChecks.problem()
+        bad_x = float(failing)
+
+        def objective(x):
+            return float("inf") if x[1] == bad_x else float(x.sum())
+
+        prob = replace(base, objective=objective)
+        X = np.column_stack([np.full(6, 0.5), np.arange(6.0)])
+        LAM, W = np.ones((6, 1)), np.zeros((6, 1))
+        with pytest.raises(NonFiniteError, match="objective"):
+            assemble_record(prob, range(6), X, LAM, W, 1.0, 0.5, 1e-3)
+        # with ``errors`` given, the points before it come back and the error
+        # is collected
+        errors = []
+        recs = assemble_record(prob, range(6), X, LAM, W, 1.0, 0.5, 1e-3, errors=errors)
+        assert [r.k for r in recs] == list(range(failing))
+        assert len(errors) == 1 and isinstance(errors[0], NonFiniteError)
+        whole = assemble_record(base, range(6), X, LAM, W, 1.0, 0.5, 1e-3)
+        assert [_bits(vars(r).values()) for r in recs] == [
+            _bits(vars(r).values()) for r in whole[:failing]]
+        # a point is no stack to end: its error is raised
+        with pytest.raises(NonFiniteError, match="objective"):
+            assemble_record(prob, failing, X[failing], LAM[failing], W[failing], 1.0, 0.5,
+                            1e-3, errors=[])
+
+        class FailingBox(Box):
+            def project(self, x):
+                if abs(x[1] - bad_x) < 0.5:
+                    raise ArithmeticError("projection failed")
+                return super().project(x)
+
+        fset = FailingBox(np.full(2, -10.0), np.full(2, 10.0))
+        prob = replace(base, feasible_set=fset)
+        with pytest.raises(ArithmeticError, match="projection failed"):
+            kkt_residual(prob, X, LAM, 1e-3)
+        with pytest.raises(ArithmeticError, match="projection failed"):
+            lyapunov_momentum(np.zeros(6), fset, X, np.zeros((6, 2)), 1.0, 1.0)

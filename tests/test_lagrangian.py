@@ -247,7 +247,7 @@ class TestDriverStep:
         )
         driver = _Driver(prob, cfg)
         nxt, err = driver.step(state, NO_TOKENS, None)
-        rec = driver.metrics(nxt, 1e-3)
+        rec, = driver.metrics([nxt], 1e-3)
         assert err is None
         assert nxt.x == pytest.approx([0.95])
         assert nxt.w == pytest.approx([0.95])
@@ -1076,3 +1076,147 @@ class TestDriverVariants:
         c_mean = rec.instance.mean.constraint(nxt.x)
         assert recm.feas == pytest.approx(np.linalg.norm(c_mean))
         assert recm.tracker_err == pytest.approx(np.linalg.norm(nxt.w - c_mean))
+
+
+def _failing(prob, objective_at=None, subgrad_at=None, subgrad_error=None):
+    """``prob`` whose objective returns inf at the point ``objective_at``, and whose
+    subgradient returns inf (or raises ``subgrad_error``) at the point
+    ``subgrad_at``: failures that stay functions of x, as oracles must be."""
+
+    def objective(x):
+        if objective_at is not None and np.array_equal(x, objective_at):
+            return float("inf")
+        return prob.objective(x)
+
+    def subgradient(x):
+        if subgrad_at is not None and np.array_equal(x, subgrad_at):
+            if subgrad_error is not None:
+                raise subgrad_error
+            return np.full(prob.dim_primal, np.inf)
+        return prob.objective_subgradient(x)
+
+    return replace(prob, objective=objective, objective_subgradient=subgradient)
+
+
+def _state_bits(res):
+    return [np.asarray(v).tobytes() for v in res.state] + [
+        np.float64(res.max_contraction_slack).tobytes(),
+        np.float64(res.max_dual_excess).tobytes(),
+    ]
+
+
+def _record_bits(records):
+    return [[np.float64(v).tobytes() if v is not None else None for v in vars(r).values()]
+            for r in records]
+
+
+class TestDeferredRecordOutcomes:
+    """Records are assembled a block at a time, so a run notices an aborting
+    record only at the end of the block, a step's abort or exception, or the
+    last step. Each outcome is held to the same run cut at ``max_iters`` equal
+    to the aborting k: its state, contraction slack and dual excess, bit for bit,
+    and its records to the list a record-by-record run keeps."""
+
+    BASE = make_affine_l1(n=4, p=2, seed=1)
+    CONFIG = SolverConfig(
+        method=MethodConfig(kind="prox_sgdm", alpha=0.2), rho=0.5, beta=1.0,
+        theta=StepSchedule("constant", 0.5), eta=StepSchedule("inv_sqrt_epoch", 0.3),
+        noise=NoiseModel("uniform_box", 0.1), max_iters=3 * lagrangian.NOISE_CHUNK, seed=4,
+    )
+
+    def run(self, max_iters=None, record_every=10, kkt_probe=None, **failures):
+        cfg = replace(self.CONFIG, max_iters=max_iters or self.CONFIG.max_iters)
+        prob = _failing(self.BASE.instance, **failures)
+        return run(prob, cfg, x0=self.BASE.start, record_every=record_every, kkt_probe=kkt_probe)
+
+    def x_at(self, k):
+        """The state's x at step ``k`` of the run without failures."""
+        return self.run(max_iters=k).state.x
+
+    def check_against_cut(self, res, cut):
+        assert _state_bits(res) == _state_bits(cut)
+        # the bookkeeping saved at the aborting point is not the block end's
+        block_end = self.run(max_iters=lagrangian.NOISE_CHUNK)
+        assert _state_bits(block_end)[-2:] != _state_bits(cut)[-2:]
+
+    def test_objective_raising_at_a_mid_block_record(self):
+        # the record of k = 130, mid-way through the first block
+        res = self.run(objective_at=self.x_at(130))
+        assert res.abort_reason == "non-finite metrics" and res.state.k == 130
+        assert [r.k for r in res.records] == list(range(0, 130, 10))
+        cut = self.run(max_iters=130, objective_at=self.x_at(130))
+        assert cut.abort_reason == "non-finite metrics"
+        self.check_against_cut(res, cut)
+        assert _record_bits(res.records) == _record_bits(cut.records)
+
+    def test_objective_raising_at_a_mid_block_record_with_the_probe(self):
+        res = self.run(objective_at=self.x_at(130), kkt_probe=1e-3)
+        assert res.abort_reason == "non-finite metrics" and res.state.k == 130
+        cut = self.run(max_iters=130, objective_at=self.x_at(130), kkt_probe=1e-3)
+        self.check_against_cut(res, cut)
+        assert _record_bits(res.records) == _record_bits(cut.records)
+        assert [r.k for r in res.records] == list(range(0, 130, 10))
+
+    def test_diagnostics_overflowing_mid_block(self):
+        # a runaway objective slope: the state stays finite while feas**2, and
+        # with it the quadratic penalty term, overflows at a mid-block record
+        prob = scalar_problem(objective=lambda x: float(x[0]), subgrad=lambda x: -1e3 * x)
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), rho=1.0, eta=ETA_01,
+                           max_iters=3 * lagrangian.NOISE_CHUNK)
+        res = run(prob, cfg, x0=np.ones(1), kkt_probe=None, record_every=3)
+        k = res.state.k
+        assert res.abort_reason == "non-finite metrics"
+        assert 0 < k % lagrangian.NOISE_CHUNK and k == res.records[-1].k
+        assert not np.isfinite(res.records[-1].g_val)
+        assert all(np.isfinite(r.g_val) for r in res.records[:-1])
+        assert [r.k for r in res.records] == list(range(0, k + 1, 3))
+        cut = run(prob, replace(cfg, max_iters=k), x0=np.ones(1), kkt_probe=None,
+                  record_every=3)
+        assert cut.abort_reason == "non-finite metrics"
+        assert _state_bits(res) == _state_bits(cut)
+        assert _record_bits(res.records) == _record_bits(cut.records)
+
+    def test_step_aborting_after_pending_finite_records(self):
+        res = self.run(subgrad_at=self.x_at(137))
+        assert res.abort_reason == "non-finite primal direction" and res.state.k == 137
+        assert [r.k for r in res.records] == list(range(0, 131, 10))
+        cut = self.run(max_iters=137)
+        assert not cut.aborted
+        self.check_against_cut(res, cut)
+        # the cut run adds its final record at k = 137
+        assert _record_bits(res.records) == _record_bits(cut.records[:-1])
+
+    def test_step_raising_after_a_pending_nonfinite_record(self):
+        # the record of k = 130 aborts the run before the step from k = 149
+        # raises: the run returns the record's abort and does not raise
+        res = self.run(objective_at=self.x_at(130), subgrad_at=self.x_at(149),
+                       subgrad_error=RuntimeError("step oracle failed"))
+        assert res.abort_reason == "non-finite metrics" and res.state.k == 130
+        assert [r.k for r in res.records] == list(range(0, 130, 10))
+        cut = self.run(max_iters=130, objective_at=self.x_at(130))
+        self.check_against_cut(res, cut)
+        assert _record_bits(res.records) == _record_bits(cut.records)
+
+    def test_step_raising_after_pending_finite_records_raises(self):
+        with pytest.raises(RuntimeError, match="step oracle failed"):
+            self.run(subgrad_at=self.x_at(149), subgrad_error=RuntimeError("step oracle failed"))
+
+    def test_record_error_raises_after_the_block(self):
+        # the objective, which only records call, raises at the record of k = 20:
+        # the run raises it, as it did when each record was taken at its step,
+        # although the steps after k = 20 ran first
+        x20 = self.x_at(20)
+        base = self.BASE.instance
+        calls = [0]
+
+        def objective(x):
+            calls[0] += 1
+            if np.array_equal(x, x20):
+                raise RuntimeError("record oracle failed")
+            return base.objective(x)
+
+        prob = replace(base, objective=objective)
+        with pytest.raises(RuntimeError, match="record oracle failed"):
+            run(prob, self.CONFIG, x0=self.BASE.start, record_every=10, kkt_probe=1e-3)
+        # the records of k = 0, 10 and 20, each evaluated once
+        assert calls[0] == 3
