@@ -183,7 +183,10 @@ def build_recipe(cfg: RunConfig) -> ProblemRecipe:
 
 def _seeded(cfg: RunConfig, seed=None, **changes) -> RunConfig:
     """``cfg`` with ``changes`` and, unless ``seed`` is None, ``seed`` as its solver's seed."""
-    solver = cfg.solver if seed is None else replace(cfg.solver, seed=seed)
+    try:
+        solver = cfg.solver if seed is None else replace(cfg.solver, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"--seed: {exc}") from exc
     return replace(cfg, solver=solver, **changes)
 
 

@@ -130,19 +130,29 @@ class SolverConfig:
             raise ValueError("inner_steps > 1 only applies to the ialm dual")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class LagrangianState(NamedTuple):
     """One solver state: the primal point ``x``, the embedded method's auxiliary
     block ``y`` (of size ``method.aux_dim(n)``), the multipliers ``lam``, the
-    tracker ``w`` and the iteration count ``k``. An immutable named tuple:
-    every step builds one, and a tuple is the cheapest immutable record."""
+    tracker ``w``, the iteration count ``k``, and the ``regu`` dual's running
+    maxima, -inf while unset: the contraction ``slack`` and the ``excess`` of
+    ``||lam||`` over ``beta``. An immutable named tuple: every step builds one,
+    and a tuple is the cheapest immutable record."""
 
     x: np.ndarray
     y: np.ndarray
     lam: np.ndarray
     w: np.ndarray
     k: int = 0
+    slack: float = -math.inf
+    excess: float = -math.inf
+
+
+def _unset_as_nan(value: float) -> float:
+    return math.nan if value == -math.inf else value
 
 
 @dataclass
@@ -150,13 +160,15 @@ class RunResult:
     records: list
     state: LagrangianState
     abort_reason: str | None = None
-    max_contraction_slack: float = float("nan")
-    max_dual_excess: float = float("nan")
     wall_time_s: float = 0.0
 
     @property
     def aborted(self) -> bool:
         return self.abort_reason is not None
+
+    # the final state's regu dual bookkeeping, NaN while unset
+    max_contraction_slack = property(lambda self: _unset_as_nan(self.state.slack))
+    max_dual_excess = property(lambda self: _unset_as_nan(self.state.excess))
 
     @property
     def final(self) -> MetricsRecord:
@@ -215,8 +227,8 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
 
 
 class _Driver:
-    """Resolved callables and per-run bookkeeping for one (problem, config) pair;
-    a problem with exact oracles runs as a sampled one whose samples are exact."""
+    """Resolved settings for one (problem, config) pair, holding no run state; a
+    problem with exact oracles runs as a sampled one whose samples are exact."""
 
     def __init__(self, prob, config: SolverConfig):
         prob = as_stochastic(prob)
@@ -228,9 +240,6 @@ class _Driver:
         self.p = self.mean.dim_constraint
         self._d_shape, self._c_shape, self._jac_shape = (self.n,), (self.p,), (self.n, self.p)
         self.use_noise = config.noise.kind != "none" and config.noise.bound > 0.0
-        self.max_contraction_slack = -math.inf
-        self.max_dual_excess = -math.inf
-        self._burned_in = False
         # the last regu multiplier and its norm, reused as the next step's ||lam||
         self._last_lam, self._last_norm = None, 0.0
         # the exact tracker holds c(x) itself, bit for bit, and draws no sample
@@ -279,7 +288,7 @@ class _Driver:
         """One iteration on this step's sample tokens ``(objective, tracker
         pair, Jacobian)``, the tracker pair sharing its token, and its noise
         row ``noise``, None when the run injects no noise."""
-        x, y, lam, w, k = state
+        x, y, lam, w, k, slack, excess = state
         cfg = self.config
         prob = self.prob
         eta = cfg.eta(k)
@@ -328,19 +337,18 @@ class _Driver:
             beta = cfg.beta
             theta = cfg.theta(k)
             lam_next = dual_step_regu(lam, w_next, theta, beta)
-            pre = self._last_norm if self._last_lam is lam else _norm(lam)
             post = _norm(lam_next)
-            self._last_lam, self._last_norm = lam_next, post
-            slack = (post - beta) - (1.0 - theta / beta) * (pre - beta)
-            if slack > self.max_contraction_slack:
-                self.max_contraction_slack = slack
-            if not self._burned_in and pre <= beta:
-                self._burned_in = True
-            if self._burned_in and post - beta > self.max_dual_excess:
-                self.max_dual_excess = post - beta
             # a finite norm has only finite entries under it
             if not (math.isfinite(post) or bool(np.isfinite(lam_next).all())):
                 return state, "non-finite state"
+            pre = self._last_norm if self._last_lam is lam else _norm(lam)
+            self._last_lam, self._last_norm = lam_next, post
+            step_slack = (post - beta) - (1.0 - theta / beta) * (pre - beta)
+            if step_slack > slack:
+                slack = step_slack
+            # the excess counts from the first step that starts inside the ball
+            if (excess > -math.inf or pre <= beta) and post - beta > excess:
+                excess = post - beta
         elif not _all_finite(w_next):
             return state, "non-finite state"
         elif (k + 1) % cfg.inner_steps == 0:
@@ -352,7 +360,7 @@ class _Driver:
                 return state, "non-finite state"
         else:
             lam_next = lam
-        return LagrangianState(x_next, y_next, lam_next, w_next, k + 1), None
+        return LagrangianState(x_next, y_next, lam_next, w_next, k + 1, slack, excess), None
 
     def metrics(self, states, kkt_probe: float | None,
                 errors: list | None = None) -> list[MetricsRecord]:
@@ -377,16 +385,16 @@ class _Driver:
 
 
 def _record_block(driver: _Driver, points: list, kkt_probe: float | None, records: list):
-    """Append the records of a block's record ``points``, ``(state, slack, excess)``
-    each, assembled as one stack, to ``records``; return the point where the run
-    aborts, or None. The outcome is that of recording each point as the run
-    reached it: a record with a non-finite core value is kept and aborts the run,
-    an oracle's NonFiniteError aborts it before its record, and any other
-    exception of an oracle is raised."""
+    """Append the records of a block's record ``points``, states each, assembled
+    as one stack, to ``records``; return the state where the run aborts, or None.
+    The outcome is that of recording each state as the run reached it: a record
+    with a non-finite core value is kept and aborts the run, an oracle's
+    NonFiniteError aborts it before its record, and any other exception of an
+    oracle is raised."""
     if not points:
         return None
     errors = []
-    block = driver.metrics([p[0] for p in points], kkt_probe, errors)
+    block = driver.metrics(points, kkt_probe, errors)
     for rec, point in zip(block, points):
         records.append(rec)
         # a diverging run can overflow its diagnostics while the raw state is
@@ -395,12 +403,10 @@ def _record_block(driver: _Driver, points: list, kkt_probe: float | None, record
                      rec.lambda_norm, rec.tracker_err)
         if not all(math.isfinite(v) for v in core_vals):
             return point
-    if not errors:
-        return None
-    if isinstance(errors[0], NonFiniteError):
-        # an oracle turned non-finite at this point; the records before it stand
-        return points[len(block)]
-    raise errors[0]
+    if errors and not isinstance(errors[0], NonFiniteError):
+        raise errors[0]
+    # an oracle's NonFiniteError aborts the run at its point, after the records before it
+    return points[len(block)] if errors else None
 
 
 def run(
@@ -421,8 +427,8 @@ def run(
     at a time, as one stack of the block's record points: when the block ends,
     when a step aborts or raises, and after the last step. The run notices an
     aborting record only then, but its outcome is the one of recording each
-    point as the run reached it: the records up to that point, that point's
-    state, and the contraction slack and dual excess saved there.
+    point as the run reached it: the records up to that point and that point's
+    state, whose dual bookkeeping is the one of that step.
 
     Each source of randomness has its own generator. The noise comes from
     ``default_rng(config.seed)``; a sampled problem's objective tokens and
@@ -452,10 +458,10 @@ def run(
         # the first record, a stack of one: there is no trajectory to keep yet,
         # so an oracle's NonFiniteError propagates
         records = driver.metrics([state], kkt_probe)
-        reason = stop = None
+        reason = None
         for start in range(0, config.max_iters, NOISE_CHUNK):
             rows = min(NOISE_CHUNK, config.max_iters - start)
-            points = []  # the block's record points, recorded as one stack
+            points, error = [], None  # the block's record points, recorded as one stack
             try:
                 tokens = driver.draw_tokens(obj_gen, con_gen, rows)
                 noise = (config.noise.draw(rng, (rows, driver.n)) if driver.use_noise
@@ -466,27 +472,16 @@ def run(
                         break
                     state = state_next
                     if state.k % record_every == 0 or state.k == config.max_iters:
-                        points.append((state, driver.max_contraction_slack,
-                                       driver.max_dual_excess))
-            except Exception:
-                # the block's records come first, as they would one at a time
-                if (stop := _record_block(driver, points, kkt_probe, records)) is None:
-                    raise
-                break
+                        points.append(state)
+            except Exception as exc:
+                error = exc
+            # the block's records come first, as they would one at a time
             stop = _record_block(driver, points, kkt_probe, records)
-            if stop is not None or reason is not None:
+            if stop is not None:
+                state, reason = stop, "non-finite metrics"  # the aborting record's state
+            elif error is not None:
+                raise error
+            if reason is not None:
                 break
-    if stop is not None:
-        # the run ends at the aborting record's point, with its bookkeeping
-        state, slack, excess = stop
-        reason = "non-finite metrics"
-    else:
-        slack, excess = driver.max_contraction_slack, driver.max_dual_excess
-    return RunResult(
-        records=records,
-        state=state,
-        abort_reason=reason,
-        max_contraction_slack=float("nan") if slack == -math.inf else slack,
-        max_dual_excess=float("nan") if excess == -math.inf else excess,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return RunResult(records=records, state=state, abort_reason=reason,
+                     wall_time_s=time.perf_counter() - t0)

@@ -279,6 +279,8 @@ def make_slack_l1_net(
         raise ValueError("radius must be positive")
     if not 1 <= batch_size <= n_train:
         raise ValueError("batch_size must lie in [1, n_train]")
+    if n_test < 1:
+        raise ValueError("n_test must be >= 1")
     L = len(widths) - 1
     shapes = [(widths[i], widths[i + 1]) for i in range(L)]
     sizes = [r * c for r, c in shapes]

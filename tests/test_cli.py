@@ -549,6 +549,7 @@ class TestMainEntry:
             {"problem": {"kind": "slack_l1_net", "layer_widths": [2, 2.5]}},
             {"problem": {"kind": "slack_l1_net", "layer_widths": [2, float("inf")]}},
             {"problem": {"kind": "slack_l1_net", "layer_widths": [2, -3]}},
+            {"problem": {"kind": "slack_l1_net", "n_test": 0}},
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, overrides):
@@ -569,6 +570,20 @@ class TestMainEntry:
         path = write_config(tmp_path / "config.json", table)
         assert main(["run", "--config", str(path), "--quiet"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver, extra", [
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({}, ["--param", "solver.seed", "--values", "0,-1"]),
+    ], ids=["config", "option", "sweep"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, monkeypatch, solver, extra):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        path = minimal_config(tmp_path, solver={"method": {"kind": "prox_sgd"}, **solver})
+        command = "sweep" if "--param" in extra else "run"
+        assert main([command, "--config", str(path), *extra, "--quiet"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert runs == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_nonfinite_sweep_value_exit_code(self, tmp_path, capsys, value):

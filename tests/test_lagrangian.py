@@ -286,6 +286,37 @@ class TestDriverStep:
         # consuming the stale w would have given 5 + 0.5*(1 - 5) = 3
         assert nxt.x == pytest.approx([-0.4])
         assert nxt.lam == pytest.approx([2.0])
+        # slack (2 - 1) - (1 - 0.5)*(5 - 1) = -1; the excess counts only once a
+        # step has started inside the ball, which an excess already set records
+        assert (nxt.slack, nxt.excess) == (-1.0, -np.inf)
+        nxt, _ = _Driver(prob, cfg).step(state._replace(excess=0.0), NO_TOKENS, None)
+        assert (nxt.slack, nxt.excess) == (-1.0, 1.0)
+
+    @pytest.mark.parametrize("dual", ["regu", "ialm"])
+    def test_stepping_a_state_twice_gives_the_same_state(self, dual):
+        # the dual bookkeeping rides in the state, so a step is a function of
+        # its state: the second steps from s0 and s1 miss the driver's ||lam||
+        # memo, and the first step's slack is that step's own
+        rec = make_stochastic_affine(n=4, p=2, seed=1)
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgdm", alpha=0.2), rho=0.5, beta=1.0,
+                           theta=StepSchedule("constant", 0.5), eta=ETA_01,
+                           tracker="correction", dual=dual,
+                           noise=NoiseModel("uniform_box", 0.1), max_iters=2)
+        driver = _Driver(rec.instance, cfg)
+        obj_gen, con_gen = (np.random.default_rng(s) for s in (1, 2))
+        s0 = driver.initial_state(rec.start, con_gen)
+        tokens = driver.draw_tokens(obj_gen, con_gen, 2)
+        noise = cfg.noise.draw(np.random.default_rng(3), (2, driver.n))
+        s1, _ = driver.step(s0, tokens[0], noise[0])
+        s2, _ = driver.step(s1, tokens[1], noise[1])
+        assert _bits(driver.step(s0, tokens[0], noise[0])[0]) == _bits(s1)
+        again, reason = driver.step(s1, tokens[1], noise[1])
+        assert reason is None and again.k == 2
+        assert _bits(again) == _bits(s2)
+        if dual == "regu":
+            assert np.isfinite([s2.slack, s2.excess]).all()
+        else:
+            assert s2.slack == s2.excess == -np.inf
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_dot_equals_matmul_bitwise(self, order):
@@ -371,6 +402,7 @@ class TestRun:
         res = run(rec.instance, cfg, x0=rec.start, record_every=500)
         assert res.max_contraction_slack <= 1e-12
         assert res.max_dual_excess <= 1e-9
+        _check_bookkeeping_read_from_state(res)
         for r in res.records:
             assert r.lambda_norm <= cfg.beta + 1e-9
 
@@ -636,6 +668,9 @@ def test_accepted_config_finishes_or_aborts_with_a_named_reason(kind, scales, ta
         warnings.simplefilter("error")
         res = run(rec.instance, cfg, x0=rec.start, record_every=record_every, kkt_probe=kkt_probe)
     assert res.abort_reason in ABORT_REASONS
+    _check_bookkeeping_read_from_state(res)
+    if cfg.dual == "ialm":
+        assert res.state.slack == res.state.excess == -np.inf
 
 
 def counting_constraint_problem(constraint):
@@ -903,6 +938,7 @@ class TestSolverConfigValidation:
             (lambda: SolverConfig(dual="bogus"), "unknown dual rule"),
             (lambda: SolverConfig(dual="ialm", inner_steps=0), "inner_steps must be >= 1"),
             (lambda: SolverConfig(max_iters=-1), "max_iters must be >= 0"),
+            (lambda: SolverConfig(seed=-1), "seed must be >= 0"),
         ],
     )
     def test_invalid_setting_rejected(self, make, message):
@@ -1098,11 +1134,19 @@ def _failing(prob, objective_at=None, subgrad_at=None, subgrad_error=None):
     return replace(prob, objective=objective, objective_subgradient=subgradient)
 
 
+def _bits(values):
+    return [np.asarray(v).tobytes() for v in values]
+
+
+def _check_bookkeeping_read_from_state(res):
+    # the result reads the final state's bookkeeping, an unset -inf as NaN
+    for got, stored in ((res.max_contraction_slack, res.state.slack),
+                        (res.max_dual_excess, res.state.excess)):
+        assert _bits([got]) == _bits([np.nan if stored == -np.inf else stored])
+
+
 def _state_bits(res):
-    return [np.asarray(v).tobytes() for v in res.state] + [
-        np.float64(res.max_contraction_slack).tobytes(),
-        np.float64(res.max_dual_excess).tobytes(),
-    ]
+    return _bits(res.state) + _bits([res.max_contraction_slack, res.max_dual_excess])
 
 
 def _record_bits(records):
@@ -1135,6 +1179,7 @@ class TestDeferredRecordOutcomes:
 
     def check_against_cut(self, res, cut):
         assert _state_bits(res) == _state_bits(cut)
+        _check_bookkeeping_read_from_state(res)
         # the bookkeeping saved at the aborting point is not the block end's
         block_end = self.run(max_iters=lagrangian.NOISE_CHUNK)
         assert _state_bits(block_end)[-2:] != _state_bits(cut)[-2:]

@@ -641,6 +641,7 @@ def test_stochastic_affine_samples_uniformly_bounded_on_box():
     ("slack_l1_net", {"layer_widths": (2, 2.5)}, "layer_widths"),
     ("slack_l1_net", {"layer_widths": (2, float("inf"))}, "layer_widths"),
     ("slack_l1_net", {"layer_widths": (2, -3)}, "layer_widths"),
+    ("slack_l1_net", {"n_test": 0}, "n_test must be >= 1"),
 ])
 def test_recipe_validation(kind, params, err):
     with pytest.raises(ValueError, match=err):
