@@ -11,9 +11,11 @@ from sslalm.cli import cmd_compare, config_from_dict
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "net_sgdm.json"
 
-# the tables that replace CONFIG's method and dual for the ADAM and ialm runs
+# the tables that replace CONFIG's method and dual for the ADAM and ialm runs;
+# the ialm runs update their multipliers every 20 steps (10 epochs), well inside
+# the default 200-step budget
 ADAM = {"kind": "prox_adam", "tau1": 1.0, "tau2": 0.1, "alpha": 0.1, "eps": 1e-8}
-IALM = {"kind": "ialm", "theta_tilde": 1.0, "beta_tilde": 1.0, "sigma": 2.0, "inner_steps": 500}
+IALM = {"kind": "ialm", "theta_tilde": 1.0, "beta_tilde": 1.0, "sigma": 2.0, "inner_steps": 20}
 
 
 def build_config(method_kind, dual, epochs):

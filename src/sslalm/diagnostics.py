@@ -58,10 +58,13 @@ class MetricsRecord:
         return rec
 
 
-def _rows(a, m: int) -> np.ndarray:
-    """``a`` as float64 rows, one per point of an ``m``-point stack; unchecked."""
+def _rows(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as float64 rows after checking that it has ``shape``: its shape only,
+    since a diverging run's records carry non-finite values."""
     a = np.asarray(a, dtype=np.float64)
-    return a.reshape(m, -1) if m else a.reshape(0, a.shape[-1])
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a.reshape(-1, shape[-1])
 
 
 def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
@@ -72,23 +75,13 @@ def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
     return A
 
 
-def _penalty_values(h_x, X: np.ndarray, point: bool) -> np.ndarray:
-    """Validate ``h_x`` as one penalty value per point of ``X``: a scalar for one
-    point."""
-    H = np.asarray(h_x, dtype=np.float64)
-    want = () if point else (len(X),)
-    if H.shape != want:
-        raise ValueError(f"h_x has shape {H.shape}, expected {want}: one value per point of x")
-    return H
-
-
 # The functions below take one point or a stack of points along a leading axis
 # through one code path: a point is a stack of one and gives a float. They
 # validate each input once, call the oracles and the set's maps once per point
 # and compute every other formula once per stack, in the float order of the
 # one-point formula; np.vecdot gives each row ndarray.dot's bits. The one-point
 # formulas computed Python floats, which never warn, hence one errstate around
-# each function's stacked part. The ``_kkt_rows`` and ``_u_*_rows`` helpers
+# each function's stacked part. The ``_kkt_rows`` and ``_u_adam_rows`` helpers
 # take validated stacks and leave the errstate to their caller.
 
 
@@ -123,34 +116,23 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
     return float(res[0]) if point else res
 
 
-def _u_momentum_rows(fset: FeasibleSet, X, Y, alpha: float) -> np.ndarray:
-    """``u_momentum`` at each point of the stack ``X`` with momenta ``Y``."""
-    T = X - Y / alpha
-    P = np.empty_like(T)
-    for j, t in enumerate(T):
-        P[j] = fset.project(t)
-    D = P - X
-    return np.vecdot(D, Y) + 0.5 * alpha * np.vecdot(D, D)
-
-
-def _momentum_inputs(fset: FeasibleSet, x, y, alpha: float):
-    """Validate the inputs once; return the stacks ``(x, y)`` and whether ``x``
-    was one point."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    X, point = as_stack(x, fset.dim)
-    return X, _matched(y, fset.dim, "y", X), point
-
-
 def u_momentum(fset: FeasibleSet, x, y, alpha: float):
     """Auxiliary value ``min_w <w - x, y> + (alpha/2)*||w - x||^2`` over the set.
 
     Nonpositive whenever ``x`` is feasible; zero only when the momentum has no
     feasible descent direction left.
     """
-    X, Y, point = _momentum_inputs(fset, x, y, alpha)
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    X, point = as_stack(x, fset.dim)
+    Y = _matched(y, fset.dim, "y", X)
     with np.errstate(over="ignore", invalid="ignore"):
-        U = _u_momentum_rows(fset, X, Y, alpha)
+        T = X - Y / alpha
+        P = np.empty_like(T)
+        for j, t in enumerate(T):
+            P[j] = fset.project(t)
+        D = P - X
+        U = np.vecdot(D, Y) + 0.5 * alpha * np.vecdot(D, D)
     return float(U[0]) if point else U
 
 
@@ -197,6 +179,17 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
     return value, grad_x, D, grad_v
 
 
+def _certificate(h_x, u, tau: float):
+    """Descent certificate ``h(x) - u/tau`` from the penalty values ``h_x`` and the
+    auxiliary values ``u``, one per point of x: a float for one point."""
+    H, U = np.asarray(h_x, dtype=np.float64), np.asarray(u)
+    if H.shape != U.shape:
+        raise ValueError(f"h_x has shape {H.shape}, expected {U.shape}: one value per point of x")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = H - U / tau
+    return float(out) if H.ndim == 0 else out
+
+
 def lyapunov_momentum(h_x, fset: FeasibleSet, x, y, tau: float, alpha: float):
     """Descent certificate ``h(x) - u_momentum(x, y, 1/alpha)/tau`` for momentum
     runs, given the penalty value ``h_x = h(x)``. ``alpha`` is the step's prox
@@ -204,11 +197,7 @@ def lyapunov_momentum(h_x, fset: FeasibleSet, x, y, tau: float, alpha: float):
     ``u_momentum`` at scale ``1/alpha``."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    X, Y, point = _momentum_inputs(fset, x, y, 1.0 / alpha)
-    H = _penalty_values(h_x, X, point)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = H - _u_momentum_rows(fset, X, Y, 1.0 / alpha) / tau
-    return float(out[0]) if point else out
+    return _certificate(h_x, u_momentum(fset, x, y, 1.0 / alpha), tau)
 
 
 def lyapunov_adam(
@@ -222,12 +211,12 @@ def lyapunov_adam(
     eps: float,
 ):
     """Descent certificate ``h(x) - u_adam(x, y, v)/tau1`` for ADAM runs,
-    given the penalty value ``h_x = h(x)``."""
+    given the penalty value ``h_x = h(x)``; the auxiliary value comes without
+    its gradients."""
     X, Y, V, point = _adam_inputs(fset, x, y, v, alpha, eps)
-    H = _penalty_values(h_x, X, point)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = H - _u_adam_rows(fset, X, Y, V, alpha, eps)[-1] / tau1
-    return float(out[0]) if point else out
+        u = _u_adam_rows(fset, X, Y, V, alpha, eps)[-1]
+    return _certificate(h_x, u[0] if point else u, tau1)
 
 
 def exact_penalty_margin(prob: ProblemInstance, beta: float) -> float | None:
@@ -272,8 +261,6 @@ def assemble_record(
     rho: float,
     kkt_probe: float | None,
     c=None,
-    *,
-    errors: list | None = None,
 ):
     """Build one metrics record, the one place where the penalty ``g``, the
     merits ``L`` and ``H`` are computed; ``g_val`` uses the same floats as
@@ -283,39 +270,30 @@ def assemble_record(
     ``g_val``. Stacks of ``x``, ``lam``, ``w`` (and ``c``) with a sequence of
     iteration counts ``k`` give a list of records.
 
-    The oracles run point by point, each once. With ``errors`` given, an oracle
-    that raises at a point of a stack ends the stack there: its exception is
-    appended to ``errors`` and the records of the points before it come back,
-    as a record-by-record run would have kept them without calling any oracle
-    twice."""
+    The oracles run point by point, each once, and then the KKT probe's
+    projections; the first error they raise comes out of the whole stack."""
     if kkt_probe is not None and not kkt_probe > 0:
         raise ValueError("eta_probe must be positive")
     X, point = as_stack(x, prob.dim_primal)
-    m = len(X)
+    m, p = len(X), prob.dim_constraint
     ks = [k] if point else list(k)
-    W = _rows(w, m)
+    # w, c and lam hold one p-vector per point
+    shape = (p,) if point else (m, p)
+    W = _rows(w, shape, "w")
     # the KKT probe checks lam, as kkt_residual does
-    LAM = _rows(lam, m) if kkt_probe is None else _matched(lam, prob.dim_constraint, "lam", X)
+    LAM = _rows(lam, shape, "lam") if kkt_probe is None else _matched(lam, p, "lam", X)
     F = np.empty(m)
-    C = np.empty((m, prob.dim_constraint)) if c is None else _rows(c, m)
+    C = np.empty((m, p)) if c is None else _rows(c, shape, "c")
     D, G = np.empty_like(X), np.empty_like(X)
     for j, xj in enumerate(X):
-        try:
-            F[j] = _objective_at(prob, xj)
-            if c is None:
-                C[j] = _constraints_at(prob, xj)
-            if kkt_probe is not None:
-                # right after the objective at the same point, which a one-entry
-                # full-batch cache then serves
-                D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
-                G[j] = _jacobian_at(prob, xj) @ LAM[j]
-        except Exception as err:
-            if errors is None or point:
-                raise
-            errors.append(err)
-            m = j
-            X, LAM, W, F, C, D, G = (a[:m] for a in (X, LAM, W, F, C, D, G))
-            break
+        F[j] = _objective_at(prob, xj)
+        if c is None:
+            C[j] = _constraints_at(prob, xj)
+        if kkt_probe is not None:
+            # right after the objective at the same point, which a one-entry
+            # full-batch cache then serves
+            D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
+            G[j] = _jacobian_at(prob, xj) @ LAM[j]
     with np.errstate(over="ignore", invalid="ignore"):
         kkt = np.full(m, np.nan) if kkt_probe is None else _kkt_rows(prob, X, D, G, kkt_probe)
         feas = np.sqrt(np.vecdot(C, C))

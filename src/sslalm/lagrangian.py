@@ -227,8 +227,10 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
 
 
 class _Driver:
-    """Resolved settings for one (problem, config) pair, holding no run state; a
-    problem with exact oracles runs as a sampled one whose samples are exact."""
+    """Resolved settings for one (problem, config) pair; a problem with exact
+    oracles runs as a sampled one whose samples are exact. The run's state is
+    the LagrangianState; the driver keeps only a memo of the last regu
+    multiplier's norm, keyed by the multiplier's identity."""
 
     def __init__(self, prob, config: SolverConfig):
         prob = as_stochastic(prob)
@@ -362,40 +364,46 @@ class _Driver:
             lam_next = lam
         return LagrangianState(x_next, y_next, lam_next, w_next, k + 1, slack, excess), None
 
-    def metrics(self, states, kkt_probe: float | None,
-                errors: list | None = None) -> list[MetricsRecord]:
-        """The records of the list ``states``, assembled as one stack. With
-        ``errors`` given, an oracle that raises at a point ends the list there
-        (see ``assemble_record``)."""
+    def metrics(self, states, kkt_probe: float | None) -> list[MetricsRecord]:
+        """The records of the list ``states``, assembled as one stack."""
         cfg = self.config
         X = np.array([s.x for s in states])
         W = np.array([s.w for s in states])
         records = assemble_record(
             self.mean, [s.k for s in states], X, np.array([s.lam for s in states]), W,
-            cfg.beta, cfg.rho, kkt_probe, c=W if self._w_is_c else None, errors=errors,
+            cfg.beta, cfg.rho, kkt_probe, c=W if self._w_is_c else None,
         )
-        m = len(records)
-        if self._lyapunov is not None and m:
+        if self._lyapunov is not None:
             # the Lyapunov value reuses the record's penalty value g(x)
-            lyap = self._lyapunov(np.array([rec.g_val for rec in records]), X[:m],
-                                  np.array([s.y for s in states[:m]]))
+            lyap = self._lyapunov(np.array([rec.g_val for rec in records]), X,
+                                  np.array([s.y for s in states]))
             for rec, value in zip(records, lyap.tolist()):
                 rec.lyapunov = value
         return records
 
 
 def _record_block(driver: _Driver, points: list, kkt_probe: float | None, records: list):
-    """Append the records of a block's record ``points``, states each, assembled
-    as one stack, to ``records``; return the state where the run aborts, or None.
-    The outcome is that of recording each state as the run reached it: a record
-    with a non-finite core value is kept and aborts the run, an oracle's
-    NonFiniteError aborts it before its record, and any other exception of an
-    oracle is raised."""
+    """Append the records of a block's record ``points``, states each, to
+    ``records``; return the state where the run aborts, or None. The outcome is
+    that of recording each state as the run reached it: a record with a
+    non-finite core value is kept and aborts the run, an oracle's NonFiniteError
+    aborts it before its record, and any other exception is raised. The block is
+    assembled as one stack; a stack that raises is recorded again point by
+    point, to find where it stops."""
     if not points:
         return None
-    errors = []
-    block = driver.metrics(points, kkt_probe, errors)
-    for rec, point in zip(block, points):
+    try:
+        block = driver.metrics(points, kkt_probe)
+    except Exception:
+        block = None
+    for j, point in enumerate(points):
+        if block is not None:
+            rec = block[j]
+        else:
+            try:
+                [rec] = driver.metrics([point], kkt_probe)
+            except NonFiniteError:
+                return point
         records.append(rec)
         # a diverging run can overflow its diagnostics while the raw state is
         # still representable
@@ -403,10 +411,7 @@ def _record_block(driver: _Driver, points: list, kkt_probe: float | None, record
                      rec.lambda_norm, rec.tracker_err)
         if not all(math.isfinite(v) for v in core_vals):
             return point
-    if errors and not isinstance(errors[0], NonFiniteError):
-        raise errors[0]
-    # an oracle's NonFiniteError aborts the run at its point, after the records before it
-    return points[len(block)] if errors else None
+    return None
 
 
 def run(

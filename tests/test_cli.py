@@ -14,6 +14,7 @@ import sslalm
 from sslalm import cli
 from sslalm.cli import (
     ConfigError,
+    build_recipe,
     cmd_compare,
     cmd_run,
     cmd_sweep,
@@ -643,22 +644,26 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
     def test_nonfinite_objective_aborts_with_outputs(self, tmp_path, monkeypatch, tracker):
-        # the objective oracle turns inf on its fourth call, the record at
-        # k = 30: exit code 1, and the three records before it are written
+        # the objective oracle returns inf at the point the run reaches at
+        # k = 30, the record at k = 30: exit code 1, and the three records
+        # before it are written
+        solver = {"method": {"kind": "prox_sgd"}, "max_iters": 50, "tracker": tracker}
+        path = minimal_config(tmp_path, record_every=10, solver=solver)
+        cfg = parse_config(path)
+        recipe = build_recipe(cfg)
+        x30 = sslalm.run(recipe.instance, replace(cfg.solver, max_iters=30),
+                         x0=recipe.start).state.x
+
         def broken_recipe(kind, **params):
             recipe = make_recipe(kind, **params)
             inst = recipe.instance
-            calls = [0]
 
             def objective(x):
-                calls[0] += 1
-                return inst.objective(x) if calls[0] <= 3 else float("inf")
+                return float("inf") if np.array_equal(x, x30) else inst.objective(x)
 
             return replace(recipe, instance=replace(inst, objective=objective))
 
         monkeypatch.setattr(cli, "make_recipe", broken_recipe)
-        solver = {"method": {"kind": "prox_sgd"}, "max_iters": 50, "tracker": tracker}
-        path = minimal_config(tmp_path, record_every=10, solver=solver)
         assert main(["run", "--config", str(path), "--quiet"]) == 1
         out = tmp_path / "out"
         records = (out / "metrics_rep000.jsonl").read_text().splitlines()

@@ -688,9 +688,33 @@ class TestStackedPath:
             (ValueError, r"^h_x has shape \(1,\), expected \(\)",
              lambda h: lyapunov_momentum(h, fset, X[0], Y[0], 1.0, 1.0), np.zeros(1)),
         ]
+        # w, c and, without the KKT probe, lam are checked for their shape only:
+        # one p-vector per point
+        aff = make_affine_l1(n=4, p=2, seed=0).instance
+        X2, W2 = np.zeros((2, 4)), np.ones((2, 2))
+        calls += [
+            (ValueError, r"^w has shape \(2,\), expected \(2, 2\)",
+             lambda w: assemble_record(aff, range(2), X2, W2, w, 1.0, 0.5, None), np.zeros(2)),
+            (ValueError, r"^lam has shape \(4,\), expected \(2, 2\)",
+             lambda lam: assemble_record(aff, range(2), X2, lam, W2, 1.0, 0.5, None),
+             np.zeros(4)),
+            (ValueError, r"^lam has dimension 4, expected 2",
+             lambda lam: assemble_record(aff, range(2), X2, lam, W2, 1.0, 0.5, 1e-3),
+             np.zeros(4)),
+            (ValueError, r"^c has shape \(2, 1\), expected \(2, 2\)",
+             lambda c: assemble_record(aff, range(2), X2, W2, W2, 1.0, 0.5, None, c=c),
+             np.zeros((2, 1))),
+            (ValueError, r"^w has shape \(1, 2\), expected \(2,\)",
+             lambda w: assemble_record(aff, 0, X2[0], W2[0], w, 1.0, 0.5, None),
+             np.zeros((1, 2))),
+        ]
         for err, match, call, bad in calls:
             with pytest.raises(err, match=match):
                 call(bad)
+        # the values are not checked: a diverging run's records carry non-finite ones
+        recs = assemble_record(aff, range(2), X2, np.full((2, 2), np.inf), W2 * np.inf,
+                               1.0, 0.5, None)
+        assert all(math.isinf(r.tracker_err) and math.isinf(r.lambda_norm) for r in recs)
 
     @pytest.mark.parametrize("failing", [0, 1, 4])
     def test_failing_point_raises_its_error(self, failing):
@@ -707,19 +731,6 @@ class TestStackedPath:
         LAM, W = np.ones((6, 1)), np.zeros((6, 1))
         with pytest.raises(NonFiniteError, match="objective"):
             assemble_record(prob, range(6), X, LAM, W, 1.0, 0.5, 1e-3)
-        # with ``errors`` given, the points before it come back and the error
-        # is collected
-        errors = []
-        recs = assemble_record(prob, range(6), X, LAM, W, 1.0, 0.5, 1e-3, errors=errors)
-        assert [r.k for r in recs] == list(range(failing))
-        assert len(errors) == 1 and isinstance(errors[0], NonFiniteError)
-        whole = assemble_record(base, range(6), X, LAM, W, 1.0, 0.5, 1e-3)
-        assert [_bits(vars(r).values()) for r in recs] == [
-            _bits(vars(r).values()) for r in whole[:failing]]
-        # a point is no stack to end: its error is raised
-        with pytest.raises(NonFiniteError, match="objective"):
-            assemble_record(prob, failing, X[failing], LAM[failing], W[failing], 1.0, 0.5,
-                            1e-3, errors=[])
 
         class FailingBox(Box):
             def project(self, x):

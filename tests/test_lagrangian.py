@@ -485,18 +485,15 @@ class TestRun:
 
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
     def test_nonfinite_objective_aborts_keeping_records(self, tracker):
-        # only records call the objective; it returns inf from its fourth
-        # call on, at the record of k = 30
-        calls = [0]
-
-        def objective(x):
-            calls[0] += 1
-            return float(x[0]) if calls[0] <= 3 else float("inf")
-
-        prob = scalar_problem(objective=objective, fset=Box(np.array([-1.0]), np.array([1.0])))
+        # only records call the objective; it returns inf at the point the run
+        # reaches at k = 30, the record of k = 30
+        base = scalar_problem(objective=lambda x: float(x[0]),
+                              fset=Box(np.array([-1.0]), np.array([1.0])))
         cfg = SolverConfig(
             method=MethodConfig(kind="prox_sgd"), eta=ETA_01, tracker=tracker, max_iters=100,
         )
+        x30 = run(base, replace(cfg, max_iters=30), x0=np.array([0.5])).state.x
+        prob = _failing(base, objective_at=x30)
         res = run(prob, cfg, x0=np.array([0.5]), record_every=10)
         assert res.aborted
         assert res.abort_reason == "non-finite metrics"
@@ -1221,6 +1218,39 @@ class TestDeferredRecordOutcomes:
         assert _state_bits(res) == _state_bits(cut)
         assert _record_bits(res.records) == _record_bits(cut.records)
 
+    def test_projection_raising_after_a_pending_nonfinite_record(self):
+        # the overflowing run above, with the KKT probe: the record of k = 78
+        # aborts it, so the probe's projection at the record of k = 81, which
+        # raises, is never reached, although the block's stack runs it
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), rho=1.0, eta=ETA_01,
+                           max_iters=3 * lagrangian.NOISE_CHUNK)
+        def subgrad(x):
+            return -1e3 * x
+
+        whole = scalar_problem(objective=lambda x: float(x[0]), subgrad=subgrad,
+                               fset=Box(np.full(1, -np.inf), np.full(1, np.inf)))
+        s81 = run(whole, replace(cfg, max_iters=81), x0=np.ones(1), kkt_probe=1e-3,
+                  record_every=cfg.max_iters).state
+        probe81 = s81.x - 1e-3 * (subgrad(s81.x) + np.array([[1.0]]) @ s81.lam)
+
+        class FailingBox(Box):
+            def project(self, x):
+                if np.array_equal(x, probe81):
+                    raise ArithmeticError("projection failed")
+                return super().project(x)
+
+        prob = replace(whole, feasible_set=FailingBox(whole.feasible_set.lower,
+                                                      whole.feasible_set.upper))
+        res = run(prob, cfg, x0=np.ones(1), kkt_probe=1e-3, record_every=3)
+        assert res.abort_reason == "non-finite metrics" and res.state.k == 78
+        assert [r.k for r in res.records] == list(range(0, 79, 3))
+        assert not np.isfinite(res.records[-1].g_val)
+        cut = run(prob, replace(cfg, max_iters=78), x0=np.ones(1), kkt_probe=1e-3,
+                  record_every=3)
+        assert cut.abort_reason == "non-finite metrics"
+        assert _state_bits(res) == _state_bits(cut)
+        assert _record_bits(res.records) == _record_bits(cut.records)
+
     def test_step_aborting_after_pending_finite_records(self):
         res = self.run(subgrad_at=self.x_at(137))
         assert res.abort_reason == "non-finite primal direction" and res.state.k == 137
@@ -1263,5 +1293,6 @@ class TestDeferredRecordOutcomes:
         prob = replace(base, objective=objective)
         with pytest.raises(RuntimeError, match="record oracle failed"):
             run(prob, self.CONFIG, x0=self.BASE.start, record_every=10, kkt_probe=1e-3)
-        # the records of k = 0, 10 and 20, each evaluated once
-        assert calls[0] == 3
+        # the record of k = 0 is evaluated once; those of k = 10 and 20 in the
+        # block's stack, which raises at k = 20, and then again one at a time
+        assert calls[0] == 5
