@@ -148,12 +148,14 @@ def config_from_dict(raw: dict) -> RunConfig:
 def parse_config(path) -> RunConfig:
     """Load and fully validate a config file; raises ConfigError with context."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_dict(raw)
 
 
@@ -219,7 +221,10 @@ def _run_chains(chains: list, out):
         same = [recipe for c, recipe in zip(chains, recipes) if c.problem == cfg.problem]
         recipes.append(same[0] if same else build_recipe(cfg))
     out_dir = Path(out if out is not None else chains[0].output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from exc
     results = (run(recipe.instance, cfg.solver, x0=recipe.start, record_every=cfg.record_every,
                    kkt_probe=cfg.kkt_probe) for cfg, recipe in zip(chains, recipes))
     return out_dir, recipes, results

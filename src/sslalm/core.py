@@ -124,18 +124,6 @@ def _check_fields(config) -> None:
             object.__setattr__(config, name, _check_value(name, hint, value))
 
 
-def _check_arguments(func):
-    """``func`` applying the type rule to each annotated parameter a call passes."""
-    bind, types = signature(func).bind, _field_types(func)
-
-    @functools.wraps(func)
-    def checked(*args, **kwargs):
-        arguments = bind(*args, **kwargs).arguments.items()
-        return func(**{name: _check_value(name, types[name], v) for name, v in arguments})
-
-    return checked
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """Equality-constrained problem with deterministic selection oracles.

@@ -43,19 +43,22 @@ class MetricsRecord:
     lyapunov: float | None = None
 
     def to_json_line(self) -> str:
-        # the fields are plain numbers, so no deep copy is needed; strict JSON
-        # has no NaN, so a KKT probe that did not run is written null
+        # strict JSON has no NaN or infinity, so a non-finite value (a KKT probe
+        # that did not run, an aborting record's overflow) is written null; the
+        # fields are plain numbers, and a finite sum has only finite terms
         fields = vars(self)
-        if math.isnan(self.kkt_residual):
-            fields = {**fields, "kkt_residual": None}
+        if not math.isfinite(self.f_val + self.feas + self.g_val + self.L_val + self.H_val
+                             + self.lambda_norm + self.kkt_residual + self.tracker_err
+                             + (self.lyapunov or 0.0)):
+            fields = {k: v if v is None or math.isfinite(v) else None for k, v in fields.items()}
         return json.dumps(fields)
 
     @staticmethod
     def from_json_line(line: str) -> "MetricsRecord":
-        rec = MetricsRecord(**json.loads(line))
-        if rec.kkt_residual is None:
-            rec.kkt_residual = float("nan")
-        return rec
+        # a null value is a non-finite one, except a null lyapunov, which is unset
+        fields = json.loads(line).items()
+        return MetricsRecord(**{k: math.nan if v is None and k != "lyapunov" else v
+                                for k, v in fields})
 
 
 def _rows(a, shape: tuple, name: str) -> np.ndarray:

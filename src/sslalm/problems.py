@@ -13,13 +13,16 @@ Four families:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from inspect import signature
 
 import numpy as np
 
-from .core import ProblemInstance, StochasticProblemInstance, _check_arguments, _check_integer
+from .core import ProblemInstance, StochasticProblemInstance
+from .core import _check_integer, _check_value, _field_types
 from .geometry import MEMBERSHIP_TOL, Box
 
 
@@ -32,12 +35,34 @@ class OracleSolution:
 
 @dataclass(frozen=True)
 class ProblemRecipe:
-    kind: str
-    params: dict
     instance: ProblemInstance | StochasticProblemInstance
     start: np.ndarray
     oracle_solution: OracleSolution | None = None
     metadata: dict = field(default_factory=dict)
+    kind: str = ""  # set, with params, by the maker's registration
+    params: dict = field(default_factory=dict)
+
+
+RECIPES: dict = {}  # each recipe kind with its maker, filled by @_recipe
+
+
+def _recipe(maker):
+    """Register ``maker``, named ``make_<kind>``, as the recipe ``kind``. A call
+    applies the config type rule to each annotated argument (to the defaults once,
+    here) and returns the maker's recipe with that kind and, as its params, the
+    checked arguments, defaults included."""
+    kind, sig, types = maker.__name__.removeprefix("make_"), signature(maker), _field_types(maker)
+    defaults = {name: _check_value(name, types[name], p.default)
+                for name, p in sig.parameters.items() if p.default is not p.empty}
+
+    @functools.wraps(maker)
+    def make(*args, **kwargs):
+        given = sig.bind(*args, **kwargs).arguments.items()
+        params = {**defaults, **{name: _check_value(name, types[name], v) for name, v in given}}
+        return replace(maker(**params), kind=kind, params=params)
+
+    RECIPES[kind] = make
+    return make
 
 
 ORACLE_CHUNK = 4096  # candidate points l1_affine_oracle holds at a time
@@ -180,22 +205,16 @@ def _affine_l1_mean(n, p, seed, lipschitz_scale):
     return prob, x_star, f_star, {"A": A, "b": b, "anchor": anchor}
 
 
-@_check_arguments
+@_recipe
 def make_affine_l1(n: int = 6, p: int = 2, seed: int = 0) -> ProblemRecipe:
     """L1 deviation objective, orthonormal affine equalities, unit box."""
     inst, x_star, f_star, data = _affine_l1_mean(n, p, seed, 1.0)
     lam_star = _certify_multiplier(data["A"], x_star, data["anchor"], inst.feasible_set)
-    return ProblemRecipe(
-        kind="affine_l1",
-        params={"n": n, "p": p, "seed": seed},
-        instance=inst,
-        start=np.zeros(n),
-        oracle_solution=OracleSolution(x=x_star, f=f_star, multipliers=lam_star),
-        metadata=data,
-    )
+    solution = OracleSolution(x=x_star, f=f_star, multipliers=lam_star)
+    return ProblemRecipe(instance=inst, start=np.zeros(n), oracle_solution=solution, metadata=data)
 
 
-@_check_arguments
+@_recipe
 def make_stochastic_affine(
     n: int = 5, p: int = 2, noise_scale: float = 0.5, seed: int = 0
 ) -> ProblemRecipe:
@@ -233,14 +252,8 @@ def make_stochastic_affine(
         constraint_sample=lambda x, tok: tok[0].dot(x) - tok[1],
         constraint_jacobian_sample=lambda x, tok: tok[0].T,
     )
-    return ProblemRecipe(
-        kind="stochastic_affine",
-        params={"n": n, "p": p, "noise_scale": noise_scale, "seed": seed},
-        instance=inst,
-        start=np.zeros(n),
-        oracle_solution=OracleSolution(x=x_star, f=f_star),
-        metadata=data,
-    )
+    solution = OracleSolution(x=x_star, f=f_star)
+    return ProblemRecipe(instance=inst, start=np.zeros(n), oracle_solution=solution, metadata=data)
 
 
 def _blob_dataset(rng, dim_in, n_points):
@@ -252,7 +265,7 @@ def _blob_dataset(rng, dim_in, n_points):
     return inputs, labels
 
 
-@_check_arguments
+@_recipe
 def make_slack_l1_net(
     layer_widths=(2, 8, 2),
     radius: float = 1.0,
@@ -392,16 +405,6 @@ def make_slack_l1_net(
         return float(np.mean(np.argmax(acts[-1], axis=1) == test_y))
 
     return ProblemRecipe(
-        kind="slack_l1_net",
-        params={
-            "layer_widths": widths,
-            "radius": radius,
-            "dataset_seed": dataset_seed,
-            "n_train": n_train,
-            "n_test": n_test,
-            "batch_size": batch_size,
-            "init_scale": init_scale,
-        },
         instance=inst,
         start=start,
         metadata={
@@ -413,7 +416,7 @@ def make_slack_l1_net(
     )
 
 
-@_check_arguments
+@_recipe
 def make_exactness_1d(slope: float = 2.0) -> ProblemRecipe:
     """Linear objective ``-slope * x`` on [-1, 1] with constraint ``x = 0``.
 
@@ -434,22 +437,8 @@ def make_exactness_1d(slope: float = 2.0) -> ProblemRecipe:
         lipschitz_bound_f=slope,
         regularity_constant=1.0,
     )
-    return ProblemRecipe(
-        kind="exactness_1d",
-        params={"slope": slope},
-        instance=inst,
-        start=np.array([0.9]),
-        oracle_solution=OracleSolution(x=np.zeros(1), f=0.0, multipliers=np.array([slope])),
-        metadata={"slope": slope},
-    )
-
-
-RECIPES = {
-    "affine_l1": make_affine_l1,
-    "slack_l1_net": make_slack_l1_net,
-    "stochastic_affine": make_stochastic_affine,
-    "exactness_1d": make_exactness_1d,
-}
+    solution = OracleSolution(x=np.zeros(1), f=0.0, multipliers=np.array([slope]))
+    return ProblemRecipe(instance=inst, start=np.array([0.9]), oracle_solution=solution)
 
 
 def make_recipe(kind: str, **params) -> ProblemRecipe:

@@ -672,6 +672,32 @@ class TestMainEntry:
         header = summary[0].split(",")
         assert summary[1].split(",")[header.index("aborted")] == "1"
 
+    def test_aborting_record_line_is_strict_json(self, tmp_path):
+        # a step of 1e200 overflows the constraint at k = 1: the run aborts and
+        # keeps that record, whose non-finite values are written null
+        config = {
+            "problem": {"kind": "slack_l1_net", "n_train": 16, "n_test": 8, "batch_size": 4,
+                        "layer_widths": [2, 3, 2], "radius": 1000.0},
+            "solver": {"method": {"kind": "prox_sgd"}, "rho": 1.0, "beta": 1.0,
+                       "eta": {"kind": "constant", "c": 1e200}, "max_iters": 5, "seed": 0},
+            "record_every": 1,
+            "kkt_probe": None,
+        }
+        path = write_config(tmp_path / "abort.json", config)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        lines = (out / "metrics_rep000.jsonl").read_text().splitlines()
+        tables = [json.loads(line, parse_constant=refuse) for line in lines]
+        assert [t["k"] for t in tables] == [0, 1]
+        assert tables[1]["feas"] is None and tables[1]["H_val"] is None
+        last = MetricsRecord.from_json_line(lines[1])
+        assert np.isnan(last.feas) and np.isnan(last.H_val)
+        assert last.lyapunov is None
+
     def test_run_and_sweep_through_main(self, tmp_path):
         path = minimal_config(tmp_path)
         assert main(["run", "--config", str(path), "--quiet"]) == 0
@@ -919,3 +945,26 @@ class TestNothingWrittenForABadConfig:
         argv = ["sweep", "--config", str(path), "--param", parameter, "--values", values, "--quiet"]
         assert main(argv) == 2
         assert runs == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                      "out_is_a_file", "out_under_a_file"])
+    def test_unusable_path_is_a_config_error(self, tmp_path, monkeypatch, capsys, case):
+        runs = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: runs.append(args))
+        path, out = minimal_config(tmp_path), tmp_path / "out"
+        (tmp_path / "a_file").write_text("")
+        if case == "config_is_a_directory":
+            path = tmp_path / "a_dir"
+            path.mkdir()
+        elif case == "config_not_utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"output_path": "\xe9"}'.encode("latin-1"))
+        elif case == "out_is_a_file":
+            out = tmp_path / "a_file"
+        else:
+            out = tmp_path / "a_file" / "sub"
+        assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert str(path if case.startswith("config") else out) in err
+        assert runs == []

@@ -367,6 +367,27 @@ class TestMetricsRecord:
         assert np.isnan(back.kkt_residual)
         assert json.loads(line)["k"] == 7
 
+    def test_nonfinite_values_written_null_and_read_back_nan(self):
+        # an aborting record's overflow: strict JSON, every non-finite value
+        # null, read back as NaN; a null lyapunov stays unset
+        r = MetricsRecord(
+            k=3, f_val=1.25, feas=float("inf"), g_val=float("inf"), L_val=float("-inf"),
+            H_val=float("nan"), lambda_norm=0.5, kkt_residual=0.125, tracker_err=0.0,
+            lyapunov=None,
+        )
+        line = r.to_json_line()
+        table = json.loads(line, parse_constant=lambda c: pytest.fail(f"not strict JSON: {c}"))
+        assert [k for k, v in table.items() if v is None] == [
+            "feas", "g_val", "L_val", "H_val", "lyapunov"
+        ]
+        back = MetricsRecord.from_json_line(line)
+        assert all(np.isnan(v) for v in (back.feas, back.g_val, back.L_val, back.H_val))
+        assert (back.f_val, back.lambda_norm, back.kkt_residual) == (1.25, 0.5, 0.125)
+        assert back.lyapunov is None
+        # a non-finite lyapunov is written null too, and reads back unset
+        r = replace(r, feas=1.0, g_val=2.0, L_val=1.0, H_val=1.0, lyapunov=float("inf"))
+        assert MetricsRecord.from_json_line(r.to_json_line()).lyapunov is None
+
 
 class TestExactPenaltyMargin:
     def test_positive_margin_when_weight_exceeds_threshold(self):
