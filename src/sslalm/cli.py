@@ -50,11 +50,10 @@ class RunConfig:
         problem = self.problem
         if not isinstance(problem, dict) or "kind" not in problem:
             raise ConfigError("problem: needs a 'kind' key")
-        if problem["kind"] not in RECIPES:
-            raise ConfigError(
-                f"problem.kind: unknown kind {problem['kind']!r}; known: {sorted(RECIPES)}"
-            )
-        params = _field_types(RECIPES[problem["kind"]])
+        kind = _check_value("problem.kind", str, problem["kind"])
+        if kind not in RECIPES:
+            raise ConfigError(f"problem.kind: unknown kind {kind!r}; known: {sorted(RECIPES)}")
+        params = _field_types(RECIPES[kind])
         _check_keys(problem, {"kind", *params}, "problem")
         checked = {k: _check_value(f"problem.{k}", params.get(k), v) for k, v in problem.items()}
         object.__setattr__(self, "problem", checked)

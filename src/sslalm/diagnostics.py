@@ -84,19 +84,7 @@ def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
 # and compute every other formula once per stack, in the float order of the
 # one-point formula; np.vecdot gives each row ndarray.dot's bits. The one-point
 # formulas computed Python floats, which never warn, hence one errstate around
-# each function's stacked part. The ``_kkt_rows`` and ``_u_adam_rows`` helpers
-# take validated stacks and leave the errstate to their caller.
-
-
-def _kkt_rows(prob: ProblemInstance, X, D, G, eta_probe: float) -> np.ndarray:
-    """The KKT residuals at the points ``X``, given the subgradient selections
-    ``D`` and the products ``G = J lam`` there."""
-    T = X - eta_probe * (D + G)
-    S = np.empty_like(T)
-    for j, t in enumerate(T):
-        S[j] = prob.feasible_set.project(t)
-    R = X - S
-    return np.sqrt(np.vecdot(R, R)) / eta_probe
+# each function's arrays, from the finiteness checks' v.dot(v) on.
 
 
 def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
@@ -108,14 +96,19 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
     """
     if not eta_probe > 0:
         raise ValueError("eta_probe must be positive")
-    X, point = as_stack(x, prob.dim_primal)
-    LAM = _matched(lam, prob.dim_constraint, "lam", X)
-    D, G = np.empty_like(X), np.empty_like(X)
-    for j, xj in enumerate(X):
-        D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
-        G[j] = _jacobian_at(prob, xj) @ LAM[j]
     with np.errstate(over="ignore", invalid="ignore"):
-        res = _kkt_rows(prob, X, D, G, eta_probe)
+        X, point = as_stack(x, prob.dim_primal)
+        LAM = _matched(lam, prob.dim_constraint, "lam", X)
+        D, G = np.empty_like(X), np.empty_like(X)
+        for j, xj in enumerate(X):
+            D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
+            G[j] = _jacobian_at(prob, xj) @ LAM[j]
+        T = X - eta_probe * (D + G)
+        P = np.empty_like(T)
+        for j, t in enumerate(T):
+            P[j] = prob.feasible_set.project(t)
+        R = X - P
+        res = np.sqrt(np.vecdot(R, R)) / eta_probe
     return float(res[0]) if point else res
 
 
@@ -127,9 +120,9 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float):
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    X, point = as_stack(x, fset.dim)
-    Y = _matched(y, fset.dim, "y", X)
     with np.errstate(over="ignore", invalid="ignore"):
+        X, point = as_stack(x, fset.dim)
+        Y = _matched(y, fset.dim, "y", X)
         T = X - Y / alpha
         P = np.empty_like(T)
         for j, t in enumerate(T):
@@ -139,44 +132,31 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float):
     return float(U[0]) if point else U
 
 
-def _adam_inputs(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
-    """Validate the inputs once; return the stacks ``(x, y, v)`` and whether ``x``
-    was one point."""
-    X, point = as_stack(x, fset.dim)
-    Y = _matched(y, fset.dim, "y", X)
-    V = _matched(v, fset.dim, "v", X)
-    if (V < 0).any():
-        raise ValueError("second-moment entries must be nonnegative")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")
-    return X, Y, V, point
-
-
-def _u_adam_rows(fset: FeasibleSet, X, Y, V, alpha: float, eps: float):
-    """``(root, z, d, value)`` at each point: ``root = sqrt(v + eps)``, the
-    weighted prox point ``z`` and ``d = z - x``."""
-    R = np.sqrt(V + eps)
-    weights = R / alpha
-    Z = np.empty_like(X)
-    for j, xj in enumerate(X):
-        Z[j] = _prox_positive(fset, xj, Y[j], weights[j])
-    D = Z - X
-    return R, Z, D, np.vecdot(D, Y) + np.vecdot(R, D * D) / (2.0 * alpha)
-
-
 def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
     """Weighted auxiliary value and its closed-form gradients.
 
     Returns ``(value, grad_x, grad_y, grad_v)`` for
     ``u(x,y,v) = min_z <z - x, y> + (1/(2*alpha)) <sqrt(v+eps)*(z-x), z-x>``.
     """
-    X, Y, V, point = _adam_inputs(fset, x, y, v, alpha, eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        R, Z, D, value = _u_adam_rows(fset, X, Y, V, alpha, eps)
-    grad_x = -Y + R * (X - Z) / alpha
-    grad_v = (D * D) / (4.0 * alpha * R)
+        X, point = as_stack(x, fset.dim)
+        Y = _matched(y, fset.dim, "y", X)
+        V = _matched(v, fset.dim, "v", X)
+        if (V < 0).any():
+            raise ValueError("second-moment entries must be nonnegative")
+        if not eps > 0:
+            raise ValueError("eps must be positive")
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")
+        R = np.sqrt(V + eps)
+        weights = R / alpha
+        Z = np.empty_like(X)
+        for j, xj in enumerate(X):
+            Z[j] = _prox_positive(fset, xj, Y[j], weights[j])
+        D = Z - X
+        value = np.vecdot(D, Y) + np.vecdot(R, D * D) / (2.0 * alpha)
+        grad_x = -Y + R * (X - Z) / alpha
+        grad_v = (D * D) / (4.0 * alpha * R)
     if point:
         return float(value[0]), grad_x[0], D[0], grad_v[0]
     return value, grad_x, D, grad_v
@@ -214,12 +194,8 @@ def lyapunov_adam(
     eps: float,
 ):
     """Descent certificate ``h(x) - u_adam(x, y, v)/tau1`` for ADAM runs,
-    given the penalty value ``h_x = h(x)``; the auxiliary value comes without
-    its gradients."""
-    X, Y, V, point = _adam_inputs(fset, x, y, v, alpha, eps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = _u_adam_rows(fset, X, Y, V, alpha, eps)[-1]
-    return _certificate(h_x, u[0] if point else u, tau1)
+    given the penalty value ``h_x = h(x)``."""
+    return _certificate(h_x, u_adam(fset, x, y, v, alpha, eps)[0], tau1)
 
 
 def exact_penalty_margin(prob: ProblemInstance, beta: float) -> float | None:
@@ -273,32 +249,27 @@ def assemble_record(
     ``g_val``. Stacks of ``x``, ``lam``, ``w`` (and ``c``) with a sequence of
     iteration counts ``k`` give a list of records.
 
-    The oracles run point by point, each once, and then the KKT probe's
-    projections; the first error they raise comes out of the whole stack."""
+    The objective and constraint oracles run point by point, each once, and
+    then the KKT probe's ``kkt_residual`` on the stack; the first error they
+    raise comes out of the whole stack."""
     if kkt_probe is not None and not kkt_probe > 0:
         raise ValueError("eta_probe must be positive")
-    X, point = as_stack(x, prob.dim_primal)
-    m, p = len(X), prob.dim_constraint
-    ks = [k] if point else list(k)
-    # w, c and lam hold one p-vector per point
-    shape = (p,) if point else (m, p)
-    W = _rows(w, shape, "w")
-    # the KKT probe checks lam, as kkt_residual does
-    LAM = _rows(lam, shape, "lam") if kkt_probe is None else _matched(lam, p, "lam", X)
-    F = np.empty(m)
-    C = np.empty((m, p)) if c is None else _rows(c, shape, "c")
-    D, G = np.empty_like(X), np.empty_like(X)
-    for j, xj in enumerate(X):
-        F[j] = _objective_at(prob, xj)
-        if c is None:
-            C[j] = _constraints_at(prob, xj)
-        if kkt_probe is not None:
-            # right after the objective at the same point, which a one-entry
-            # full-batch cache then serves
-            D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
-            G[j] = _jacobian_at(prob, xj) @ LAM[j]
     with np.errstate(over="ignore", invalid="ignore"):
-        kkt = np.full(m, np.nan) if kkt_probe is None else _kkt_rows(prob, X, D, G, kkt_probe)
+        X, point = as_stack(x, prob.dim_primal)
+        m, p = len(X), prob.dim_constraint
+        ks = [k] if point else list(k)
+        # w, c and lam hold one p-vector per point
+        shape = (p,) if point else (m, p)
+        W = _rows(w, shape, "w")
+        # the KKT probe checks lam as kkt_residual does, before any oracle runs
+        LAM = _rows(lam, shape, "lam") if kkt_probe is None else _matched(lam, p, "lam", X)
+        F = np.empty(m)
+        C = np.empty((m, p)) if c is None else _rows(c, shape, "c")
+        for j, xj in enumerate(X):
+            F[j] = _objective_at(prob, xj)
+            if c is None:
+                C[j] = _constraints_at(prob, xj)
+        kkt = np.full(m, np.nan) if kkt_probe is None else kkt_residual(prob, X, LAM, kkt_probe)
         feas = np.sqrt(np.vecdot(C, C))
         # rho = 0 yields exactly 0 even when feas**2 overflows
         quad = 0.5 * rho * feas * feas if rho != 0.0 else np.zeros(m)

@@ -24,6 +24,7 @@ import numpy as np
 from .core import ProblemInstance, StochasticProblemInstance
 from .core import _check_integer, _check_value, _field_types
 from .geometry import MEMBERSHIP_TOL, Box
+from .lagrangian import NOISE_CHUNK
 
 
 @dataclass(frozen=True)
@@ -363,18 +364,16 @@ def make_slack_l1_net(
         J.reshape(-1)[weight_cells] = np.sign(x[:n_w])
         return J
 
-    # a record asks for the full-batch loss and its gradient at one x; a
-    # one-entry cache keyed on the bytes of x computes both in one pass
-    full_batch = {}
+    # a record stack asks for the full-batch loss and its gradient at each of its
+    # points, at most one block's; a cache keyed on the bytes of x computes both
+    # in one pass, whatever the order of the calls (its size only sets the speed)
+    @functools.lru_cache(maxsize=NOISE_CHUNK)
+    def full_batch_at(key):
+        resid, grad = residual_and_grad(np.frombuffer(key), train_x, train_t)
+        return loss(resid), grad
 
     def full_batch_loss_and_grad(x):
-        x = np.asarray(x, dtype=np.float64)
-        key = x.tobytes()
-        if full_batch.get("key") != key:
-            resid, grad = residual_and_grad(x, train_x, train_t)
-            full_batch["value"] = loss(resid), grad
-            full_batch["key"] = key
-        return full_batch["value"]
+        return full_batch_at(np.asarray(x, dtype=np.float64).tobytes())
 
     fset = Box(np.r_[np.full(n_w, -1.0), np.zeros(L)], np.r_[np.full(n_w, 1.0), np.full(L, np.inf)])
     mean = ProblemInstance(
@@ -407,12 +406,7 @@ def make_slack_l1_net(
     return ProblemRecipe(
         instance=inst,
         start=start,
-        metadata={
-            "epoch_len": max(1, n_train // batch_size),
-            "accuracy": accuracy,
-            "n_weights": n_w,
-            "n_layers": L,
-        },
+        metadata={"accuracy": accuracy, "n_weights": n_w},
     )
 
 

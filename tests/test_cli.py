@@ -564,8 +564,10 @@ class TestMainEntry:
         [
             ({"solver": {"method": {"kind": "prox_sgd"}}}, "missing required key 'problem'"),
             ([{"problem": {"kind": "affine_l1"}}], "config: expected a key-value table"),
+            ({"problem": {"kind": []}}, "problem.kind must be a string, got []"),
+            ({"problem": {"kind": {}}}, "problem.kind must be a string, got {}"),
         ],
-        ids=["missing-problem", "not-a-table"],
+        ids=["missing-problem", "not-a-table", "kind-list", "kind-table"],
     )
     def test_malformed_file_exit_code(self, tmp_path, capsys, table, message):
         path = write_config(tmp_path / "config.json", table)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sslalm import diagnostics
 from sslalm.core import NonFiniteError, OracleError, ProblemInstance
 from sslalm.diagnostics import (
     MetricsRecord,
@@ -19,7 +21,7 @@ from sslalm.diagnostics import (
     u_momentum,
 )
 from sslalm.geometry import Ball, Box, WholeSpace
-from sslalm.lagrangian import SolverConfig, StepSchedule, _Driver
+from sslalm.lagrangian import SolverConfig, StepSchedule, _Driver, run
 from sslalm.methods import MethodConfig, split_adam_state
 from sslalm.problems import make_affine_l1, make_exactness_1d, make_recipe
 
@@ -448,6 +450,24 @@ class TestRecordPathMatchesPublicFunctions:
             assert np.float64(rec.lyapunov).tobytes() == np.float64(lyap).tobytes()
             assert np.isfinite(rec.kkt_residual) and np.isfinite(rec.lyapunov)
 
+    @pytest.mark.parametrize("probe, stacks", [(1e-3, [1, 5, 1]), (None, [])])
+    def test_records_take_the_public_kkt_residual(self, monkeypatch, probe, stacks):
+        # 300 steps recorded every 50: the k = 0 record, then one stack per block
+        # of NOISE_CHUNK steps, 50-250 and 300
+        seen = []
+        public = diagnostics.kkt_residual
+
+        def counting(*args, **kwargs):
+            seen.append(len(args[1]))
+            return public(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "kkt_residual", counting)
+        rec = make_recipe("affine_l1", n=6, p=2, seed=3)
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), max_iters=300, seed=1)
+        result = run(rec.instance, cfg, rec.start, record_every=50, kkt_probe=probe)
+        assert len(result.records) == 7
+        assert seen == stacks
+
     def test_lyapunov_adam_is_u_adam_value(self):
         rng = np.random.default_rng(8)
         fset = Box(np.full(4, -1.0), np.full(4, 1.0))
@@ -472,6 +492,26 @@ class TestPublicChecks:
             constraint_jacobian=jacobian or (lambda x: np.array([[1.0], [0.0]])),
             feasible_set=Box(np.full(2, -1.0), np.full(2, 1.0)),
         )
+
+    @pytest.mark.parametrize("name", ["kkt_residual", "u_momentum", "u_adam",
+                                      "lyapunov_momentum", "lyapunov_adam", "assemble_record"])
+    def test_large_finite_entries_raise_no_warning(self, name):
+        # entries near 1e200 are finite, but the finiteness check's v.dot(v) overflows
+        prob = self.problem()
+        fset = prob.feasible_set
+        x, y, v = np.array([1e200, -1e200]), np.array([-2e200, 3e200]), np.full(2, 1e200)
+        calls = {
+            "kkt_residual": lambda: kkt_residual(prob, x, [1e200]),
+            "u_momentum": lambda: u_momentum(fset, x, y, 1.0),
+            "u_adam": lambda: u_adam(fset, x, y, v, 1.0, 1e-8),
+            "lyapunov_momentum": lambda: lyapunov_momentum(0.0, fset, x, y, 1.0, 1.0),
+            "lyapunov_adam": lambda: lyapunov_adam(0.0, fset, x, y, v, 1.0, 1.0, 1e-8),
+            "assemble_record": lambda: assemble_record(prob, 0, x, [1e200], [0.0], 1.0, 1.0,
+                                                       1e-3),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calls[name]()
 
     @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((2, 1)), np.array([0.0, np.inf]),
                                      np.array([np.nan, 0.0])])

@@ -336,7 +336,7 @@ class TestSlackL1NetRecipe:
     def test_feasible_when_slack_absorbs_budget(self):
         rec = make_slack_l1_net(layer_widths=(2, 3, 2), n_train=16, n_test=8, batch_size=8)
         n_w = rec.metadata["n_weights"]
-        L = rec.metadata["n_layers"]
+        L = rec.instance.dim_constraint
         x = np.zeros(rec.instance.dim_primal)
         x[n_w:] = 1.0  # s_i = r_i with zero weights
         c = eval_constraints(rec.instance.mean, x)
@@ -364,7 +364,7 @@ class TestSlackL1NetRecipe:
     def test_jacobian_equals_per_layer_loop(self, widths):
         rec = make_slack_l1_net(layer_widths=widths, n_train=16, n_test=8, batch_size=8)
         inst = rec.instance
-        n, n_w, L = inst.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
+        n, n_w, L = inst.dim_primal, rec.metadata["n_weights"], inst.dim_constraint
         offsets = np.cumsum([0] + [widths[i] * widths[i + 1] for i in range(L)])
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -386,7 +386,7 @@ class TestSlackL1NetRecipe:
     def test_constraint_equals_per_layer_loop(self, widths):
         rec = make_slack_l1_net(layer_widths=widths, n_train=16, n_test=8, batch_size=8)
         inst = rec.instance
-        n, n_w, L = inst.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
+        n, n_w, L = inst.dim_primal, rec.metadata["n_weights"], inst.dim_constraint
         offsets = np.cumsum([0] + [widths[i] * widths[i + 1] for i in range(L)])
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -401,7 +401,7 @@ class TestSlackL1NetRecipe:
     def test_feasible_set_equals_box_times_orthant(self, widths):
         rec = make_slack_l1_net(layer_widths=widths, n_train=16, n_test=8, batch_size=8)
         fset = rec.instance.mean.feasible_set
-        n, n_w, L = rec.instance.dim_primal, rec.metadata["n_weights"], rec.metadata["n_layers"]
+        n, n_w, L = rec.instance.dim_primal, rec.metadata["n_weights"], rec.instance.dim_constraint
         assert isinstance(fset, Box)
         # the reference: the weights' box and the slacks' orthant, block by block
         blocks = ((Box(np.full(n_w, -1.0), np.full(n_w, 1.0)), slice(0, n_w)),
@@ -477,7 +477,7 @@ class TestSlackL1NetRecipe:
 
     def test_metadata(self):
         rec = make_slack_l1_net(n_train=256, n_test=128, batch_size=128)
-        assert rec.metadata["epoch_len"] == 2
+        assert set(rec.metadata) == {"accuracy", "n_weights"}
         acc = rec.metadata["accuracy"](rec.start)
         assert 0.0 <= acc <= 1.0
 
