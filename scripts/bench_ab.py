@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""A/B benchmark of the working tree against a parent revision.
+
+Each pair runs ``python3 perfbench/run.py --workload all --seconds S --seed
+<20260807 + pair>`` twice: once in a ``git archive`` of the parent revision and
+once in the working tree, the parent first in odd pairs and the change first in
+even ones, so that a drift of the machine's speed falls on both sides alike.
+The end-to-end metrics of every run go into one JSON file, with per metric the
+two medians, the change over the parent, the interquartile range of the
+parent's runs and the number of pairs in which the change is lower:
+
+    python3 scripts/bench_ab.py --parent HEAD --pairs 10 --seconds 5 --out BENCH_11.json
+
+Run it from a checkout with nothing else running: the runs take one CPU each,
+one after the other.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED_BASE = 20260807
+END_TO_END = ("chain_iter_us", "peak_rss_mb", "setup_s", "unit_s")
+ORDER = "odd pairs (1, 3, ...) parent first, even pairs change first"
+
+
+def archive(rev: str, dest: Path) -> str:
+    """Unpack the tree of ``rev`` into ``dest``; return its full commit id."""
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    dest.mkdir(parents=True)
+    tar = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                         capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
+    return commit
+
+
+def bench(tree: Path, seconds: float, seed: int) -> tuple[dict, dict]:
+    """One ``--workload all`` run in ``tree``: its final JSON line and the
+    environment of its first workload report."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
+           "--seconds", str(seconds), "--seed", str(seed)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited with code "
+                         f"{proc.returncode} and no result:\n{proc.stderr}")
+    env = next((json.loads(line[len("report "):])["environment"]
+                for line in lines if line.startswith("report ")), {})
+    return result, env
+
+
+def summary(parent: list, change: list) -> dict:
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    return {
+        "parent_median": p_med,
+        "change_median": c_med,
+        "change_over_parent": (c_med - p_med) / p_med,
+        "parent_iqr": q3 - q1,
+        "change_lower_pairs": sum(c < p for p, c in zip(parent, change)),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="parent revision (default: HEAD)")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=5.0)
+    parser.add_argument("--out", required=True, help="the JSON file to write")
+    parser.add_argument("--note", default=None, help="a note on the machine")
+    parser.add_argument("--workdir", default=None,
+                        help="where to unpack the parent (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    if args.pairs < 2 or args.seconds <= 0:
+        parser.error("--pairs must be >= 2 and --seconds positive")
+
+    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_ab-"))
+    parent_tree = workdir / "parent"
+    shutil.rmtree(parent_tree, ignore_errors=True)
+    commit = archive(args.parent, parent_tree)
+    runs = {"parent": [], "change": []}
+    env = {}
+    try:
+        for pair in range(1, args.pairs + 1):
+            sides = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in sides:
+                tree = parent_tree if side == "parent" else ROOT
+                result, env = bench(tree, args.seconds, SEED_BASE + pair)
+                runs[side].append(result)
+                print(f"pair {pair} {side}: correct {result['correct']}, "
+                      f"failed {result['failed']}", file=sys.stderr)
+    finally:
+        shutil.rmtree(parent_tree, ignore_errors=True)
+        if args.workdir is None:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+    names = sorted(name for name in runs["change"][0]["metrics"]
+                   if name.rsplit(".", 1)[-1] in END_TO_END)
+    metrics = {
+        name: {"unit": runs["change"][0]["metrics"][name]["unit"],
+               **{side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}}
+        for name in names
+    }
+    report = {
+        "what": (f"perfbench end-to-end metrics, parent commit vs this change: {args.pairs} "
+                 f"alternating pairs of `--workload all --seconds {args.seconds:g}`, one per "
+                 f"seed {SEED_BASE + 1}..{SEED_BASE + args.pairs}"),
+        "parent_commit": commit,
+        "environment": {
+            **{key: env.get(key) for key in ("python", "numpy", "cpu", "nproc")},
+            "blas_threads": 1,
+            **({"note": args.note} if args.note else {}),
+        },
+        "command": f"python3 perfbench/run.py --workload all --seconds {args.seconds:g} "
+                   f"--seed <{SEED_BASE} + pair>",
+        "order": ORDER,
+        **{key: {side: [r[key] for r in runs[side]] for side in runs}
+           for key in ("correct", "failed", "attempted")},
+        "metrics": metrics,
+        "summary": {name: summary(m["parent"], m["change"]) for name, m in metrics.items()},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    for name, s in report["summary"].items():
+        print(f"{name:32s} {s['parent_median']:12.6g} -> {s['change_median']:12.6g}  "
+              f"{100 * s['change_over_parent']:+6.2f} %  lower in {s['change_lower_pairs']} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

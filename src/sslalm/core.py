@@ -274,13 +274,16 @@ def as_stochastic(prob) -> StochasticProblemInstance:
     generator. The one place the package tells the two problem types apart."""
     if isinstance(prob, StochasticProblemInstance):
         return prob
+    # each wrapper binds its oracle once instead of looking it up on every call
+    objective, subgradient = prob.objective, prob.objective_subgradient
+    constraint, jacobian = prob.constraint, prob.constraint_jacobian
     return StochasticProblemInstance(
         mean=prob,
         draw_objective_sample=lambda rng, size: [None] * size,
         draw_constraint_sample=lambda rng, size: [None] * size,
-        objective_sample=lambda x, tok: prob.objective(x),
-        objective_subgradient_sample=lambda x, tok: prob.objective_subgradient(x),
-        constraint_sample=lambda x, tok: prob.constraint(x),
-        constraint_jacobian_sample=lambda x, tok: prob.constraint_jacobian(x),
+        objective_sample=lambda x, tok: objective(x),
+        objective_subgradient_sample=lambda x, tok: subgradient(x),
+        constraint_sample=lambda x, tok: constraint(x),
+        constraint_jacobian_sample=lambda x, tok: jacobian(x),
     )
 

@@ -102,7 +102,7 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
         D, G = np.empty_like(X), np.empty_like(X)
         for j, xj in enumerate(X):
             D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
-            G[j] = _jacobian_at(prob, xj) @ LAM[j]
+            G[j] = _jacobian_at(prob, xj).dot(LAM[j])
         T = X - eta_probe * (D + G)
         P = np.empty_like(T)
         for j, t in enumerate(T):
@@ -270,16 +270,18 @@ def assemble_record(
             if c is None:
                 C[j] = _constraints_at(prob, xj)
         kkt = np.full(m, np.nan) if kkt_probe is None else kkt_residual(prob, X, LAM, kkt_probe)
-        feas = np.sqrt(np.vecdot(C, C))
+        # the squared norms of c, lam and the tracker error, and then the norms,
+        # each in one call over the three stacks
+        Q = np.array((C, LAM, W - C))
+        sq = np.vecdot(Q, Q)
+        feas, lam_norm, track_err = np.sqrt(sq)
+        lam_sq = sq[1]
         # rho = 0 yields exactly 0 even when feas**2 overflows
         quad = 0.5 * rho * feas * feas if rho != 0.0 else np.zeros(m)
         g_val = F + beta * feas + quad
         L_val = F + np.vecdot(LAM, C) + quad
-        lam_sq = np.vecdot(LAM, LAM)
         H_val = L_val - feas * lam_sq / (2.0 * beta)
-        track = W - C
-        columns = (F, feas, g_val, L_val, H_val, np.sqrt(lam_sq), kkt,
-                   np.sqrt(np.vecdot(track, track)))
+        columns = (F, feas, g_val, L_val, H_val, lam_norm, kkt, track_err)
     records = [MetricsRecord(int(kj), *vals)
                for kj, *vals in zip(ks, *(col.tolist() for col in columns))]
     return records[0] if point else records

@@ -13,6 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from math import isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -21,7 +22,6 @@ from .core import (
     NoiseModel,
     NonFiniteError,
     OracleError,
-    _all_finite,
     _check_fields,
     _check_integer,
     _jacobian_shape_error,
@@ -74,6 +74,17 @@ class StepSchedule:
         if self.kind == "inv_sqrt_epoch":
             return self.c / math.sqrt(k // self.epoch_len + 1)
         return self.c / (k + 1) ** self.exponent
+
+    def block(self, k0: int, rows: int) -> list[float]:
+        """The values at ``k0, ..., k0 + rows - 1``, as Python floats bitwise equal
+        to ``self(k)``: IEEE square root and division are correctly rounded, so
+        numpy's give the bits of ``math.sqrt`` and ``/``. ``power`` keeps the
+        scalar formula, since numpy's ``**`` is not held to ``pow``'s bits."""
+        if self.kind == "constant":
+            return [self.c] * rows
+        if self.kind == "inv_sqrt_epoch":
+            return (self.c / np.sqrt(np.arange(k0, k0 + rows) // self.epoch_len + 1)).tolist()
+        return [self(k) for k in range(k0, k0 + rows)]
 
     @property
     def max_value(self) -> float:
@@ -151,6 +162,11 @@ class LagrangianState(NamedTuple):
     excess: float = -math.inf
 
 
+# builds a LagrangianState from a tuple of all its fields, without the frame of
+# the named tuple's own __new__
+_new_state = tuple.__new__
+
+
 def _unset_as_nan(value: float) -> float:
     return math.nan if value == -math.inf else value
 
@@ -194,7 +210,12 @@ def dual_step_regu(lam, w_next, theta: float, beta: float) -> np.ndarray:
     if not 0.0 <= theta < beta:
         raise ValueError("dual step requires 0 <= theta < beta")
     lam = np.asarray(lam, dtype=np.float64)
-    return lam + theta * (regu(w_next) - lam / beta)
+    w_next = np.asarray(w_next, dtype=np.float64)
+    # regu(w_next) without its frames; a NaN norm fails the test, so a NaN
+    # w_next gives a NaN direction, as it does in regu
+    nrm = sqrt(w_next.dot(w_next))
+    u = np.zeros_like(w_next) if nrm <= REGU_ZERO_TOL else w_next / nrm
+    return lam + theta * (u - lam / beta)
 
 
 def dual_step_ialm(
@@ -229,19 +250,25 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
 class _Driver:
     """Resolved settings for one (problem, config) pair; a problem with exact
     oracles runs as a sampled one whose samples are exact. The run's state is
-    the LagrangianState; the driver keeps only a memo of the last regu
-    multiplier's norm, keyed by the multiplier's identity."""
+    the LagrangianState and the step sizes come from ``run()``, one block of
+    steps at a time; the driver keeps only a memo of the last regu
+    multiplier's norm, keyed by the multiplier's identity. No closure of the
+    driver refers to the driver, so a finished run frees its problem at once,
+    without waiting for the cyclic garbage collector."""
 
     def __init__(self, prob, config: SolverConfig):
         prob = as_stochastic(prob)
         self.config = config
         self.prob = prob
         self.mean = prob.mean
-        self.fset = self.mean.feasible_set
+        self.fset = fset = self.mean.feasible_set
         self.n = self.mean.dim_primal
         self.p = self.mean.dim_constraint
         self._d_shape, self._c_shape, self._jac_shape = (self.n,), (self.p,), (self.n, self.p)
         self.use_noise = config.noise.kind != "none" and config.noise.bound > 0.0
+        # rho meets w as a vector: an array times an array gives a scalar's
+        # product bits at less call cost
+        self._rho = np.full(self.p, config.rho)
         # the last regu multiplier and its norm, reused as the next step's ||lam||
         self._last_lam, self._last_norm = None, 0.0
         # the exact tracker holds c(x) itself, bit for bit, and draws no sample
@@ -251,9 +278,9 @@ class _Driver:
         # (g, x, y); any other kind records no Lyapunov value
         mc = config.method
         self._lyapunov = {
-            PROX_SGDM: lambda g, x, y: lyapunov_momentum(g, self.fset, x, y, mc.tau, mc.alpha),
+            PROX_SGDM: lambda g, x, y: lyapunov_momentum(g, fset, x, y, mc.tau, mc.alpha),
             PROX_ADAM: lambda g, x, y: lyapunov_adam(
-                g, self.fset, x, *split_adam_state(y), mc.tau1, mc.alpha, mc.eps
+                g, fset, x, *split_adam_state(y), mc.tau1, mc.alpha, mc.eps
             ),
         }.get(mc.kind)
 
@@ -286,14 +313,17 @@ class _Driver:
             return list(zip(obj, itertools.repeat(None), con))
         return list(zip(obj, con[::2], con[1::2]))
 
-    def step(self, state: LagrangianState, tokens, noise):
+    def step(self, state: LagrangianState, tokens, noise, eta: float, theta: float):
         """One iteration on this step's sample tokens ``(objective, tracker
-        pair, Jacobian)``, the tracker pair sharing its token, and its noise
-        row ``noise``, None when the run injects no noise."""
+        pair, Jacobian)``, the tracker pair sharing its token, its noise row
+        ``noise`` (None when the run injects no noise) and its step sizes, the
+        schedules' values ``eta`` and ``theta`` at the state's ``k``.
+
+        Each finiteness check is ``core._all_finite`` written out, to save its
+        frame: a finite sum of squares has only finite terms."""
         x, y, lam, w, k, slack, excess = state
         cfg = self.config
         prob = self.prob
-        eta = cfg.eta(k)
         tok_f, tok_c, tok_j = tokens
 
         d = np.asarray(prob.objective_subgradient_sample(x, tok_f), dtype=np.float64)
@@ -306,11 +336,11 @@ class _Driver:
 
         # ndarray.dot gives matmul's bits for a matrix times a vector, at half
         # its call cost; the adds go in place into the new product
-        direction = J.dot(lam + cfg.rho * w)
+        direction = J.dot(lam + self._rho * w)
         direction += d
         if self.use_noise:
             direction += noise
-        if not _all_finite(direction):
+        if not (isfinite(direction.dot(direction)) or np.isfinite(direction).all()):
             return state, "non-finite primal direction"
 
         x_next, y_next = method_step(self.fset, x, y, direction, eta, cfg.method)
@@ -318,7 +348,9 @@ class _Driver:
         # it is the block the method was given, the constraint values only for
         # their shape, and on the regu path w_next through lam_next, which a
         # non-finite w_next makes NaN
-        if not _all_finite(x_next) or (y_next is not y and not _all_finite(y_next)):
+        if not (isfinite(x_next.dot(x_next)) or np.isfinite(x_next).all()) or (
+            y_next is not y and not (isfinite(y_next.dot(y_next)) or np.isfinite(y_next).all())
+        ):
             return state, "non-finite state"
         c_shape = self._c_shape
         if self._w_is_c:
@@ -337,13 +369,12 @@ class _Driver:
         if self._regu:
             # the step plus its contraction bookkeeping
             beta = cfg.beta
-            theta = cfg.theta(k)
             lam_next = dual_step_regu(lam, w_next, theta, beta)
-            post = _norm(lam_next)
+            post = sqrt(lam_next.dot(lam_next))
             # a finite norm has only finite entries under it
-            if not (math.isfinite(post) or bool(np.isfinite(lam_next).all())):
+            if not (isfinite(post) or np.isfinite(lam_next).all()):
                 return state, "non-finite state"
-            pre = self._last_norm if self._last_lam is lam else _norm(lam)
+            pre = self._last_norm if self._last_lam is lam else sqrt(lam.dot(lam))
             self._last_lam, self._last_norm = lam_next, post
             step_slack = (post - beta) - (1.0 - theta / beta) * (pre - beta)
             if step_slack > slack:
@@ -351,18 +382,19 @@ class _Driver:
             # the excess counts from the first step that starts inside the ball
             if (excess > -math.inf or pre <= beta) and post - beta > excess:
                 excess = post - beta
-        elif not _all_finite(w_next):
+        elif not (isfinite(w_next.dot(w_next)) or np.isfinite(w_next).all()):
             return state, "non-finite state"
         elif (k + 1) % cfg.inner_steps == 0:
             # an ialm step every inner_steps iterations
             n_dual = (k + 1) // cfg.inner_steps - 1
             lam_next = dual_step_ialm(lam, w_next, cfg.theta_tilde, cfg.beta_tilde, cfg.sigma,
                                       n_dual)
-            if not _all_finite(lam_next):
+            if not (isfinite(lam_next.dot(lam_next)) or np.isfinite(lam_next).all()):
                 return state, "non-finite state"
         else:
             lam_next = lam
-        return LagrangianState(x_next, y_next, lam_next, w_next, k + 1, slack, excess), None
+        return _new_state(LagrangianState,
+                          (x_next, y_next, lam_next, w_next, k + 1, slack, excess)), None
 
     def metrics(self, states, kkt_probe: float | None) -> list[MetricsRecord]:
         """The records of the list ``states``, assembled as one stack."""
@@ -406,10 +438,10 @@ def _record_block(driver: _Driver, points: list, kkt_probe: float | None, record
                 return point
         records.append(rec)
         # a diverging run can overflow its diagnostics while the raw state is
-        # still representable
+        # still representable; a finite sum has only finite terms
         core_vals = (rec.f_val, rec.feas, rec.g_val, rec.L_val, rec.H_val,
                      rec.lambda_norm, rec.tracker_err)
-        if not all(math.isfinite(v) for v in core_vals):
+        if not isfinite(sum(core_vals)) and not all(isfinite(v) for v in core_vals):
             return point
     return None
 
@@ -441,7 +473,9 @@ def run(
     ``SeedSequence(config.seed).spawn(2)``, in that order (a deterministic
     problem, whose draws take nothing, spawns neither). Each source is
     drawn in blocks of ``NOISE_CHUNK`` steps, the block for steps ``k`` to
-    ``k + NOISE_CHUNK - 1`` at step ``k`` (see ``_Driver.draw_tokens``).
+    ``k + NOISE_CHUNK - 1`` at step ``k`` (see ``_Driver.draw_tokens``). The
+    step sizes of a block's steps are resolved with it, by
+    ``StepSchedule.block``, bitwise the schedules' values step by step.
     """
     record_every = _check_integer("record_every", record_every)
     if record_every < 1:
@@ -449,7 +483,7 @@ def run(
     t0 = time.perf_counter()
     # numpy's overflow and invalid-value warnings would only leak to stderr: the
     # finiteness checks' v.dot(v) overflows on finite entries above about 1e154, and
-    # a non-finite tracker value gives inf / inf in regu(w_next); the run checks
+    # a non-finite tracker value gives inf / inf in the regu dual step; the run checks
     # every point it computes and stops with a named reason
     with np.errstate(over="ignore", invalid="ignore"):
         driver = _Driver(prob, config)
@@ -464,19 +498,23 @@ def run(
         # so an oracle's NonFiniteError propagates
         records = driver.metrics([state], kkt_probe)
         reason = None
-        for start in range(0, config.max_iters, NOISE_CHUNK):
-            rows = min(NOISE_CHUNK, config.max_iters - start)
+        step, max_iters = driver.step, config.max_iters
+        for start in range(0, max_iters, NOISE_CHUNK):
+            rows = min(NOISE_CHUNK, max_iters - start)
             points, error = [], None  # the block's record points, recorded as one stack
             try:
                 tokens = driver.draw_tokens(obj_gen, con_gen, rows)
                 noise = (config.noise.draw(rng, (rows, driver.n)) if driver.use_noise
                          else [None] * rows)
-                for row in range(rows):
-                    state_next, reason = driver.step(state, tokens[row], noise[row])
+                # each step with the iteration count it reaches and its step sizes
+                steps = zip(range(start + 1, start + rows + 1), tokens, noise,
+                            config.eta.block(start, rows), config.theta.block(start, rows))
+                for k, tok, noise_row, eta, theta in steps:
+                    state_next, reason = step(state, tok, noise_row, eta, theta)
                     if reason is not None:
                         break
                     state = state_next
-                    if state.k % record_every == 0 or state.k == config.max_iters:
+                    if k % record_every == 0 or k == max_iters:
                         points.append(state)
             except Exception as exc:
                 error = exc

@@ -1,6 +1,6 @@
 """Test-only helpers: a stateful perturbed-oracle wrapper for stress runs, the
 embedded methods' per-step displacement bound, sample tokens as comparable
-bytes, and a loader for the repo's scripts. Nothing in the package calls them."""
+bytes, a step's step sizes, and a loader for the repo's scripts. Nothing in the package calls them."""
 from __future__ import annotations
 
 import importlib.util
@@ -29,6 +29,11 @@ def load_module(path: Path):
     finally:
         sys.dont_write_bytecode = saved
     return module
+
+
+def step_sizes(cfg, k: int) -> tuple[float, float]:
+    """The ``(eta, theta)`` that ``run()`` passes to the step from iteration ``k``."""
+    return cfg.eta(k), cfg.theta(k)
 
 
 def load_script(name: str):

@@ -24,6 +24,7 @@ from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import SolverConfig, StepSchedule, _Driver, run
 from sslalm.methods import MethodConfig, split_adam_state
 from sslalm.problems import make_affine_l1, make_exactness_1d, make_recipe
+from helpers import step_sizes
 
 
 def line_problem():
@@ -423,7 +424,7 @@ def _record_chain(recipe_name, method, steps=25):
     state = driver.initial_state(rec.start, con_gen)
     out = []
     for tokens in driver.draw_tokens(obj_gen, con_gen, steps):
-        state, err = driver.step(state, tokens, None)
+        state, err = driver.step(state, tokens, None, *step_sizes(cfg, state.k))
         assert err is None
         out.append((state, *driver.metrics([state], kkt_probe=1e-3)))
     return driver.mean, cfg, out
@@ -625,7 +626,7 @@ def _stack_chain(set_kind, method, tracker, steps=7):
     obj_gen, con_gen = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
     states = [driver.initial_state(rec.start, con_gen)]
     for tokens in driver.draw_tokens(obj_gen, con_gen, steps - 1):
-        state, err = driver.step(states[-1], tokens, None)
+        state, err = driver.step(states[-1], tokens, None, *step_sizes(cfg, states[-1].k))
         assert err is None
         states.append(state)
     return driver, states

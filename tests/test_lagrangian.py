@@ -1,5 +1,7 @@
+import gc
 import re
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,8 @@ from sslalm.core import (
 )
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import (
+    NOISE_CHUNK,
+    SCHEDULE_KINDS,
     LagrangianState,
     SolverConfig,
     StepSchedule,
@@ -38,7 +42,13 @@ from sslalm.problems import (
     make_slack_l1_net,
     make_stochastic_affine,
 )
-from helpers import method_displacement_bound, perturbed_instance, state_distance, token_bytes
+from helpers import (
+    method_displacement_bound,
+    perturbed_instance,
+    state_distance,
+    step_sizes,
+    token_bytes,
+)
 
 # a deterministic problem's step tokens: (objective, tracker pair, Jacobian)
 NO_TOKENS = (None, None, None)
@@ -91,6 +101,24 @@ class TestStepSchedule:
         # an integral float keeps whole epochs
         s = StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=2.0)
         assert s(3) == StepSchedule("inv_sqrt_epoch", 0.1, epoch_len=2)(3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(SCHEDULE_KINDS)),
+        c=st.floats(0.0, 1e6),
+        epoch_len=st.integers(1, 100) | st.integers(1, 10**9),
+        exponent=st.floats(0.5, 1.0, exclude_min=True),
+        k0=st.integers(0, 10**9),
+        rows=st.integers(1, NOISE_CHUNK),
+    )
+    def test_block_equals_the_schedule_bitwise(self, kind, c, epoch_len, exponent, k0, rows):
+        # run() takes a block's step sizes from block(); each must be the
+        # schedule's own float at its k, bit for bit
+        s = StepSchedule(kind, c, epoch_len, exponent)
+        block = s.block(k0, rows)
+        assert all(type(v) is float for v in block)
+        expected = [s(k) for k in range(k0, k0 + rows)]
+        assert np.array(block).tobytes() == np.array(expected).tobytes()
 
 
 class TestRegu:
@@ -149,6 +177,19 @@ class TestDualStepRegu:
         with pytest.raises(ValueError):
             dual_step_regu(np.zeros(1), np.zeros(1), 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "w", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 1.0], [-np.inf, 0.0], [np.inf, -np.inf]]
+    )
+    def test_nonfinite_tracker_value_matches_regu_bitwise(self, w):
+        # the step normalizes w as regu does: a NaN w has a NaN norm and gives a
+        # NaN step, not the zero direction of a short w
+        lam, w = np.array([0.3, -0.2]), np.array(w)
+        with np.errstate(invalid="ignore"):
+            expected = lam + 0.5 * (regu(w) - lam / 2.0)
+            got = dual_step_regu(lam, w, 0.5, 2.0)
+        assert got.tobytes() == expected.tobytes()
+        assert np.isnan(got).any()
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=2),
@@ -193,7 +234,8 @@ class TestTrackers:
                                 w=np.array([0.37]))
         for _ in range(10):
             x_prev = state.x
-            state, err = driver.step(state, NO_TOKENS, cfg.noise.draw(rng, 1))
+            state, err = driver.step(state, NO_TOKENS, cfg.noise.draw(rng, 1),
+                                     *step_sizes(cfg, state.k))
             assert err is None
             assert not np.array_equal(state.x, x_prev)
             assert np.array_equal(state.w, prob.constraint(state.x))
@@ -246,7 +288,7 @@ class TestDriverStep:
             w=np.array([1.0]),
         )
         driver = _Driver(prob, cfg)
-        nxt, err = driver.step(state, NO_TOKENS, None)
+        nxt, err = driver.step(state, NO_TOKENS, None, *step_sizes(cfg, 0))
         rec, = driver.metrics([nxt], 1e-3)
         assert err is None
         assert nxt.x == pytest.approx([0.95])
@@ -280,7 +322,7 @@ class TestDriverStep:
             lam=np.array([5.0]),
             w=np.array([0.1]),
         )
-        nxt, err = _Driver(prob, cfg).step(state, NO_TOKENS, None)
+        nxt, err = _Driver(prob, cfg).step(state, NO_TOKENS, None, *step_sizes(cfg, 0))
         assert err is None
         # x+ = 0.1 - 0.1*5 = -0.4, regu(w+) = -1: lam+ = 5 + 0.5*(-1 - 5) = 2
         # consuming the stale w would have given 5 + 0.5*(1 - 5) = 3
@@ -289,7 +331,8 @@ class TestDriverStep:
         # slack (2 - 1) - (1 - 0.5)*(5 - 1) = -1; the excess counts only once a
         # step has started inside the ball, which an excess already set records
         assert (nxt.slack, nxt.excess) == (-1.0, -np.inf)
-        nxt, _ = _Driver(prob, cfg).step(state._replace(excess=0.0), NO_TOKENS, None)
+        nxt, _ = _Driver(prob, cfg).step(state._replace(excess=0.0), NO_TOKENS, None,
+                                         *step_sizes(cfg, 0))
         assert (nxt.slack, nxt.excess) == (-1.0, 1.0)
 
     @pytest.mark.parametrize("dual", ["regu", "ialm"])
@@ -307,10 +350,10 @@ class TestDriverStep:
         s0 = driver.initial_state(rec.start, con_gen)
         tokens = driver.draw_tokens(obj_gen, con_gen, 2)
         noise = cfg.noise.draw(np.random.default_rng(3), (2, driver.n))
-        s1, _ = driver.step(s0, tokens[0], noise[0])
-        s2, _ = driver.step(s1, tokens[1], noise[1])
-        assert _bits(driver.step(s0, tokens[0], noise[0])[0]) == _bits(s1)
-        again, reason = driver.step(s1, tokens[1], noise[1])
+        s1, _ = driver.step(s0, tokens[0], noise[0], *step_sizes(cfg, 0))
+        s2, _ = driver.step(s1, tokens[1], noise[1], *step_sizes(cfg, 1))
+        assert _bits(driver.step(s0, tokens[0], noise[0], *step_sizes(cfg, 0))[0]) == _bits(s1)
+        again, reason = driver.step(s1, tokens[1], noise[1], *step_sizes(cfg, 1))
         assert reason is None and again.k == 2
         assert _bits(again) == _bits(s2)
         if dual == "regu":
@@ -331,6 +374,25 @@ class TestDriverStep:
 
 
 class TestRun:
+    def test_finished_runs_free_their_problem_without_the_cyclic_collector(self):
+        # a driver in a reference cycle would keep its problem, and the net's
+        # full-batch cache, alive until a full collection
+        rec = make_slack_l1_net(layer_widths=(2, 3, 2), n_train=16, n_test=8, batch_size=8)
+        inst = weakref.ref(rec.instance)
+        gc.collect()
+        gc.disable()
+        try:
+            results = [
+                run(rec.instance, SolverConfig(method=MethodConfig(kind=kind, alpha=0.2),
+                                               max_iters=5), x0=rec.start, record_every=2)
+                for kind in ("prox_sgdm", "prox_adam")
+            ]
+            assert all(r.final.lyapunov is not None for r in results)
+            del rec, results
+            assert inst() is None
+        finally:
+            gc.enable()
+
     def test_state_is_immutable(self):
         rec = make_affine_l1(n=3, p=1, seed=0)
         res = run(rec.instance, SolverConfig(max_iters=3), x0=rec.start)
@@ -481,6 +543,22 @@ class TestRun:
         assert res.abort_reason == "non-finite state"
         assert 0 < res.state.k < 100
         assert len(res.records) >= 1
+        assert np.isfinite(res.state.w).all() and np.isfinite(res.state.lam).all()
+
+    @pytest.mark.parametrize("tracker, k", [("exact", 19), ("correction", 9)])
+    def test_nan_tracker_value_aborts_the_regu_step_that_takes_it(self, tracker, k):
+        # the constraint oracle returns NaN from its 21st call on: under the exact
+        # tracker the step from k = 19 (one call for w0, then one per step), under
+        # the correction tracker the step from k = 9 (one call for w0, one for
+        # the first record, then two per step). The NaN tracker value makes the
+        # regu multiplier NaN, so that step aborts; a zero direction in its place
+        # would let the NaN w through, to abort the next step's direction
+        prob = counting_constraint_problem(
+            lambda x, calls: x.copy() if calls <= 20 else np.array([np.nan]))
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), rho=0.5, eta=ETA_01,
+                           tracker=tracker, max_iters=100)
+        res = run(prob, cfg, x0=np.array([0.5]), record_every=1000)
+        assert (res.abort_reason, res.state.k) == ("non-finite state", k)
         assert np.isfinite(res.state.w).all() and np.isfinite(res.state.lam).all()
 
     @pytest.mark.parametrize("tracker", ["exact", "correction"])
@@ -996,7 +1074,7 @@ class TestSolverConfigValidation:
             lam=np.array([0.0]),
             w=np.array([1.0]),
         )
-        nxt, err = _Driver(prob, cfg).step(state, NO_TOKENS, None)
+        nxt, err = _Driver(prob, cfg).step(state, NO_TOKENS, None, *step_sizes(cfg, 0))
         assert err is None
         assert np.array_equal(nxt.lam, state.lam)  # k=1 not a multiple of 3
 

@@ -1,5 +1,6 @@
 """The experiment scripts under ``scripts/`` run end to end on a tiny budget,
 and write only where they are told to."""
+import json
 import sys
 
 import pytest
@@ -35,3 +36,13 @@ def test_script_runs_and_writes_only_its_outputs(tmp_path, monkeypatch, capsys, 
         rows = [line.split()[0] for line in printed.splitlines()[2:]]
         assert rows == list(script.METHODS)
     assert listing() == before
+
+
+@pytest.mark.parametrize("bench", ["BENCH_10.json", "BENCH_11.json"])
+def test_bench_ab_summary_matches_the_committed_bench_files(bench):
+    # BENCH_10.json predates the script; both files share one layout
+    data = json.loads((ROOT / bench).read_text())
+    script = load_script("bench_ab")
+    assert data["metrics"].keys() == data["summary"].keys()
+    for name, m in data["metrics"].items():
+        assert script.summary(m["parent"], m["change"]) == pytest.approx(data["summary"][name])

@@ -37,26 +37,33 @@ NET = partial(make_slack_l1_net, layer_widths=(2, 3, 2), n_train=16, n_test=8, b
 
 
 @pytest.mark.parametrize(
-    "make, method, dual, spans",
+    "make, method, dual, inner_steps, spans",
     [
-        (AFFINE, "prox_sgdm", "regu", ["lagrangian.dual_step", "diagnostics.lyapunov", "geometry.project"]),
-        (AFFINE, "prox_adam", "ialm",
-         ["lagrangian.dual_step_ialm", "diagnostics.lyapunov", "geometry.prox_weighted"]),
-        (NET, "prox_adam", "regu",
-         ["lagrangian.dual_step", "diagnostics.lyapunov", "geometry.project", "geometry.prox_weighted"]),
+        (AFFINE, "prox_sgdm", "regu", 1, ["geometry.project"]),
+        (AFFINE, "prox_adam", "ialm", 2, ["geometry.prox_weighted"]),
+        (NET, "prox_adam", "regu", 1, ["geometry.project", "geometry.prox_weighted"]),
     ],
     ids=["affine-sgdm-regu", "affine-adam-ialm", "net-adam-regu"],
 )
-def test_driver_calls_through_the_traced_names(tracing, make, method, dual, spans):
+def test_driver_calls_through_the_traced_names(tracing, make, method, dual, inner_steps, spans):
     rec = make()
+    steps = 4
     cfg = SolverConfig(
-        method=MethodConfig(kind=method, alpha=0.2),
-        eta=StepSchedule("inv_sqrt_epoch", 0.1), tracker="correction", dual=dual, max_iters=4,
+        method=MethodConfig(kind=method, alpha=0.2), eta=StepSchedule("inv_sqrt_epoch", 0.1),
+        tracker="correction", dual=dual, inner_steps=inner_steps, max_iters=steps,
     )
     tracer = tracing.Tracer()
     with tracing.instrument(tracer) as missing:
         res = run(rec.instance, cfg, x0=rec.start, record_every=2)
     assert missing == []
     assert not res.aborted and np.isfinite(res.state.x).all()
-    spans = ["methods.step", "lagrangian.tracker", "core.as_vector", "diagnostics.record"] + spans
+    spans = ["core.as_vector"] + spans
     assert {name: tracer.stats[name].calls > 0 for name in spans} == dict.fromkeys(spans, True)
+    # each step calls the method, the tracker and the regu dual step once, and
+    # each dual update the ialm step; each record stack (the first record, then
+    # one per block) calls the record, its KKT probe and the Lyapunov value once
+    dual_span = "lagrangian.dual_step" if dual == "regu" else "lagrangian.dual_step_ialm"
+    counted = {"methods.step": steps, "lagrangian.tracker": steps,
+               dual_span: steps // inner_steps, "diagnostics.record": 2, "diagnostics.kkt": 2,
+               "diagnostics.lyapunov": 2}
+    assert {name: tracer.stats[name].calls for name in counted} == counted
