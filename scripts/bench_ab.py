@@ -12,7 +12,8 @@ parent's runs and the number of pairs in which the change is lower:
     python3 scripts/bench_ab.py --parent HEAD --pairs 10 --seconds 5 --out BENCH_11.json
 
 Run it from a checkout with nothing else running: the runs take one CPU each,
-one after the other.
+one after the other. The script exits 1, after writing the file, when any run
+reports ``correct: false`` or a failed check, and names each such run on stderr.
 """
 from __future__ import annotations
 
@@ -133,7 +134,14 @@ def main(argv=None) -> int:
     for name, s in report["summary"].items():
         print(f"{name:32s} {s['parent_median']:12.6g} -> {s['change_median']:12.6g}  "
               f"{100 * s['change_over_parent']:+6.2f} %  lower in {s['change_lower_pairs']} pairs")
-    return 0
+    # medians of incorrect or failing runs are no evidence: the file is kept for
+    # inspection, and the exit code says it is not clean
+    faults = [f"pair {pair} {side}: correct {r['correct']}, failed {r['failed']}"
+              for side in runs for pair, r in enumerate(runs[side], 1)
+              if r["correct"] is not True or r["failed"] > 0]
+    for fault in faults:
+        print(f"error: {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

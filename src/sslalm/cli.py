@@ -81,7 +81,9 @@ def _check_keys(table: dict, allowed: set, path: str, kinds=None, default=None):
 
 
 def _reads(kinds: dict, kind: str) -> tuple:
-    """The fields ``kind`` reads: named by its ``METHODS`` record, or in its kind table."""
+    """The fields ``kind`` reads: named by its ``METHODS`` record, or in its kind
+    table. ``METHODS`` is read at each call, not folded into a table at import,
+    so that a method added to it at run time is seen by the CLI too."""
     return kinds[kind].fields if kinds is METHODS else kinds[kind]
 
 

@@ -61,12 +61,6 @@ def as_stack(x, dim: int, name: str = "x") -> tuple[Array, bool]:
     return v, point
 
 
-def _norm(v: Array) -> float:
-    """Euclidean norm of a 1-d float64 vector, bitwise equal to
-    ``float(np.linalg.norm(v))``, which computes ``sqrt(v.dot(v))`` itself."""
-    return math.sqrt(v.dot(v))
-
-
 def _all_finite(v: Array) -> bool:
     """``np.isfinite(v).all()``: a finite sum of squares has only finite terms,
     so one dot product settles the common case; an overflow falls back."""

@@ -22,7 +22,7 @@ from .core import (
     eval_constraint_jacobian,
     eval_constraints,
 )
-from .geometry import FeasibleSet, _prox_positive, normal_cone_distance
+from .geometry import FeasibleSet, _prox_positive, _shaped, normal_cone_distance
 
 
 @dataclass
@@ -59,15 +59,6 @@ class MetricsRecord:
         fields = json.loads(line).items()
         return MetricsRecord(**{k: math.nan if v is None and k != "lyapunov" else v
                                 for k, v in fields})
-
-
-def _rows(a, shape: tuple, name: str) -> np.ndarray:
-    """``a`` as float64 rows after checking that it has ``shape``: its shape only,
-    since a diverging run's records carry non-finite values."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-    return a.reshape(-1, shape[-1])
 
 
 def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
@@ -260,11 +251,12 @@ def assemble_record(
         ks = [k] if point else list(k)
         # w, c and lam hold one p-vector per point
         shape = (p,) if point else (m, p)
-        W = _rows(w, shape, "w")
+        W = _shaped(w, shape, "w").reshape(m, p)
         # the KKT probe checks lam as kkt_residual does, before any oracle runs
-        LAM = _rows(lam, shape, "lam") if kkt_probe is None else _matched(lam, p, "lam", X)
+        LAM = (_shaped(lam, shape, "lam").reshape(m, p) if kkt_probe is None
+               else _matched(lam, p, "lam", X))
         F = np.empty(m)
-        C = np.empty((m, p)) if c is None else _rows(c, shape, "c")
+        C = np.empty((m, p)) if c is None else _shaped(c, shape, "c").reshape(m, p)
         for j, xj in enumerate(X):
             F[j] = _objective_at(prob, xj)
             if c is None:

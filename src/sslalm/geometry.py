@@ -201,11 +201,12 @@ class Ball(FeasibleSet):
         return self.center + r * d
 
 
-def _check_dim(fset: FeasibleSet, x: np.ndarray, name: str = "x") -> np.ndarray:
-    x = _vec(x)
-    if x.shape != (fset.dim,):
-        raise ValueError(f"{name} has shape {x.shape}, expected ({fset.dim},)")
-    return x
+def _shaped(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as float64, checked for ``shape`` only: a diverging run's records are not finite."""
+    a = _vec(a)
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def prox_preconditioned(fset: FeasibleSet, x, y, v) -> np.ndarray:
@@ -214,9 +215,8 @@ def prox_preconditioned(fset: FeasibleSet, x, y, v) -> np.ndarray:
     ``v`` must be positive coordinatewise. With ``v`` identically one this is
     the Euclidean projection of ``x - y``.
     """
-    x = _check_dim(fset, x)
-    y = _check_dim(fset, y, "y")
-    v = _check_dim(fset, v, "v")
+    shape = (fset.dim,)
+    x, y, v = _shaped(x, shape, "x"), _shaped(y, shape, "y"), _shaped(v, shape, "v")
     return _prox_positive(fset, x, y, v)
 
 
@@ -230,8 +230,7 @@ def _prox_positive(fset: FeasibleSet, x, y, v) -> np.ndarray:
 
 def normal_cone_distance(fset: FeasibleSet, x, v) -> float:
     """Distance of ``-v`` to the normal cone of ``fset`` at the feasible point ``x``."""
-    x = _check_dim(fset, x)
-    v = _check_dim(fset, v, "v")
+    x, v = _shaped(x, (fset.dim,), "x"), _shaped(v, (fset.dim,), "v")
     if not fset.contains(x):
         raise ValueError("x is not in the feasible set (beyond tolerance)")
     return fset.normal_cone_distance(x, v)

@@ -13,6 +13,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
+# sqrt(v.dot(v)) is np.linalg.norm(v) bit for bit: norm computes it so itself
 from math import isfinite, sqrt
 from typing import NamedTuple
 
@@ -25,7 +26,6 @@ from .core import (
     _check_fields,
     _check_integer,
     _jacobian_shape_error,
-    _norm,
     as_stochastic,
     as_vector,
     eval_constraints,
@@ -69,22 +69,18 @@ class StepSchedule:
             raise ValueError("power schedule exponent must lie in (0.5, 1]")
 
     def __call__(self, k: int) -> float:
-        if self.kind == "constant":
-            return self.c
-        if self.kind == "inv_sqrt_epoch":
-            return self.c / math.sqrt(k // self.epoch_len + 1)
-        return self.c / (k + 1) ** self.exponent
+        return self.block(k, 1)[0]
 
     def block(self, k0: int, rows: int) -> list[float]:
-        """The values at ``k0, ..., k0 + rows - 1``, as Python floats bitwise equal
-        to ``self(k)``: IEEE square root and division are correctly rounded, so
-        numpy's give the bits of ``math.sqrt`` and ``/``. ``power`` keeps the
-        scalar formula, since numpy's ``**`` is not held to ``pow``'s bits."""
+        """The values at ``k0, ..., k0 + rows - 1`` as Python floats: each kind's
+        formula, once. IEEE square root and division are correctly rounded, so
+        numpy's give the bits of ``math.sqrt`` and ``/``; ``power`` stays scalar
+        per step, since numpy's ``**`` is not held to ``pow``'s bits."""
         if self.kind == "constant":
             return [self.c] * rows
         if self.kind == "inv_sqrt_epoch":
             return (self.c / np.sqrt(np.arange(k0, k0 + rows) // self.epoch_len + 1)).tolist()
-        return [self(k) for k in range(k0, k0 + rows)]
+        return [self.c / (k + 1) ** self.exponent for k in range(k0, k0 + rows)]
 
     @property
     def max_value(self) -> float:
@@ -191,19 +187,12 @@ class RunResult:
         return self.records[-1]
 
 
-def regu(y) -> np.ndarray:
-    """Normalize to the unit sphere; vectors with norm <= REGU_ZERO_TOL map to 0."""
-    y = np.asarray(y, dtype=np.float64)
-    nrm = _norm(y)
-    if nrm <= REGU_ZERO_TOL:
-        return np.zeros_like(y)
-    return y / nrm
-
-
 def dual_step_regu(lam, w_next, theta: float, beta: float) -> np.ndarray:
     """Normalized dual ascent ``lam + theta * (regu(w_next) - lam/beta)``.
 
-    For ``theta < beta`` each step contracts ``||lam|| - beta`` by the factor
+    The direction ``regu(w) = w / ||w||`` is zero when ``||w|| <= REGU_ZERO_TOL``;
+    a NaN norm fails that test, so a NaN ``w`` gives a NaN direction. For
+    ``theta < beta`` each step contracts ``||lam|| - beta`` by the factor
     ``1 - theta/beta``, so the multipliers stay in a ball of radius ``beta``
     once they enter it.
     """
@@ -211,8 +200,6 @@ def dual_step_regu(lam, w_next, theta: float, beta: float) -> np.ndarray:
         raise ValueError("dual step requires 0 <= theta < beta")
     lam = np.asarray(lam, dtype=np.float64)
     w_next = np.asarray(w_next, dtype=np.float64)
-    # regu(w_next) without its frames; a NaN norm fails the test, so a NaN
-    # w_next gives a NaN direction, as it does in regu
     nrm = sqrt(w_next.dot(w_next))
     u = np.zeros_like(w_next) if nrm <= REGU_ZERO_TOL else w_next / nrm
     return lam + theta * (u - lam / beta)
@@ -226,7 +213,7 @@ def dual_step_ialm(
         raise ValueError("ialm dual requires beta_tilde > 0 and sigma > 1")
     lam = np.asarray(lam, dtype=np.float64)
     c_next = np.asarray(c_next, dtype=np.float64)
-    nrm = _norm(c_next)
+    nrm = sqrt(c_next.dot(c_next))
     if nrm <= REGU_ZERO_TOL:
         return lam.copy()
     if k * math.log(sigma) > 700.0:
@@ -319,8 +306,9 @@ class _Driver:
         ``noise`` (None when the run injects no noise) and its step sizes, the
         schedules' values ``eta`` and ``theta`` at the state's ``k``.
 
-        Each finiteness check is ``core._all_finite`` written out, to save its
-        frame: a finite sum of squares has only finite terms."""
+        Each finiteness check is ``core._all_finite`` written out on purpose, to
+        save its frame on the hot path; the validators keep the helper. A finite
+        sum of squares has only finite terms."""
         x, y, lam, w, k, slack, excess = state
         cfg = self.config
         prob = self.prob

@@ -113,7 +113,7 @@ def step_prox_adam(fset: FeasibleSet, x, y, g, eta: float, cfg: MethodConfig):
     weights = np.sqrt(v_next + cfg.eps) / cfg.alpha
     z = fset.prox_weighted(x, m_next, weights)
     x_next = (1.0 - eta) * x + eta * z
-    return x_next, np.concatenate((m_next, v_next))
+    return x_next, np.concatenate((m_next, v_next), axis=-1)
 
 
 METHODS = {

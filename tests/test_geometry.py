@@ -216,6 +216,13 @@ def test_sample_points_are_feasible():
          r"x has shape \(3,\), expected \(2,\)"),
         (lambda: normal_cone_distance(unit_box(2), np.zeros(2), np.zeros((2, 1))),
          r"v has shape \(2, 1\), expected \(2,\)"),
+        # each argument keeps its own name in the one shape check
+        (lambda: prox_preconditioned(unit_box(2), np.zeros(2), np.zeros(1), np.ones(2)),
+         r"^y has shape \(1,\), expected \(2,\)"),
+        (lambda: prox_preconditioned(unit_box(2), np.zeros(2), np.zeros(2), np.ones((1, 2))),
+         r"^v has shape \(1, 2\), expected \(2,\)"),
+        (lambda: normal_cone_distance(unit_box(2), np.zeros(3), np.zeros(2)),
+         r"^x has shape \(3,\), expected \(2,\)"),
     ],
 )
 def test_set_validation(make, message):

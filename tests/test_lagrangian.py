@@ -1,4 +1,5 @@
 import gc
+import math
 import re
 import warnings
 import weakref
@@ -16,7 +17,6 @@ from sslalm.core import (
     OracleError,
     ProblemInstance,
     _all_finite,
-    _norm,
     as_stochastic,
 )
 from sslalm.geometry import Ball, Box, WholeSpace
@@ -29,7 +29,6 @@ from sslalm.lagrangian import (
     _Driver,
     dual_step_ialm,
     dual_step_regu,
-    regu,
     run,
     track_correction,
 )
@@ -42,6 +41,7 @@ from sslalm.problems import (
     make_slack_l1_net,
     make_stochastic_affine,
 )
+from reference import stepsize
 from helpers import (
     method_displacement_bound,
     perturbed_instance,
@@ -112,13 +112,20 @@ class TestStepSchedule:
         rows=st.integers(1, NOISE_CHUNK),
     )
     def test_block_equals_the_schedule_bitwise(self, kind, c, epoch_len, exponent, k0, rows):
-        # run() takes a block's step sizes from block(); each must be the
-        # schedule's own float at its k, bit for bit
+        # run() takes a block's step sizes from block(), and schedule(k) reads
+        # it too; each must be the restated schedule's float at its k, bit for bit
         s = StepSchedule(kind, c, epoch_len, exponent)
         block = s.block(k0, rows)
         assert all(type(v) is float for v in block)
-        expected = [s(k) for k in range(k0, k0 + rows)]
+        expected = [stepsize(s, k) for k in range(k0, k0 + rows)]
         assert np.array(block).tobytes() == np.array(expected).tobytes()
+
+
+def regu(w):
+    """The regu direction, read off the dual step: from ``lam = 0`` with
+    ``theta = 0.5`` and ``beta = 1`` the step is ``0.5 * regu(w)``."""
+    w = np.asarray(w, dtype=np.float64)
+    return 2.0 * dual_step_regu(np.zeros_like(w), w, 0.5, 1.0)
 
 
 class TestRegu:
@@ -146,10 +153,11 @@ class TestVectorHelpers:
     @settings(max_examples=500, deadline=None)
     @given(vectors)
     def test_norm_matches_numpy_bitwise(self, vals):
+        # the driver's norms are sqrt(v.dot(v)), held to np.linalg.norm's bits
         v = np.array(vals, dtype=np.float64)
         with np.errstate(over="ignore"):
             expected = float(np.linalg.norm(v))
-            got = _norm(v)
+            got = math.sqrt(v.dot(v))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     @settings(max_examples=500, deadline=None)
@@ -181,11 +189,14 @@ class TestDualStepRegu:
         "w", [[np.nan, 1.0], [np.nan, np.nan], [np.inf, 1.0], [-np.inf, 0.0], [np.inf, -np.inf]]
     )
     def test_nonfinite_tracker_value_matches_regu_bitwise(self, w):
-        # the step normalizes w as regu does: a NaN w has a NaN norm and gives a
-        # NaN step, not the zero direction of a short w
+        # the step normalizes w by its norm unless the norm is at most 1e-14: a
+        # NaN w has a NaN norm and gives a NaN step, not the zero direction of a
+        # short w
         lam, w = np.array([0.3, -0.2]), np.array(w)
         with np.errstate(invalid="ignore"):
-            expected = lam + 0.5 * (regu(w) - lam / 2.0)
+            nrm = np.linalg.norm(w)
+            u = np.zeros_like(w) if nrm <= 1e-14 else w / nrm
+            expected = lam + 0.5 * (u - lam / 2.0)
             got = dual_step_regu(lam, w, 0.5, 2.0)
         assert got.tobytes() == expected.tobytes()
         assert np.isnan(got).any()

@@ -38,11 +38,52 @@ def test_script_runs_and_writes_only_its_outputs(tmp_path, monkeypatch, capsys, 
     assert listing() == before
 
 
-@pytest.mark.parametrize("bench", ["BENCH_10.json", "BENCH_11.json"])
+# every committed A/B file with a summary, whether or not the script wrote it
+AB_BENCH_FILES = sorted(p.name for p in ROOT.glob("BENCH_*.json")
+                        if "summary" in json.loads(p.read_text()))
+
+
+@pytest.mark.parametrize("bench", AB_BENCH_FILES)
 def test_bench_ab_summary_matches_the_committed_bench_files(bench):
-    # BENCH_10.json predates the script; both files share one layout
     data = json.loads((ROOT / bench).read_text())
     script = load_script("bench_ab")
     assert data["metrics"].keys() == data["summary"].keys()
     for name, m in data["metrics"].items():
         assert script.summary(m["parent"], m["change"]) == pytest.approx(data["summary"][name])
+
+
+@pytest.mark.parametrize(
+    "bad, errors",
+    [
+        (None, []),
+        (("change", 2, "correct", False), ["error: pair 2 change: correct False, failed 0"]),
+        (("parent", 1, "failed", 1), ["error: pair 1 parent: correct True, failed 1"]),
+    ],
+    ids=["clean", "change-incorrect", "parent-failed"],
+)
+def test_bench_ab_exits_1_on_a_faulty_run(tmp_path, monkeypatch, capsys, bad, errors):
+    # a run that is incorrect or fails a check still goes into the file, but
+    # the script names it on stderr and exits 1
+    script = load_script("bench_ab")
+    calls = []
+
+    def bench(tree, seconds, seed):
+        side = "parent" if tree != script.ROOT else "change"
+        calls.append(side)
+        pair = seed - script.SEED_BASE
+        result = {"correct": True, "failed": 0, "attempted": 3,
+                  "metrics": {"w.chain_iter_us": {"unit": "us", "value": float(len(calls))}}}
+        if bad is not None and (side, pair) == bad[:2]:
+            result[bad[2]] = bad[3]
+        return result, {}
+
+    monkeypatch.setattr(script, "archive", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(script, "bench", bench)
+    out = tmp_path / "bench.json"
+    code = script.main(["--pairs", "2", "--seconds", "1", "--out", str(out),
+                        "--workdir", str(tmp_path / "work")])
+    err = capsys.readouterr().err.splitlines()
+    assert len(calls) == 4
+    assert json.loads(out.read_text())["summary"].keys() == {"w.chain_iter_us"}
+    assert [line for line in err if line.startswith("error:")] == errors
+    assert code == (1 if errors else 0)
