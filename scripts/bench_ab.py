@@ -3,11 +3,14 @@
 
 Each pair runs ``python3 perfbench/run.py --workload all --seconds S --seed
 <20260807 + pair>`` twice: once in a ``git archive`` of the parent revision and
-once in the working tree, the parent first in odd pairs and the change first in
-even ones, so that a drift of the machine's speed falls on both sides alike.
-The end-to-end metrics of every run go into one JSON file, with per metric the
-two medians, the change over the parent, the interquartile range of the
-parent's runs and the number of pairs in which the change is lower:
+once in a copy of the working tree's files that git does not ignore. Both
+trees are made fresh, side by side in one work directory, so that only their
+files differ; the parent runs first in odd pairs and the change first in even
+ones, so that a drift of the machine's speed falls on both sides alike. The
+end-to-end metrics that ``BENCHMARK.json`` lists, of every run, go into one
+JSON file, with per metric the two medians, the change over the parent, the
+interquartile range of the parent's runs and the number of pairs in which the
+change is lower:
 
     python3 scripts/bench_ab.py --parent HEAD --pairs 10 --seconds 5 --out BENCH_11.json
 
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -28,7 +32,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED_BASE = 20260807
-END_TO_END = ("chain_iter_us", "peak_rss_mb", "setup_s", "unit_s")
 ORDER = "odd pairs (1, 3, ...) parent first, even pairs change first"
 
 
@@ -41,6 +44,17 @@ def archive(rev: str, dest: Path) -> str:
                          capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
     return commit
+
+
+def snapshot(dest: Path, root: Path = ROOT) -> None:
+    """Copy the files of the working tree at ``root`` that git does not ignore,
+    tracked or not, into ``dest``; a tracked file deleted from it is left out."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=root, check=True, capture_output=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        if (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def bench(tree: Path, seconds: float, seed: int) -> tuple[dict, dict]:
@@ -80,33 +94,37 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--note", default=None, help="a note on the machine")
     parser.add_argument("--workdir", default=None,
-                        help="where to unpack the parent (default: a temporary directory)")
+                        help="where to unpack both trees (default: a temporary directory)")
     args = parser.parse_args(argv)
     if args.pairs < 2 or args.seconds <= 0:
         parser.error("--pairs must be >= 2 and --seconds positive")
 
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = {metric["name"] for metric in benchmark["end_to_end"]}
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench_ab-"))
-    parent_tree = workdir / "parent"
-    shutil.rmtree(parent_tree, ignore_errors=True)
-    commit = archive(args.parent, parent_tree)
+    trees = {side: workdir / side for side in ("parent", "change")}
+    for tree in trees.values():
+        shutil.rmtree(tree, ignore_errors=True)
     runs = {"parent": [], "change": []}
     env = {}
     try:
+        commit = archive(args.parent, trees["parent"])
+        snapshot(trees["change"])
         for pair in range(1, args.pairs + 1):
             sides = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in sides:
-                tree = parent_tree if side == "parent" else ROOT
-                result, env = bench(tree, args.seconds, SEED_BASE + pair)
+                result, env = bench(trees[side], args.seconds, SEED_BASE + pair)
                 runs[side].append(result)
                 print(f"pair {pair} {side}: correct {result['correct']}, "
                       f"failed {result['failed']}", file=sys.stderr)
     finally:
-        shutil.rmtree(parent_tree, ignore_errors=True)
+        for tree in trees.values():
+            shutil.rmtree(tree, ignore_errors=True)
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)
 
     names = sorted(name for name in runs["change"][0]["metrics"]
-                   if name.rsplit(".", 1)[-1] in END_TO_END)
+                   if name.rsplit(".", 1)[-1] in end_to_end)
     metrics = {
         name: {"unit": runs["change"][0]["metrics"][name]["unit"],
                **{side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}}

@@ -22,7 +22,10 @@ Array = np.ndarray
 
 
 class OracleError(RuntimeError):
-    """An oracle returned a non-finite or mis-shaped value."""
+    """An oracle returned a non-finite value (``NonFiniteError``), a Jacobian of
+    the wrong shape, or sample draws of the wrong count. A subgradient or a
+    constraint value of the wrong shape raises ``ValueError``, as every vector
+    the shape check rejects does."""
 
 
 class NonFiniteError(OracleError):

@@ -71,8 +71,8 @@ def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
 
 # The functions below take one point or a stack of points along a leading axis
 # through one code path: a point is a stack of one and gives a float. They
-# validate each input once, call the oracles and the set's maps once per point
-# and compute every other formula once per stack, in the float order of the
+# validate each input once; only the oracles run once per point, and every other
+# formula, the set's maps included, runs once per stack in the float order of the
 # one-point formula; np.vecdot gives each row ndarray.dot's bits. The one-point
 # formulas computed Python floats, which never warn, hence one errstate around
 # each function's arrays, from the finiteness checks' v.dot(v) on.
@@ -94,11 +94,7 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
         for j, xj in enumerate(X):
             D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
             G[j] = _jacobian_at(prob, xj).dot(LAM[j])
-        T = X - eta_probe * (D + G)
-        P = np.empty_like(T)
-        for j, t in enumerate(T):
-            P[j] = prob.feasible_set.project(t)
-        R = X - P
+        R = X - prob.feasible_set.project(X - eta_probe * (D + G))
         res = np.sqrt(np.vecdot(R, R)) / eta_probe
     return float(res[0]) if point else res
 
@@ -114,11 +110,7 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float):
     with np.errstate(over="ignore", invalid="ignore"):
         X, point = as_stack(x, fset.dim)
         Y = _matched(y, fset.dim, "y", X)
-        T = X - Y / alpha
-        P = np.empty_like(T)
-        for j, t in enumerate(T):
-            P[j] = fset.project(t)
-        D = P - X
+        D = fset.project(X - Y / alpha) - X
         U = np.vecdot(D, Y) + 0.5 * alpha * np.vecdot(D, D)
     return float(U[0]) if point else U
 
@@ -140,10 +132,7 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")
         R = np.sqrt(V + eps)
-        weights = R / alpha
-        Z = np.empty_like(X)
-        for j, xj in enumerate(X):
-            Z[j] = _prox_positive(fset, xj, Y[j], weights[j])
+        Z = _prox_positive(fset, X, Y, R / alpha)
         D = Z - X
         value = np.vecdot(D, Y) + np.vecdot(R, D * D) / (2.0 * alpha)
         grad_x = -Y + R * (X - Z) / alpha

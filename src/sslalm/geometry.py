@@ -33,6 +33,9 @@ class FeasibleSet:
     - ``normal_cone_distance(x, v)``: distance of ``-v`` to the normal cone
       at a feasible point ``x``.
     - ``sample(rng)``: a random point of the set (used by property tests).
+
+    ``project`` and ``prox_weighted`` take one point or a stack of rows along the
+    leading axes and return the same shape, each row bitwise that row's value.
     """
 
     dim: int
@@ -144,6 +147,9 @@ class Ball(FeasibleSet):
         # rescale until the recomputed norm is <= radius, so that projecting a
         # projected point returns it bitwise; each retry aims one float lower
         z = np.asarray(x, dtype=np.float64)
+        if z.ndim > 1:  # the retries run per point, so a stack runs row by row
+            rows = z.reshape(-1, z.shape[-1])
+            return np.array([self.project(row) for row in rows]).reshape(z.shape)
         target = self.radius
         for _ in range(8):
             u = z - self.center
@@ -156,6 +162,9 @@ class Ball(FeasibleSet):
 
     def prox_weighted(self, x, y, v):
         target = x - y / v
+        if target.ndim > 1:  # and so does the bisection
+            rows = zip(*(a.reshape(-1, a.shape[-1]) for a in np.broadcast_arrays(x, y, v)))
+            return np.array([self.prox_weighted(*row) for row in rows]).reshape(target.shape)
         u = target - self.center
         if float(np.linalg.norm(u)) <= self.radius:
             return target

@@ -31,7 +31,8 @@ from .core import (
     eval_constraints,
 )
 from .diagnostics import MetricsRecord, assemble_record, lyapunov_adam, lyapunov_momentum
-from .methods import PROX_ADAM, PROX_SGDM, MethodConfig, method_step, split_adam_state
+from .methods import PROX_ADAM, PROX_SGDM, MethodConfig, _check_positive_stepsize
+from .methods import method_step, split_adam_state
 
 REGU_ZERO_TOL = 1e-14
 
@@ -88,6 +89,18 @@ class StepSchedule:
         return self.c
 
 
+def _check_tau_tilde(tau_tilde: float) -> None:
+    """The correction tracker's rule, of ``SolverConfig`` and of each step."""
+    if not tau_tilde > 0:
+        raise ValueError("tau_tilde must be positive")
+
+
+def _check_ialm(beta_tilde: float, sigma: float, theta_tilde: float) -> None:
+    """The ialm dual's rule, of ``SolverConfig`` and of each step."""
+    if not (beta_tilde > 0 and sigma > 1.0 and theta_tilde > 0):
+        raise ValueError("ialm dual requires beta_tilde > 0, sigma > 1, theta_tilde > 0")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """All scalar parameters of the single-loop drivers. ``theta`` must stay
@@ -122,15 +135,13 @@ class SolverConfig:
         if self.tracker not in TRACKER_KINDS:
             raise ValueError(f"unknown tracker {self.tracker!r}")
         if self.tracker == "correction":
-            if self.tau_tilde <= 0:
-                raise ValueError("tau_tilde must be positive")
+            _check_tau_tilde(self.tau_tilde)
             if self.tau_tilde * self.eta.max_value > 1.0:
                 raise ValueError("correction tracker requires tau_tilde * eta_max <= 1")
         if self.dual not in DUAL_KINDS:
             raise ValueError(f"unknown dual rule {self.dual!r}")
         if self.dual == "ialm":
-            if self.beta_tilde <= 0 or self.sigma <= 1.0 or self.theta_tilde <= 0:
-                raise ValueError("ialm dual requires beta_tilde > 0, sigma > 1, theta_tilde > 0")
+            _check_ialm(self.beta_tilde, self.sigma, self.theta_tilde)
             if self.inner_steps < 1:
                 raise ValueError("inner_steps must be >= 1")
         elif self.inner_steps != 1:
@@ -209,8 +220,7 @@ def dual_step_ialm(
     lam, c_next, theta_tilde: float, beta_tilde: float, sigma: float, k: int
 ) -> np.ndarray:
     """Safeguarded classical ascent ``lam + min(theta~/||c||, beta~*sigma^k) * c``."""
-    if not (beta_tilde > 0 and sigma > 1.0):
-        raise ValueError("ialm dual requires beta_tilde > 0 and sigma > 1")
+    _check_ialm(beta_tilde, sigma, theta_tilde)
     lam = np.asarray(lam, dtype=np.float64)
     c_next = np.asarray(c_next, dtype=np.float64)
     nrm = sqrt(c_next.dot(c_next))
@@ -226,6 +236,8 @@ def dual_step_ialm(
 def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.ndarray:
     """Single-timescale tracker with a shared-sample correction term:
     ``w - tau~*eta*(w - C(x)) + C(x_next) - C(x)``."""
+    _check_tau_tilde(tau_tilde)
+    _check_positive_stepsize(eta)
     if not tau_tilde * eta <= 1.0:
         raise ValueError("correction tracker requires tau_tilde * eta <= 1")
     w = np.asarray(w, dtype=np.float64)

@@ -48,8 +48,7 @@ class MethodConfig:
     def check_stepsize(self, eta: float) -> None:
         """The stepsize rule of every step, and of ``SolverConfig`` at the largest
         ``eta``: ``eta > 0``, then the stepsize rule of the kind's ``METHODS`` record."""
-        if not eta > 0.0:
-            raise ValueError(f"stepsize must be positive, got {eta!r}")
+        _check_positive_stepsize(eta)
         METHODS[self.kind].stepsize_rule(eta, self)
 
     def aux_dim(self, n: int) -> int:
@@ -67,6 +66,12 @@ class EmbeddedMethod:
     aux_blocks: int
     stepsize_rule: Callable[[float, MethodConfig], None]
     step: Callable
+
+
+def _check_positive_stepsize(eta: float) -> None:
+    """``eta > 0``: the first stepsize rule of every step and of the tracker."""
+    if not eta > 0.0:
+        raise ValueError(f"stepsize must be positive, got {eta!r}")
 
 
 def _stepsize_at_most_one(eta: float, cfg: MethodConfig) -> None:

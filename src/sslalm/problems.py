@@ -305,7 +305,6 @@ def make_slack_l1_net(
     train_x, train_y = _blob_dataset(rng, widths[0], n_train)
     test_x, test_y = _blob_dataset(rng, widths[0], n_test)
     train_t = np.eye(widths[-1])[train_y]
-    test_t = np.eye(widths[-1])[test_y]
 
     layer_slices = [slice(offsets[i], offsets[i + 1]) for i in range(L)]
 

@@ -684,6 +684,30 @@ class TestStackedPath:
         assert _bits(lyap) == _bits(one)
         assert _bits(r.lyapunov for r in driver.metrics(states, probe)) == _bits(one)
 
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_set_maps_a_stack_in_one_call(self, size):
+        # the auxiliary values and the KKT probe hand the set the whole stack
+        calls = []
+
+        class CountingBox(Box):
+            def project(self, x):
+                calls.append(("project", np.shape(x)))
+                return super().project(x)
+
+            def prox_weighted(self, x, y, v):
+                calls.append(("prox_weighted", np.shape(x)))
+                return super().prox_weighted(x, y, v)
+
+        fset = CountingBox(np.full(2, -1.0), np.full(2, 1.0))
+        prob = replace(TestPublicChecks.problem(), feasible_set=fset)
+        rng = np.random.default_rng(3)
+        X, Y = rng.uniform(-1.0, 1.0, (size, 2)), rng.standard_normal((size, 2))
+        kkt_residual(prob, X, np.ones((size, 1)), 1e-3)
+        u_momentum(fset, X, Y, 2.0)
+        u_adam(fset, X, Y, np.abs(Y), 0.5, 1e-8)
+        assert calls == [("project", (size, 2)), ("project", (size, 2)),
+                         ("prox_weighted", (size, 2))]
+
     def test_point_record_restates_the_scalar_formulas(self):
         # the point path keeps the one-point formulas' floats: norms as
         # sqrt(v.dot(v)) and every scalar step a Python float
@@ -796,7 +820,8 @@ class TestStackedPath:
 
         class FailingBox(Box):
             def project(self, x):
-                if abs(x[1] - bad_x) < 0.5:
+                # the set maps the whole stack: fail if any row is the failing point
+                if (np.abs(np.asarray(x)[..., 1] - bad_x) < 0.5).any():
                     raise ArithmeticError("projection failed")
                 return super().project(x)
 

@@ -294,6 +294,33 @@ def test_projection_feasible_idempotent_firmly_nonexpansive(data):
     assert np.linalg.norm(d) <= np.linalg.norm(x - y) + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(0, 5))
+def test_stack_maps_equal_their_rows_bitwise(data, m):
+    # an (m, n) stack, and the same stack under one more leading axis, maps as
+    # each of its rows does alone
+    fset = data.draw(basic_sets())
+    n = fset.dim
+    X = np.array([data.draw(_vectors(n)) for _ in range(m)]).reshape(m, n)
+    if isinstance(fset, Ball):
+        # rows at 0 to 3 radii from the center; with two rows or more, one
+        # inside the ball and one outside
+        radii = data.draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+        radii[:2] = [0.5, 2.0][:m]
+        norms = np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-300)
+        X = fset.center + X / norms * (fset.radius * np.array(radii)[:, None])
+    Y = np.array([data.draw(_vectors(n)) for _ in range(m)]).reshape(m, n)
+    V = np.array([data.draw(_vectors(n, 0.1, 10.0)) for _ in range(m)]).reshape(m, n)
+    rows = np.array([fset.project(x) for x in X]).reshape(m, n)
+    assert fset.project(X).tobytes() == rows.tobytes()
+    assert fset.project(X[None]).shape == (1, m, n)
+    assert fset.project(X[None]).tobytes() == rows.tobytes()
+    rows = np.array([fset.prox_weighted(x, y, v) for x, y, v in zip(X, Y, V)]).reshape(m, n)
+    assert fset.prox_weighted(X, Y, V).tobytes() == rows.tobytes()
+    assert fset.prox_weighted(X[None], Y, V).shape == (1, m, n)
+    assert fset.prox_weighted(X[None], Y, V).tobytes() == rows.tobytes()
+
+
 def _scipy_prox(fset, x, y, v):
     """The weighted prox objective minimized by a general-purpose solver."""
 

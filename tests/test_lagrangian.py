@@ -233,6 +233,14 @@ class TestDualStepIalm:
             lam = dual_step_ialm(np.zeros(1), c, 1.0, 10.0, 2.0, k)
             assert lam == pytest.approx([1.0])  # theta~/||c|| = 2 wins
 
+    @pytest.mark.parametrize("args", [(-1.0, 1.0, 2.0), (0.0, 1.0, 2.0), (1.0, 0.0, 2.0),
+                                      (1.0, 1.0, 1.0), (math.nan, 1.0, 2.0)])
+    def test_rejects_what_the_config_rejects(self, args):
+        # a negative theta~ would step against c; SolverConfig's message
+        with pytest.raises(ValueError, match="ialm dual requires beta_tilde > 0, sigma > 1, "
+                                             "theta_tilde > 0"):
+            dual_step_ialm(np.zeros(2), np.ones(2), *args, 0)
+
 
 class TestTrackers:
     def test_exact_matches_constraint_bitwise(self):
@@ -263,6 +271,17 @@ class TestTrackers:
     def test_correction_rejects_large_step(self):
         with pytest.raises(ValueError):
             track_correction(np.zeros(1), np.zeros(1), np.zeros(1), 2.0, 0.6)
+
+    @pytest.mark.parametrize(
+        "tau_tilde, eta, message",
+        [(-5.0, 0.1, "tau_tilde must be positive"), (0.0, 0.1, "tau_tilde must be positive"),
+         (math.nan, 0.1, "tau_tilde must be positive"), (1.0, -0.1, "stepsize must be positive"),
+         (1.0, 0.0, "stepsize must be positive"), (1.0, math.nan, "stepsize must be positive")],
+    )
+    def test_correction_rejects_what_the_config_rejects(self, tau_tilde, eta, message):
+        # tau~ * eta <= 1 alone let tau~ = -5 move w away from C(x), to [1.5, 1.5]
+        with pytest.raises(ValueError, match=message):
+            track_correction(np.ones(2), np.zeros(2), np.zeros(2), tau_tilde, eta)
 
     def test_long_run_mean_tracks_constant(self):
         # stationary point, zero-mean noise, 1e5 steps at eta = 0.01
@@ -1309,10 +1328,13 @@ class TestDeferredRecordOutcomes:
 
     def test_projection_raising_after_a_pending_nonfinite_record(self):
         # the overflowing run above, with the KKT probe: the record of k = 78
-        # aborts it, so the probe's projection at the record of k = 81, which
-        # raises, is never reached, although the block's stack runs it
+        # aborts it. The block's stack projects the probe point of k = 81,
+        # which raises, so the block is recorded again point by point, and
+        # that stops at k = 78 before the point of k = 81 is reached. The run
+        # ends at k = 120, before the subgradient overflows (near k = 153), so
+        # that the stack's oracles pass and its projection is what raises
         cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), rho=1.0, eta=ETA_01,
-                           max_iters=3 * lagrangian.NOISE_CHUNK)
+                           max_iters=120)
         def subgrad(x):
             return -1e3 * x
 
@@ -1322,20 +1344,27 @@ class TestDeferredRecordOutcomes:
                   record_every=cfg.max_iters).state
         probe81 = s81.x - 1e-3 * (subgrad(s81.x) + np.array([[1.0]]) @ s81.lam)
 
+        fired = []
+
         class FailingBox(Box):
             def project(self, x):
-                if np.array_equal(x, probe81):
+                # the set maps a whole stack: fail if any row is the probe point
+                if (np.asarray(x).reshape(-1, probe81.size) == probe81).all(axis=1).any():
+                    fired.append(np.shape(x))
                     raise ArithmeticError("projection failed")
                 return super().project(x)
 
         prob = replace(whole, feasible_set=FailingBox(whole.feasible_set.lower,
                                                       whole.feasible_set.upper))
         res = run(prob, cfg, x0=np.ones(1), kkt_probe=1e-3, record_every=3)
+        # the block's stack raised once; the point-by-point records did not
+        assert len(fired) == 1 and fired[0][0] > 1
         assert res.abort_reason == "non-finite metrics" and res.state.k == 78
         assert [r.k for r in res.records] == list(range(0, 79, 3))
         assert not np.isfinite(res.records[-1].g_val)
         cut = run(prob, replace(cfg, max_iters=78), x0=np.ones(1), kkt_probe=1e-3,
                   record_every=3)
+        assert len(fired) == 1
         assert cut.abort_reason == "non-finite metrics"
         assert _state_bits(res) == _state_bits(cut)
         assert _record_bits(res.records) == _record_bits(cut.records)

@@ -150,14 +150,17 @@ def test_steps_share_one_signature():
     assert params == [["fset", "x", "y", "g", "eta", "cfg"]] * 3
 
 
+@pytest.mark.parametrize("fset", [
+    Box(np.array([-1.0, -np.inf, 0.0, -2.0]), np.array([1.0, 0.5, np.inf, 2.0])),
+    Ball(np.array([0.3, -0.2, 0.0, 0.1]), 1.5),
+], ids=["box", "ball"])
 @pytest.mark.parametrize("kind", ["prox_sgd", "prox_sgdm", "prox_adam"])
-def test_stack_step_equals_its_rows_bitwise(kind):
+def test_stack_step_equals_its_rows_bitwise(kind, fset):
     # a (B, n) stack of points, with a (B, aux_dim(n)) stack of auxiliary blocks,
     # steps as its rows do one by one, y included
     cfg = MethodConfig(kind=kind, tau=1.3, alpha=0.8, tau1=1.1, tau2=0.6, eps=0.05)
     rng = np.random.default_rng(4)
     B, n = 5, 4
-    fset = Box(np.array([-1.0, -np.inf, 0.0, -2.0]), np.array([1.0, 0.5, np.inf, 2.0]))
     X = np.array([fset.project(2.0 * rng.standard_normal(n)) for _ in range(B)])
     Y = np.abs(rng.standard_normal((B, cfg.aux_dim(n))))
     G = 3.0 * rng.standard_normal((B, n))

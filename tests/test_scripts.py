@@ -1,6 +1,7 @@
 """The experiment scripts under ``scripts/`` run end to end on a tiny budget,
 and write only where they are told to."""
 import json
+import subprocess
 import sys
 
 import pytest
@@ -68,7 +69,8 @@ def test_bench_ab_exits_1_on_a_faulty_run(tmp_path, monkeypatch, capsys, bad, er
     calls = []
 
     def bench(tree, seconds, seed):
-        side = "parent" if tree != script.ROOT else "change"
+        # both sides run from fresh trees side by side, neither from the checkout
+        side = {work / "parent": "parent", work / "change": "change"}[tree]
         calls.append(side)
         pair = seed - script.SEED_BASE
         result = {"correct": True, "failed": 0, "attempted": 3,
@@ -77,13 +79,35 @@ def test_bench_ab_exits_1_on_a_faulty_run(tmp_path, monkeypatch, capsys, bad, er
             result[bad[2]] = bad[3]
         return result, {}
 
+    work = tmp_path / "work"
     monkeypatch.setattr(script, "archive", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(script, "snapshot", lambda dest: None)
     monkeypatch.setattr(script, "bench", bench)
     out = tmp_path / "bench.json"
     code = script.main(["--pairs", "2", "--seconds", "1", "--out", str(out),
-                        "--workdir", str(tmp_path / "work")])
+                        "--workdir", str(work)])
     err = capsys.readouterr().err.splitlines()
-    assert len(calls) == 4
+    assert calls == ["parent", "change", "change", "parent"]
     assert json.loads(out.read_text())["summary"].keys() == {"w.chain_iter_us"}
     assert [line for line in err if line.startswith("error:")] == errors
     assert code == (1 if errors else 0)
+
+
+def test_bench_ab_snapshot_copies_the_files_git_does_not_ignore(tmp_path):
+    # the change side runs from a copy of the working tree: tracked and
+    # untracked files, but neither ignored ones nor a tracked file since deleted
+    script = load_script("bench_ab")
+    root, dest = tmp_path / "root", tmp_path / "copy"
+    (root / "pkg").mkdir(parents=True)
+    files = {".gitignore": "out/\n", "pkg/a.py": "a = 1\n", "gone.py": "", "out/x": "x"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", ".gitignore", "pkg/a.py", "gone.py"], cwd=root, check=True)
+    (root / "gone.py").unlink()
+    (root / "new.txt").write_text("new\n")
+    script.snapshot(dest, root)
+    copied = sorted(str(f.relative_to(dest)) for f in dest.rglob("*") if f.is_file())
+    assert copied == [".gitignore", "new.txt", "pkg/a.py"]
+    assert (dest / "pkg/a.py").read_text() == "a = 1\n"
