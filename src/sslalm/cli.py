@@ -194,11 +194,7 @@ def _seeded(cfg: RunConfig, seed=None, **changes) -> RunConfig:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _write_csv(path: Path, header: list, rows: list):

@@ -32,15 +32,16 @@ class NonFiniteError(OracleError):
     """An oracle output or an input vector holds a non-finite value."""
 
 
-def as_vector(x, dim: int | None = None, name: str = "x", finite: bool = True) -> Array:
-    """Validate and return ``x`` as a float64 vector, finite unless ``finite``
-    is False (then only the shape is checked)."""
+def as_vector(x, dim: int, name: str = "x", finite: bool = True) -> Array:
+    """Validate and return ``x`` as a float64 vector of ``dim`` entries, a 0-d
+    value as one entry, finite unless ``finite`` is False (then only the shape
+    is checked)."""
     v = np.asarray(x, dtype=np.float64)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
-    if dim is not None and v.size != dim:
+    if v.size != dim:
         raise ValueError(f"{name} has dimension {v.size}, expected {dim}")
     if finite and not _all_finite(v):
         raise NonFiniteError(f"{name} contains non-finite entries")
@@ -49,8 +50,8 @@ def as_vector(x, dim: int | None = None, name: str = "x", finite: bool = True) -
 
 def as_stack(x, dim: int, name: str = "x") -> tuple[Array, bool]:
     """Validate ``x``, one vector or a stack of vectors along a leading axis, as a
-    finite float64 ``(m, dim)`` array, and say whether it was one vector: a vector
-    is a stack of one, with ``as_vector``'s checks and messages."""
+    finite float64 ``(m, dim)`` array, and say whether it was one vector: a stack
+    of one, with ``as_vector``'s dimension and finiteness messages."""
     v = np.asarray(x, dtype=np.float64)
     point = v.ndim < 2
     if point:
@@ -216,10 +217,6 @@ class StochasticProblemInstance:
     @property
     def dim_constraint(self) -> int:
         return self.mean.dim_constraint
-
-    @property
-    def feasible_set(self) -> FeasibleSet:
-        return self.mean.feasible_set
 
 
 # The eval_* functions validate x; the _*_at helpers take an x their caller

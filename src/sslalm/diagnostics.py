@@ -145,9 +145,8 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
 def _certificate(h_x, u, tau: float):
     """Descent certificate ``h(x) - u/tau`` from the penalty values ``h_x`` and the
     auxiliary values ``u``, one per point of x: a float for one point."""
-    H, U = np.asarray(h_x, dtype=np.float64), np.asarray(u)
-    if H.shape != U.shape:
-        raise ValueError(f"h_x has shape {H.shape}, expected {U.shape}: one value per point of x")
+    U = np.asarray(u)
+    H = _shaped(h_x, U.shape, "h_x")
     with np.errstate(over="ignore", invalid="ignore"):
         out = H - U / tau
     return float(out) if H.ndim == 0 else out

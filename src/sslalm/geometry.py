@@ -18,10 +18,6 @@ MEMBERSHIP_TOL = 1e-9
 _BISECT_ITERS = 200
 
 
-def _vec(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 class FeasibleSet:
     """Base class for closed convex sets over a fixed number of coordinates.
 
@@ -49,7 +45,7 @@ class FeasibleSet:
     def normal_cone_distance(self, x: np.ndarray, v: np.ndarray) -> float:
         raise NotImplementedError
 
-    def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -66,8 +62,8 @@ class Box(FeasibleSet):
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = _vec(self.lower)
-        hi = _vec(self.upper)
+        lo = np.asarray(self.lower, dtype=np.float64)
+        hi = np.asarray(self.upper, dtype=np.float64)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         if lo.shape != hi.shape or lo.ndim != 1:
@@ -100,8 +96,9 @@ class Box(FeasibleSet):
         d = np.where(at_lower & at_upper, 0.0, d)
         return float(np.linalg.norm(d))
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
+    def contains(self, x):
+        return bool(np.all(x >= self.lower - MEMBERSHIP_TOL)
+                    and np.all(x <= self.upper + MEMBERSHIP_TOL))
 
     def sample(self, rng):
         lo, hi = self.lower, self.upper
@@ -132,7 +129,7 @@ class Ball(FeasibleSet):
     radius: float
 
     def __post_init__(self):
-        c = _vec(self.center)
+        c = np.asarray(self.center, dtype=np.float64)
         object.__setattr__(self, "center", c)
         if c.ndim != 1 or not np.isfinite(c).all():
             raise ValueError("ball center must be a finite 1-d array")
@@ -200,8 +197,8 @@ class Ball(FeasibleSet):
             return float(np.linalg.norm(v))
         return float(np.linalg.norm(-np.asarray(v) - s * ray))
 
-    def contains(self, x, tol=MEMBERSHIP_TOL):
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
+    def contains(self, x):
+        return float(np.linalg.norm(x - self.center)) <= self.radius + MEMBERSHIP_TOL
 
     def sample(self, rng):
         d = rng.standard_normal(self.dim)
@@ -212,7 +209,7 @@ class Ball(FeasibleSet):
 
 def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     """``a`` as float64, checked for ``shape`` only: a diverging run's records are not finite."""
-    a = _vec(a)
+    a = np.asarray(a, dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     return a

@@ -246,6 +246,15 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
     return w - tau_tilde * eta * (w - c_at_x) + c_at_xnext - c_at_x
 
 
+def _draw(draw, gen, size: int, source: str):
+    """``size`` tokens of the sample draw ``draw`` from ``gen``; a draw of another
+    count would hand one token's numbers out as several steps' tokens."""
+    tokens = draw(gen, size)
+    if len(tokens) != size:
+        raise OracleError(f"sample draws returned {len(tokens)} {source} tokens, expected {size}")
+    return tokens
+
+
 class _Driver:
     """Resolved settings for one (problem, config) pair; a problem with exact
     oracles runs as a sampled one whose samples are exact. The run's state is
@@ -293,7 +302,7 @@ class _Driver:
         if self._w_is_c:
             w0 = eval_constraints(self.mean, x0)
         else:
-            tok = self.prob.draw_constraint_sample(con_gen, 1)[0]
+            [tok] = _draw(self.prob.draw_constraint_sample, con_gen, 1, "constraint")
             w0 = as_vector(self.prob.constraint_sample(x0, tok), self.p, "C(x0)")
         return LagrangianState(x=x0, y=y0, lam=np.zeros(self.p), w=w0, k=0)
 
@@ -303,11 +312,8 @@ class _Driver:
         Under the correction tracker a step takes two constraint tokens, the
         pair's first; under the exact tracker the pair's token is None."""
         n_con = steps if self._w_is_c else 2 * steps
-        obj = self.prob.draw_objective_sample(obj_gen, steps)
-        con = self.prob.draw_constraint_sample(con_gen, n_con)
-        if len(obj) != steps or len(con) != n_con:
-            raise OracleError(f"sample draws returned {len(obj)} objective and {len(con)} "
-                              f"constraint tokens, expected {steps} and {n_con}")
+        obj = _draw(self.prob.draw_objective_sample, obj_gen, steps, "objective")
+        con = _draw(self.prob.draw_constraint_sample, con_gen, n_con, "constraint")
         if self._w_is_c:
             return list(zip(obj, itertools.repeat(None), con))
         return list(zip(obj, con[::2], con[1::2]))
@@ -471,7 +477,7 @@ def run(
     ``default_rng(config.seed)``; a sampled problem's objective tokens and
     constraint tokens come from the two generators of
     ``SeedSequence(config.seed).spawn(2)``, in that order (a deterministic
-    problem, whose draws take nothing, spawns neither). Each source is
+    problem's draws take nothing from them). Each source is
     drawn in blocks of ``NOISE_CHUNK`` steps, the block for steps ``k`` to
     ``k + NOISE_CHUNK - 1`` at step ``k`` (see ``_Driver.draw_tokens``). The
     step sizes of a block's steps are resolved with it, by
@@ -488,11 +494,7 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         driver = _Driver(prob, config)
         rng = np.random.default_rng(config.seed)
-        # a wrapped deterministic problem draws nothing from its token generators
-        obj_gen = con_gen = None
-        if driver.prob is prob:
-            obj_gen, con_gen = map(np.random.default_rng,
-                                   np.random.SeedSequence(config.seed).spawn(2))
+        obj_gen, con_gen = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
         state = driver.initial_state(x0, con_gen)
         # the first record, a stack of one: there is no trajectory to keep yet,
         # so an oracle's NonFiniteError propagates

@@ -578,6 +578,17 @@ class TestPublicChecks:
         with pytest.raises(ValueError, match="alpha must be positive"):
             lyapunov_adam(0.0, fset, x, y, v, 1.0, alpha, 1e-8)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    def test_nonpositive_probe_and_eps(self, value):
+        prob = self.problem()
+        x, y, v = np.zeros(2), np.ones(2), np.ones(2)
+        with pytest.raises(ValueError, match="^eta_probe must be positive$"):
+            kkt_residual(prob, x, np.zeros(1), eta_probe=value)
+        with pytest.raises(ValueError, match="^eta_probe must be positive$"):
+            assemble_record(prob, 0, x, np.zeros(1), np.zeros(1), 1.0, 0.0, value)
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            u_adam(prob.feasible_set, x, y, v, 1.0, value)
+
     @pytest.mark.parametrize("subgrad, err", [
         (lambda x: np.array([1.0, np.inf]), "non-finite"),
         (lambda x: np.array([np.nan, 1.0]), "non-finite"),

@@ -666,6 +666,79 @@ class TestRun:
         with pytest.raises(OracleError, match="sample draws returned"):
             run(prob, cfg, kkt_probe=None)
 
+    @pytest.mark.parametrize("tracker, expected", [("exact", 5), ("correction", 1)])
+    def test_empty_constraint_draw_raises_under_either_tracker(self, tracker, expected):
+        # the correction tracker's first token, for C(x0), is a draw of one
+        # that the count rule checks as it checks the step blocks
+        inst = make_stochastic_affine(n=3, p=1, seed=1).instance
+        prob = replace(inst, draw_constraint_sample=lambda gen, size: [])
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01,
+                           tracker=tracker, max_iters=5)
+        with pytest.raises(OracleError,
+                           match=f"^sample draws returned 0 constraint tokens, expected {expected}$"):
+            run(prob, cfg, kkt_probe=None)
+
+    @pytest.mark.parametrize("tracker, k", [("exact", 19), ("correction", 9)])
+    def test_nan_tracker_value_aborts_the_ialm_step_that_takes_it(self, tracker, k):
+        # the calls as in the regu case above; the ialm dual checks the tracker
+        # value itself, before its multiplier step
+        prob = counting_constraint_problem(
+            lambda x, calls: x.copy() if calls <= 20 else np.array([np.nan]))
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), rho=0.5, eta=ETA_01,
+                           tracker=tracker, dual="ialm", max_iters=100)
+        res = run(prob, cfg, x0=np.array([0.5]), record_every=1000)
+        assert (res.abort_reason, res.state.k) == ("non-finite state", k)
+        assert np.isfinite(res.state.w).all() and np.isfinite(res.state.lam).all()
+
+    def test_misshapen_constraint_at_the_next_point_raises(self):
+        # the third sampled constraint call is the first step's C(x_next): one
+        # call for C(x0), then C(x) and C(x_next) on the step's shared token
+        inst = make_stochastic_affine(n=3, p=2, noise_scale=0.1, seed=1).instance
+        calls = [0]
+
+        def constraint_sample(x, tok):
+            calls[0] += 1
+            c = inst.constraint_sample(x, tok)
+            return c[:1] if calls[0] == 3 else c
+
+        prob = replace(inst, constraint_sample=constraint_sample)
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01,
+                           tracker="correction", max_iters=5)
+        with pytest.raises(ValueError, match="^constraint value has dimension 1, expected 2$"):
+            run(prob, cfg, kkt_probe=None)
+        assert calls[0] == 3
+
+    @pytest.mark.parametrize("record_every", [0, -1])
+    def test_nonpositive_record_every_rejected(self, record_every):
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=5)
+        with pytest.raises(ValueError, match="^record_every must be >= 1$"):
+            run(scalar_problem(), cfg, record_every=record_every)
+
+    @pytest.mark.parametrize("tracker", ["exact", "correction"])
+    def test_scalar_constraint_value_runs_as_a_one_vector(self, tracker):
+        # a p = 1 constraint may return a Python float: the shape check turns
+        # the 0-d value into the 1-vector the same problem returns as an array
+        base = scalar_problem(objective=lambda x: abs(float(x[0]) - 0.75),
+                              subgrad=lambda x: np.sign(x - 0.75),
+                              fset=Box(np.array([-1.0]), np.array([1.0])))
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgdm"), rho=0.5, eta=ETA_01,
+                           tracker=tracker, noise=NoiseModel("uniform_box", 0.1),
+                           max_iters=300, seed=2)
+        results = [run(replace(base, constraint=constraint), cfg, x0=np.array([0.5]),
+                       record_every=7)
+                   for constraint in (lambda x: np.array([x[0] - 0.25]),
+                                      lambda x: float(x[0]) - 0.25)]
+        array_res, float_res = results
+        assert not float_res.aborted and float_res.state.k == cfg.max_iters
+        assert ([r.to_json_line() for r in float_res.records]
+                == [r.to_json_line() for r in array_res.records])
+        assert _bits(float_res.state[:4]) == _bits(array_res.state[:4])
+
+    def test_two_dimensional_x0_rejected(self):
+        cfg = SolverConfig(method=MethodConfig(kind="prox_sgd"), eta=ETA_01, max_iters=5)
+        with pytest.raises(ValueError, match=r"^x0 must be 1-d, got shape \(1, 1\)$"):
+            run(scalar_problem(), cfg, x0=np.zeros((1, 1)))
+
     def test_overflowing_ialm_multiplier_leaves_regu_bookkeeping_unset(self):
         # huge ialm steps overflow lam on the second dual update (c(x) = x
         # keeps its sign on [0.5, 1]); the run aborts on that step and the

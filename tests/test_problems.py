@@ -79,6 +79,12 @@ class TestL1AffineOracle:
                 np.ones((1, 13)), np.zeros(1), np.zeros(13), np.full(13, -1.0), np.full(13, 1.0)
             )
 
+    def test_no_feasible_candidate_raises(self):
+        # x1 + x2 = 5 has no point in [-1, 1]^2
+        with pytest.raises(ValueError, match="^constraint system admits no feasible candidate"):
+            l1_affine_oracle(np.ones((1, 2)), np.array([5.0]), np.zeros(2), np.full(2, -1.0),
+                             np.full(2, 1.0))
+
     def test_streamed_grid_matches_meshgrid_restatement_bitwise(self):
         # a fresh interpreter on a single-threaded BLAS: a threaded product
         # rounds the columns at its thread split in its own way, so the
@@ -642,6 +648,11 @@ def test_stochastic_affine_samples_uniformly_bounded_on_box():
     ("slack_l1_net", {"layer_widths": (2, float("inf"))}, "layer_widths"),
     ("slack_l1_net", {"layer_widths": (2, -3)}, "layer_widths"),
     ("slack_l1_net", {"n_test": 0}, "n_test must be >= 1"),
+    ("slack_l1_net", {"layer_widths": (2,)}, "two or more widths"),
+    ("slack_l1_net", {"radius": 0.0}, "radius must be positive"),
+    ("slack_l1_net", {"batch_size": 0}, r"batch_size must lie in \[1, n_train\]"),
+    ("slack_l1_net", {"n_train": 8, "batch_size": 9}, r"batch_size must lie in \[1, n_train\]"),
+    ("exactness_1d", {"slope": 0.0}, "slope must be positive"),
 ])
 def test_recipe_validation(kind, params, err):
     with pytest.raises(ValueError, match=err):
