@@ -32,6 +32,9 @@ class FeasibleSet:
 
     ``project`` and ``prox_weighted`` take one point or a stack of rows along the
     leading axes and return the same shape, each row bitwise that row's value.
+    They do not check the shape of what they are given: every step calls them,
+    and their callers in the package check shapes first. ``contains`` takes one
+    point and raises ``ValueError`` on any other shape.
     """
 
     dim: int
@@ -97,6 +100,7 @@ class Box(FeasibleSet):
         return float(np.linalg.norm(d))
 
     def contains(self, x):
+        x = _shaped(x, (self.dim,), "x")
         return bool(np.all(x >= self.lower - MEMBERSHIP_TOL)
                     and np.all(x <= self.upper + MEMBERSHIP_TOL))
 
@@ -198,6 +202,7 @@ class Ball(FeasibleSet):
         return float(np.linalg.norm(-np.asarray(v) - s * ray))
 
     def contains(self, x):
+        x = _shaped(x, (self.dim,), "x")
         return float(np.linalg.norm(x - self.center)) <= self.radius + MEMBERSHIP_TOL
 
     def sample(self, rng):

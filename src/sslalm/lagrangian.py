@@ -211,9 +211,21 @@ def dual_step_regu(lam, w_next, theta: float, beta: float) -> np.ndarray:
         raise ValueError("dual step requires 0 <= theta < beta")
     lam = np.asarray(lam, dtype=np.float64)
     w_next = np.asarray(w_next, dtype=np.float64)
+    if lam.ndim != 1 or w_next.shape != lam.shape:
+        raise ValueError("dual step requires lam and w_next as 1-d arrays of one length, "
+                         f"got shapes {lam.shape} and {w_next.shape}")
     nrm = sqrt(w_next.dot(w_next))
-    u = np.zeros_like(w_next) if nrm <= REGU_ZERO_TOL else w_next / nrm
-    return lam + theta * (u - lam / beta)
+    # entry by entry on Python floats, in the formula's order: they round as
+    # numpy's float64 ufuncs do (only a NaN's sign may differ, where an input NaN
+    # meets one the formula makes), without a ufunc's call cost on each of the
+    # few entries of a constraint vector (numpy is faster above about ten). The
+    # scalars become floats, as numpy takes a float32 scalar into a float64
+    # array's arithmetic.
+    theta, beta = float(theta), float(beta)
+    if nrm <= REGU_ZERO_TOL:
+        return np.array([li + theta * (0.0 - li / beta) for li in lam.tolist()])
+    return np.array([li + theta * (wi / nrm - li / beta)
+                     for li, wi in zip(lam.tolist(), w_next.tolist())])
 
 
 def dual_step_ialm(
@@ -223,6 +235,9 @@ def dual_step_ialm(
     _check_ialm(beta_tilde, sigma, theta_tilde)
     lam = np.asarray(lam, dtype=np.float64)
     c_next = np.asarray(c_next, dtype=np.float64)
+    if lam.ndim != 1 or c_next.shape != lam.shape:
+        raise ValueError("ialm dual step requires lam and c_next as 1-d arrays of one length, "
+                         f"got shapes {lam.shape} and {c_next.shape}")
     nrm = sqrt(c_next.dot(c_next))
     if nrm <= REGU_ZERO_TOL:
         return lam.copy()
@@ -230,7 +245,9 @@ def dual_step_ialm(
         cap = float("inf")
     else:
         cap = beta_tilde * sigma**k
-    return lam + min(theta_tilde / nrm, cap) * c_next
+    # entry by entry on Python floats, as in dual_step_regu
+    step = float(min(theta_tilde / nrm, cap))
+    return np.array([li + step * ci for li, ci in zip(lam.tolist(), c_next.tolist())])
 
 
 def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.ndarray:
@@ -243,7 +260,18 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
     w = np.asarray(w, dtype=np.float64)
     c_at_x = np.asarray(c_at_x, dtype=np.float64)
     c_at_xnext = np.asarray(c_at_xnext, dtype=np.float64)
-    return w - tau_tilde * eta * (w - c_at_x) + c_at_xnext - c_at_x
+    if not w.shape == c_at_x.shape == c_at_xnext.shape:
+        raise ValueError("correction tracker requires w, c_at_x and c_at_xnext of one shape, "
+                         f"got shapes {w.shape}, {c_at_x.shape} and {c_at_xnext.shape}")
+    shape = w.shape
+    if len(shape) != 1:
+        # a stack's entries, or a single value, in C order
+        w, c_at_x, c_at_xnext = w.ravel(), c_at_x.ravel(), c_at_xnext.ravel()
+    # entry by entry on Python floats, as in dual_step_regu
+    step = float(tau_tilde * eta)
+    w_next = np.array([wi - step * (wi - ci) + ni - ci
+                       for wi, ci, ni in zip(w.tolist(), c_at_x.tolist(), c_at_xnext.tolist())])
+    return w_next if len(shape) == 1 else w_next.reshape(shape)
 
 
 def _draw(draw, gen, size: int, source: str):

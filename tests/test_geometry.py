@@ -223,6 +223,11 @@ def test_sample_points_are_feasible():
          r"^v has shape \(1, 2\), expected \(2,\)"),
         (lambda: normal_cone_distance(unit_box(2), np.zeros(3), np.zeros(2)),
          r"^x has shape \(3,\), expected \(2,\)"),
+        # a point of another length once broadcast against the set's arrays
+        (lambda: Box(np.zeros(2), np.ones(2)).contains(np.array([0.5])),
+         r"^x has shape \(1,\), expected \(2,\)"),
+        (lambda: Ball(np.zeros(3), 1.0).contains(np.array([0.5])),
+         r"^x has shape \(1,\), expected \(3,\)"),
     ],
 )
 def test_set_validation(make, message):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sslalm import lagrangian
 from sslalm.cli import RunConfig
@@ -22,6 +23,7 @@ from sslalm.core import (
 from sslalm.geometry import Ball, Box, WholeSpace
 from sslalm.lagrangian import (
     NOISE_CHUNK,
+    REGU_ZERO_TOL,
     SCHEDULE_KINDS,
     LagrangianState,
     SolverConfig,
@@ -295,6 +297,124 @@ class TestTrackers:
             w = track_correction(w, c + noise, c + noise, 1.0, 0.01)
             total += w
         assert abs(total[0] / steps - c[0]) <= 0.01
+
+
+# The three updates of the dual side compute entry by entry on Python floats;
+# each is held here to its numpy formula, written out.
+
+# one entry of a float64 array: finite of any magnitude, +-0, +-inf or NaN
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# entries of at most 1e-15: a vector of up to 16 of them has a norm of at most
+# REGU_ZERO_TOL, the zero-norm branch of both dual steps
+TINY_FLOAT = st.floats(-1e-15, 1e-15)
+CONSTRAINT_DIM = st.integers(1, 16)
+VECTOR_SHAPES = CONSTRAINT_DIM.map(lambda p: (p,))
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+def float_arrays(shape):
+    """float64 arrays of ``shape``, their entries all drawn from ``ANY_FLOAT``
+    or all from ``TINY_FLOAT``."""
+    return st.sampled_from([ANY_FLOAT, TINY_FLOAT]).flatmap(
+        lambda entries: hnp.arrays(np.float64, shape, elements=entries))
+
+
+def same_vectors(count, shapes=VECTOR_SHAPES):
+    """``count`` arrays of one shape drawn from ``shapes``."""
+    return shapes.flatmap(lambda shape: st.tuples(*[float_arrays(shape)] * count))
+
+
+def assert_same_bits(got, expected):
+    """``got`` is ``expected`` bit for bit, save a NaN's sign and payload: where a
+    NaN input meets a NaN that the formula makes, IEEE 754 leaves open which of
+    the two comes out, and numpy's loops and Python's floats may pick another."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.isnan(got).tolist() == np.isnan(expected).tolist()
+    assert (np.where(np.isnan(got), np.nan, got).tobytes()
+            == np.where(np.isnan(expected), np.nan, expected).tobytes())
+
+
+class TestDualSideFormulas:
+    @settings(max_examples=500, deadline=None)
+    @given(same_vectors(2), st.floats(0.0, 1.0, exclude_max=True), POSITIVE)
+    def test_regu_step_is_its_numpy_formula_bitwise(self, vectors, frac, beta):
+        (lam, w), theta = vectors, frac * beta
+        assume(theta < beta)
+        with np.errstate(all="ignore"):
+            nrm = np.linalg.norm(w)
+            u = np.zeros_like(w) if nrm <= REGU_ZERO_TOL else w / nrm
+            expected = lam + theta * (u - lam / beta)
+            got = dual_step_regu(lam, w, theta, beta)
+        assert_same_bits(got, expected)
+
+    @settings(max_examples=500, deadline=None)
+    @given(same_vectors(3, VECTOR_SHAPES | st.tuples(st.integers(1, 4), CONSTRAINT_DIM)),
+           POSITIVE, POSITIVE)
+    def test_correction_tracker_is_its_numpy_formula_bitwise(self, arrays, tau_tilde, eta):
+        # one constraint vector or a (B, p) stack of them
+        w, c, c_next = arrays
+        assume(tau_tilde * eta <= 1.0)
+        with np.errstate(all="ignore"):
+            expected = w - tau_tilde * eta * (w - c) + c_next - c
+            got = track_correction(w, c, c_next, tau_tilde, eta)
+        assert_same_bits(got, expected)
+
+    @settings(max_examples=500, deadline=None)
+    @given(same_vectors(2), POSITIVE, POSITIVE, st.floats(1.0, 1e300, exclude_min=True),
+           st.integers(0, 10**6))
+    def test_ialm_step_is_its_numpy_formula_bitwise(self, vectors, theta_tilde, beta_tilde,
+                                                     sigma, k):
+        lam, c = vectors
+        with np.errstate(all="ignore"):
+            nrm = np.linalg.norm(c)
+            if nrm <= REGU_ZERO_TOL:
+                expected = lam
+            else:
+                cap = math.inf if k * math.log(sigma) > 700.0 else beta_tilde * sigma**k
+                expected = lam + min(theta_tilde / nrm, cap) * c
+            got = dual_step_ialm(lam, c, theta_tilde, beta_tilde, sigma, k)
+        assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float16])
+    def test_numpy_scalars_meet_the_vectors_as_in_numpy(self, scalar):
+        # numpy takes a float32 scalar into a float64 array's arithmetic, where a
+        # Python float would meet it in float32
+        lam, w, c = np.array([0.1, -0.2]), np.array([0.3, 0.7]), np.array([0.5, 0.25])
+        theta, beta, tau_tilde, eta, theta_tilde, beta_tilde = map(
+            scalar, (0.3, 2.0, 1.1, 0.3, 0.7, 3.0))
+        pairs = [
+            (dual_step_regu(lam, w, theta, beta),
+             lam + theta * (w / np.linalg.norm(w) - lam / beta)),
+            (track_correction(w, c, lam, tau_tilde, eta),
+             w - tau_tilde * eta * (w - c) + lam - c),
+            (dual_step_ialm(lam, c, theta_tilde, beta_tilde, 2.0, 3),
+             lam + min(theta_tilde / float(np.linalg.norm(c)), beta_tilde * 2.0**3) * c),
+        ]
+        for got, expected in pairs:
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("update, message", [
+        # each once broadcast to the longer input, or truncated to the shorter
+        pytest.param(lambda: dual_step_regu(np.zeros(1), np.array([3.0, 4.0, 0.0]), 0.5, 1.0),
+                     r"got shapes \(1,\) and \(3,\)$", id="regu-lengths"),
+        pytest.param(lambda: dual_step_regu(np.zeros((1, 2)), np.ones((1, 2)), 0.5, 1.0),
+                     r"got shapes \(1, 2\) and \(1, 2\)$", id="regu-stack"),
+        pytest.param(lambda: track_correction(np.zeros(2), np.ones(1), np.ones(2), 1.0, 0.1),
+                     r"got shapes \(2,\), \(1,\) and \(2,\)$", id="tracker-lengths"),
+        pytest.param(lambda: track_correction(np.zeros((3, 2)), np.ones((3, 2)), np.ones(2),
+                                              1.0, 0.1),
+                     r"got shapes \(3, 2\), \(3, 2\) and \(2,\)$", id="tracker-stack"),
+        pytest.param(lambda: dual_step_ialm(np.zeros(1), np.ones(3), 1.0, 1.0, 2.0, 0),
+                     r"got shapes \(1,\) and \(3,\)$", id="ialm-lengths"),
+        # the zero-norm branch returns lam: it is checked all the same
+        pytest.param(lambda: dual_step_ialm(np.zeros(1), np.zeros(3), 1.0, 1.0, 2.0, 0),
+                     r"got shapes \(1,\) and \(3,\)$", id="ialm-zero-norm"),
+        pytest.param(lambda: dual_step_ialm(np.zeros(()), np.ones(()), 1.0, 1.0, 2.0, 0),
+                     r"got shapes \(\) and \(\)$", id="ialm-scalar"),
+    ])
+    def test_mismatched_shapes_rejected(self, update, message):
+        with pytest.raises(ValueError, match=message):
+            update()
 
 
 ETA_01 = StepSchedule("constant", 0.1)
