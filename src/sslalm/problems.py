@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ProblemInstance, StochasticProblemInstance
 from .core import _check_integer, _check_value, _field_types
-from .geometry import MEMBERSHIP_TOL, Box
+from .geometry import MEMBERSHIP_TOL, Box, _shaped
 from .lagrangian import NOISE_CHUNK
 
 
@@ -69,82 +69,110 @@ def _recipe(maker):
 ORACLE_CHUNK = 4096  # candidate points l1_affine_oracle holds at a time
 
 
-def _grid(cands):
-    """The product of the value lists ``cands`` in meshgrid ``ij`` order, one
-    point per column: shape ``(len(cands), product of their lengths)``."""
-    return np.array(np.meshgrid(*cands, indexing="ij")).reshape(
-        len(cands), math.prod(map(len, cands))
-    )
-
-
 def l1_affine_oracle(A, b, anchor, lower, upper):
     """Minimize ``||x - anchor||_1`` over ``{Ax = b, lower <= x <= upper}``.
 
     Brute force, capped at n <= 12: every minimizer of a piecewise-linear
     convex function over a polytope is attained where the p equality rows
     plus n - p coordinate fixings (a bound or the kink value ``anchor_i``)
-    are active, so all such candidate points are enumerated. For each set of
-    p free coordinates the grid of fixings (lower, upper, then ``anchor_i``
-    when strictly inside, in meshgrid ``ij`` order) is walked in blocks of at
-    most ``ORACLE_CHUNK`` points; the first minimizer in that order is kept.
-    Returns ``(x_star, f_star)``. Intended purely as an acceptance oracle;
-    shares no code with the solver.
+    are active, so all such candidate points are enumerated. They are walked
+    in one pass: the well-conditioned sets of p free coordinates in
+    ``combinations`` order, each one's grid of fixings (lower, upper, then
+    ``anchor_i`` when strictly inside) in meshgrid ``ij`` order, in blocks of
+    at most ``ORACLE_CHUNK`` points, each either several whole grids of one
+    size or one slice of a larger grid. The first minimizer in that order is
+    kept. Returns ``(x_star, f_star)``. Intended purely as an acceptance
+    oracle; shares no code with the solver.
     """
     A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    lower = np.asarray(lower, dtype=np.float64)
-    upper = np.asarray(upper, dtype=np.float64)
+    if A.ndim != 2 or not 1 <= A.shape[0] <= A.shape[1]:
+        raise ValueError(f"A has shape {A.shape}, expected (p, n) with 1 <= p <= n")
     p, n = A.shape
+    b = _shaped(b, (p,), "b")
+    anchor, lower, upper = (_shaped(v, (n,), name) for v, name in
+                            ((anchor, "anchor"), (lower, "lower"), (upper, "upper")))
     if n > 12:
         raise ValueError("brute-force oracle is capped at n <= 12")
+    free = np.array(list(itertools.combinations(range(n), p)), dtype=np.intp).reshape(-1, p)
+    # each item of the stacks is laid out as A[:, free] and A[:, fixed] are,
+    # so that it meets LAPACK and BLAS as that 2-d array would
+    A_free = A.T[free].transpose(0, 2, 1)
+    keep = np.linalg.cond(A_free) <= 1e10
+    free, A_free = free[keep], A_free[keep]
+    is_fixed = np.ones((len(free), n), dtype=bool)
+    is_fixed[np.arange(len(free))[:, None], free] = False
+    fixed = np.nonzero(is_fixed)[1].reshape(len(free), n - p)
+    A_fixed = A.T[fixed].transpose(0, 2, 1)
+    # a fixed coordinate sits on a bound or strictly inside the box, so only
+    # the free rows can leave it
+    lo, hi = lower[free][..., None] - MEMBERSHIP_TOL, upper[free][..., None] + MEMBERSHIP_TOL
+    # fixing j of coordinate i is entry 3 i + j of the table
+    table = np.stack([lower, upper, anchor], axis=1).ravel()
+    counts = np.where((lower < anchor) & (anchor < upper), 3, 2)[fixed]
+    patterns, sizes = list(map(tuple, counts.tolist())), counts.prod(axis=1).tolist()
+    # the fixing of each coordinate at each grid point, per count pattern
+    digits = functools.cache(lambda pattern: np.indices(pattern, dtype=np.int8).reshape(
+        len(pattern), math.prod(pattern)))
+
+    # a large grid's slices and each block's points, rows in coordinate order,
+    # go into buffers made once per call: fresh arrays per block were slower
+    width = min(ORACLE_CHUNK, len(free) * max(sizes, default=1))
+    V_buf, X_buf = np.empty((n - p) * width), np.empty(n * width)
+
+    def blocks():
+        """``(k, V)``: the candidate fixings ``V``, ``(K, n - p, m)``, of free
+        sets ``k:k + K``, block by block in walk order."""
+        k = 0
+        while k < len(free):
+            size, K = sizes[k], 1
+            if size <= ORACLE_CHUNK:
+                while (k + K < len(free) and sizes[k + K] == size
+                       and (K + 1) * size <= ORACLE_CHUNK):
+                    K += 1
+                D = np.stack([digits(pattern) for pattern in patterns[k : k + K]])
+                yield k, table.take(D + 3 * fixed[k : k + K, :, None])
+            else:
+                # an outer grid of the leading fixings times an inner grid of
+                # the trailing ones, as many as fit in ORACLE_CHUNK points
+                pattern = patterns[k]
+                split = next(s for s in range(len(pattern) + 1)
+                             if math.prod(pattern[s:]) <= ORACLE_CHUNK)
+                outer, inner = (table.take(digits(pattern[s]) + 3 * fixed[k, s, None])
+                                for s in (slice(None, split), slice(split, None)))
+                m = inner.shape[1]
+                for start in range(0, size, ORACLE_CHUNK):
+                    stop = min(start + ORACLE_CHUNK, size)
+                    V = V_buf[: (n - p) * (stop - start)].reshape(1, n - p, stop - start)
+                    for o in range(start // m, (stop - 1) // m + 1):
+                        # the block's points that share outer point o
+                        i0, i1 = max(start, o * m), min(stop, (o + 1) * m)
+                        V[0, :split, i0 - start : i1 - start] = outer[:, o : o + 1]
+                        V[0, split:, i0 - start : i1 - start] = inner[:, i0 - o * m : i1 - o * m]
+                    yield k, V
+            k += K
+
     best_f = np.inf
     best_x = None
-    for free in itertools.combinations(range(n), p):
-        free = list(free)
-        fixed = [i for i in range(n) if i not in free]
-        A_free = A[:, free]
-        if np.linalg.cond(A_free) > 1e10:
+    for k, V in blocks():
+        K, m = V.shape[0], V.shape[2]
+        X_free = np.linalg.solve(A_free[k : k + K], b[:, None] - A_fixed[k : k + K] @ V)
+        ok = np.all((X_free >= lo[k : k + K]) & (X_free <= hi[k : k + K]), axis=1)
+        cols = np.flatnonzero(ok)
+        if cols.size == 0:
             continue
-        A_fixed = A[:, fixed]
-        # a fixed coordinate sits on a bound or strictly inside the box, so only
-        # the free rows can leave it
-        lo, hi = lower[free][:, None] - MEMBERSHIP_TOL, upper[free][:, None] + MEMBERSHIP_TOL
-        cands = [
-            [lower[i], upper[i]] + ([anchor[i]] if lower[i] < anchor[i] < upper[i] else [])
-            for i in fixed
-        ]
-        # the grid is an outer grid of the leading fixings times an inner grid of
-        # the trailing ones, as many as fit in ORACLE_CHUNK points; both built once
-        split = next(s for s in range(len(fixed) + 1)
-                     if math.prod(map(len, cands[s:])) <= ORACLE_CHUNK)
-        outer, inner = _grid(cands[:split]), _grid(cands[split:])
-        size = inner.shape[1]
-        total = outer.shape[1] * size
-        for start in range(0, total, ORACLE_CHUNK):
-            stop = min(start + ORACLE_CHUNK, total)
-            V = np.empty((len(fixed), stop - start))  # (n-p, m)
-            for o in range(start // size, (stop - 1) // size + 1):
-                # the block's points that share outer point o
-                i0, i1 = max(start, o * size), min(stop, (o + 1) * size)
-                V[:split, i0 - start : i1 - start] = outer[:, o : o + 1]
-                V[split:, i0 - start : i1 - start] = inner[:, i0 - o * size : i1 - o * size]
-            X_free = np.linalg.solve(A_free, b[:, None] - A_fixed @ V)  # (p, m)
-            cols = np.flatnonzero(np.all((X_free >= lo) & (X_free <= hi), axis=0))
-            if cols.size == 0:
-                continue
-            if cols.size == 1 and total > 1:
-                # numpy sums a one-column array pairwise but a wider one row by
-                # row, as it summed the whole grid: a lone column goes in twice
-                cols = cols.repeat(2)
-            X = np.empty((n, cols.size))
-            X[fixed] = V[:, cols]
-            X[free] = X_free[:, cols]
-            fvals = np.abs(X - anchor[:, None]).sum(axis=0)
-            j = int(np.argmin(fvals))
-            if fvals[j] < best_f:
-                best_f = float(fvals[j])
-                best_x = np.clip(X[:, j], lower, upper)
+        if cols.size == 1 and sizes[k] > 1:
+            # numpy sums a one-column array pairwise but a wider one row by
+            # row, as it sums every wider block: a lone column goes in twice
+            cols = cols.repeat(2)
+        X = X_buf[: n * K * m].reshape(n, K, m)
+        X[fixed[k : k + K].T, np.arange(K)] = V.transpose(1, 0, 2)
+        X[free[k : k + K].T, np.arange(K)] = X_free.transpose(1, 0, 2)
+        X = X.reshape(n, K * m).take(cols, axis=1)
+        fvals = np.abs(X - anchor[:, None]).sum(axis=0)
+        j = int(np.argmin(fvals))
+        if fvals[j] < best_f:
+            best_f = float(fvals[j])
+            best_x = np.clip(X[:, j], lower, upper)
     if best_x is None:
         raise ValueError("constraint system admits no feasible candidate point")
     return best_x, best_f

@@ -111,6 +111,13 @@ def _cases():
 CASES = _cases()
 
 
+def _blas() -> str:
+    """The BLAS numpy was built against, as ``name version``: its kernels,
+    and the CPU features they are picked for, decide how a product rounds."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _without_wall_time(data: bytes) -> bytes:
     rows = [line.split(",") for line in data.decode().splitlines()]
     if "wall_time_s" not in rows[0]:
@@ -147,8 +154,9 @@ def test_outputs_match_golden_hashes(name, tmp_path):
     got = run_case(name, tmp_path)
     assert got == golden["cases"].get(name), (
         f"{name}: outputs differ from {GOLDEN.name} (hashed with numpy "
-        f"{golden['numpy']}, running numpy {np.__version__}). If the change is "
-        f"intended, regenerate with `{REGENERATE}` and say why in CHANGES.md."
+        f"{golden['numpy']} on {golden.get('blas', 'an unrecorded BLAS')}, running numpy "
+        f"{np.__version__} on {_blas()}). If the change is intended, regenerate with "
+        f"`{REGENERATE}` and say why in CHANGES.md."
     )
 
 
@@ -176,7 +184,8 @@ def regenerate():
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             cases[name] = run_case(name, Path(tmp))
-    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "cases": cases}, indent=2) + "\n")
+    GOLDEN.write_text(json.dumps({"numpy": np.__version__, "blas": _blas(), "cases": cases},
+                                 indent=2) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN}")
     for label, names in (
         ("added", cases.keys() - old.keys()),

@@ -85,6 +85,22 @@ class TestL1AffineOracle:
             l1_affine_oracle(np.ones((1, 2)), np.array([5.0]), np.zeros(2), np.full(2, -1.0),
                              np.full(2, 1.0))
 
+    @pytest.mark.parametrize("shapes, message", [
+        # b broadcast across both rows: an answer for b = (0.3, 0.3)
+        ({"b": (1,)}, r"b has shape \(1,\), expected \(2,\)"),
+        ({"lower": (3,)}, r"lower has shape \(3,\), expected \(4,\)"),
+        ({"A": (4,)}, r"A has shape \(4,\), expected \(p, n\)"),
+        ({"A": (5, 4), "b": (5,)}, r"A has shape \(5, 4\), expected \(p, n\) with 1 <= p <= n"),
+    ], ids=["b", "lower", "A_1d", "p_above_n"])
+    def test_misshaped_inputs_rejected(self, shapes, message):
+        A = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 2)))[0].T.copy()
+        args = {"A": A, "b": np.full(2, 0.3), "anchor": np.zeros(4), "lower": np.full(4, -1.0),
+                "upper": np.full(4, 1.0)}
+        for name, shape in shapes.items():
+            args[name] = np.resize(args[name], shape)
+        with pytest.raises(ValueError, match=message):
+            l1_affine_oracle(**args)
+
     def test_streamed_grid_matches_meshgrid_restatement_bitwise(self):
         # a fresh interpreter on a single-threaded BLAS: a threaded product
         # rounds the columns at its thread split in its own way, so the
@@ -97,26 +113,29 @@ class TestL1AffineOracle:
         assert out.returncode == 0, out.stderr
         got = json.loads(out.stdout.splitlines()[-1])
         assert got["mismatches"] == []
-        assert got["multi_block"] >= 8 and got["square"] >= 12
+        assert got["multi_block"] >= 8 and got["square"] >= 12 and got["stacked"] >= 30
         assert got["solved"] >= got["cases"] - 4, got  # nearly every case has a solution
 
     def test_transient_memory_is_bounded_by_the_block(self):
-        # 12 free sets of 3^11 candidates each: the whole-grid form held each
-        # grid at once, about 83 MB at its peak
-        rng = np.random.default_rng(0)
-        A = np.linalg.qr(rng.standard_normal((12, 1)))[0].T.copy()
-        b, anchor = A @ rng.uniform(-0.6, 0.6, 12), rng.uniform(-1.0, 1.0, 12)
-        tracemalloc.start()
-        try:
-            l1_affine_oracle(A, b, anchor, np.full(12, -1.0), np.full(12, 1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        # p = 1: 12 free sets of 3^11 candidates each, which the whole-grid
+        # form held one at a time, about 83 MB at its peak; p = 6: 924 free
+        # sets of 3^6 candidates, stacked five to a block
+        for p in (1, 6):
+            rng = np.random.default_rng(0)
+            A = np.linalg.qr(rng.standard_normal((12, p)))[0].T.copy()
+            b, anchor = A @ rng.uniform(-0.6, 0.6, 12), rng.uniform(-1.0, 1.0, 12)
+            tracemalloc.start()
+            try:
+                l1_affine_oracle(A, b, anchor, np.full(12, -1.0), np.full(12, 1.0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6, (p, peak)
 
 
-# ``l1_affine_oracle`` against ``reference.meshgrid_l1_affine_oracle`` on three
-# instance families, printing the instances whose (x*, f*) bits differ
+# ``l1_affine_oracle`` against ``reference.meshgrid_l1_affine_oracle`` on five
+# instance families, printing the instances whose (x*, f*) bits differ and
+# counting those that solved several free sets in one call
 ORACLE_SPREAD = """
 import itertools, json
 import numpy as np
@@ -137,6 +156,10 @@ def instance(n, p, kind, seed):
         A = np.linalg.qr(rng.standard_normal((n, p)))[0].T.copy()
         anchor = rng.uniform(-1.0, 1.0, n)
         x = rng.uniform(-0.6, 0.6, n)
+    if kind == "bound":  # anchors on a bound: grids of two fixings among grids of three
+        anchor[: n // 2] = rng.choice([-1.0, 1.0], n // 2)
+    if kind == "singular":  # a repeated column: every free set holding both is skipped
+        A[:, 2] = A[:, 1]
     return A, A @ x, anchor, np.full(n, -1.0), np.full(n, 1.0)
 
 kinds = ("orthonormal", "integer", "vertex")
@@ -144,24 +167,42 @@ cases = [*itertools.product([(9, 1)], kinds, range(2)),
          *itertools.product([(10, 2)], kinds[:2], range(1)),
          ((12, 1), "orthonormal", 0),
          *itertools.product([(1, 1), (4, 4), (8, 8), (12, 12), (5, 2), (7, 3)], kinds, range(3)),
-         # its minimizer is the only feasible point of its block
-         ((8, 2), "vertex", 73)]
-mismatches, multi_block, square, solved = [], 0, 0, 0
+         # its minimizer is the only feasible point of its grid
+         ((8, 2), "vertex", 73),
+         # consecutive free sets whose grids differ in size, and free sets
+         # skipped between the stacked ones
+         *itertools.product([(6, 2), (8, 3), (9, 1), (10, 4)], ["bound", "singular"], range(2)),
+         # a stacked block with one feasible point: its f must be summed row
+         # by row, as in a wider block, to give these minimizers' bits
+         ((8, 4), "integer", 128), ((9, 5), "integer", 214),
+         ((12, 6), "orthonormal", 0), ((11, 4), "orthonormal", 0)]
+solve = np.linalg.solve
+
+def watched_solve(a, b):
+    global ran_stacked
+    ran_stacked |= a.ndim == 3 and len(a) > 1
+    return solve(a, b)
+
+mismatches, multi_block, square, stacked, solved = [], 0, 0, 0, 0
 for (n, p), kind, seed in cases:
     args = instance(n, p, kind, seed)
     x_want, f_want = meshgrid_l1_affine_oracle(*args)
+    ran_stacked, np.linalg.solve = False, watched_solve
     try:
         x_got, f_got = l1_affine_oracle(*args)
     except ValueError:  # no candidate point: the restatement returns (None, inf)
         x_got, f_got = None, np.inf
+    finally:
+        np.linalg.solve = solve
     if (x_want is None) != (x_got is None) or (
             x_want is not None and x_want.tobytes() != x_got.tobytes()) or f_want != f_got:
         mismatches.append([n, p, kind, seed])
     solved += x_want is not None
     multi_block += 3 ** (n - p) > ORACLE_CHUNK
     square += n == p
+    stacked += ran_stacked
 print(json.dumps({"mismatches": mismatches, "multi_block": multi_block, "square": square,
-                  "solved": solved, "cases": len(cases)}))
+                  "stacked": stacked, "solved": solved, "cases": len(cases)}))
 """
 
 
