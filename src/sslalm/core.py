@@ -23,9 +23,9 @@ Array = np.ndarray
 
 class OracleError(RuntimeError):
     """An oracle returned a non-finite value (``NonFiniteError``), a Jacobian of
-    the wrong shape, or sample draws of the wrong count. A subgradient or a
-    constraint value of the wrong shape raises ``ValueError``, as every vector
-    the shape check rejects does."""
+    the wrong shape, a stack of values of the wrong shape, or sample draws of the
+    wrong count. A subgradient or a constraint value of the wrong shape at one
+    point raises ``ValueError``, as every vector the shape check rejects does."""
 
 
 class NonFiniteError(OracleError):
@@ -131,6 +131,11 @@ class ProblemInstance:
     built-in problems pick the zero element so runs are reproducible.
     ``constraint_jacobian`` returns an ``(n, p)`` matrix whose columns are
     the selections for the individual constraint components.
+
+    ``stacks`` declares that each oracle also takes an ``(m, n)`` stack of
+    points and returns the stack of its values, shaped ``(m,)``, ``(m, n)``,
+    ``(m, p)`` or ``(m, n, p)``, each row bitwise the value of the call at that
+    row's point. The records then call each oracle once per stack of points.
     """
 
     dim_primal: int
@@ -142,6 +147,7 @@ class ProblemInstance:
     feasible_set: FeasibleSet
     lipschitz_bound_f: float | None = None
     regularity_constant: float | None = None
+    stacks: bool = False
 
     def __post_init__(self):
         if self.dim_primal < 1 or self.dim_constraint < 1:
@@ -220,7 +226,8 @@ class StochasticProblemInstance:
 
 
 # The eval_* functions validate x; the _*_at helpers take an x their caller
-# has validated and check only the oracle's output.
+# has validated and check only the oracle's output, and the _*_stack helpers do
+# so at each row of a validated (m, n) stack X, with the messages of the point.
 
 
 def _objective_at(prob: ProblemInstance, x: Array) -> float:
@@ -247,9 +254,59 @@ def _jacobian_at(prob: ProblemInstance, x: Array) -> Array:
     return J
 
 
-def eval_objective(prob: ProblemInstance, x) -> float:
-    """Objective value at ``x``; raises on dimension mismatch or non-finite output."""
-    return _objective_at(prob, as_vector(x, prob.dim_primal))
+# The stack helpers are the one place that tells a problem that takes stacks
+# from one that does not: the first gets one oracle call on the whole stack, the
+# second one call per row, in row order.
+
+
+def _stacked(oracle, X: Array, shape: tuple, name: str, nonfinite: str) -> Array:
+    """``oracle(X)`` as a C-ordered float64 array of ``shape``, as the per-row
+    stacks are, checked for its shape and then for finiteness, which raises
+    ``NonFiniteError(nonfinite)``."""
+    V = np.ascontiguousarray(oracle(X), dtype=np.float64)
+    if V.shape != shape:
+        raise OracleError(f"{name} oracle returned shape {V.shape} on a stack, expected {shape}")
+    if not _all_finite(V.ravel()):
+        raise NonFiniteError(nonfinite)
+    return V
+
+
+def _objective_stack(prob: ProblemInstance, X: Array) -> Array:
+    if prob.stacks:
+        return _stacked(prob.objective, X, (len(X),), "objective",
+                        "objective oracle returned a non-finite value")
+    return np.array([_objective_at(prob, x) for x in X], dtype=np.float64)
+
+
+def _subgradient_stack(prob: ProblemInstance, X: Array) -> Array:
+    if prob.stacks:
+        return _stacked(prob.objective_subgradient, X, X.shape, "subgradient",
+                        "subgradient contains non-finite entries")
+    D = np.empty_like(X)
+    for j, x in enumerate(X):
+        D[j] = as_vector(prob.objective_subgradient(x), prob.dim_primal, "subgradient")
+    return D
+
+
+def _constraints_stack(prob: ProblemInstance, X: Array) -> Array:
+    if prob.stacks:
+        return _stacked(prob.constraint, X, (len(X), prob.dim_constraint), "constraint",
+                        "constraint value contains non-finite entries")
+    C = np.empty((len(X), prob.dim_constraint))
+    for j, x in enumerate(X):
+        C[j] = _constraints_at(prob, x)
+    return C
+
+
+def _jacobian_stack(prob: ProblemInstance, X: Array) -> Array:
+    shape = (len(X), prob.dim_primal, prob.dim_constraint)
+    if prob.stacks:
+        return _stacked(prob.constraint_jacobian, X, shape, "jacobian",
+                        "jacobian oracle returned non-finite entries")
+    J = np.empty(shape)
+    for j, x in enumerate(X):
+        J[j] = _jacobian_at(prob, x)
+    return J
 
 
 def eval_constraints(prob: ProblemInstance, x) -> Array:

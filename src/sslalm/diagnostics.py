@@ -14,11 +14,12 @@ import numpy as np
 
 from .core import (
     ProblemInstance,
-    _constraints_at,
-    _jacobian_at,
-    _objective_at,
+    _constraints_stack,
+    _jacobian_stack,
+    _objective_stack,
+    _subgradient_stack,
     as_stack,
-    as_vector,
+    as_vector,  # unused here, but the layer tracer wraps it in each namespace that imports it
     eval_constraint_jacobian,
     eval_constraints,
 )
@@ -69,13 +70,24 @@ def _matched(a, dim: int, name: str, X: np.ndarray) -> np.ndarray:
     return A
 
 
+def _check_probe(eta_probe: float) -> None:
+    """The KKT probe's rule, of ``kkt_residual``, ``assemble_record`` and
+    ``run()``: a positive, finite step (an infinite one reads 0 at every point)."""
+    if not eta_probe > 0:
+        raise ValueError("eta_probe must be positive")
+    if not math.isfinite(eta_probe):
+        raise ValueError("eta_probe must be finite")
+
+
 # The functions below take one point or a stack of points along a leading axis
 # through one code path: a point is a stack of one and gives a float. They
-# validate each input once; only the oracles run once per point, and every other
-# formula, the set's maps included, runs once per stack in the float order of the
-# one-point formula; np.vecdot gives each row ndarray.dot's bits. The one-point
-# formulas computed Python floats, which never warn, hence one errstate around
-# each function's arrays, from the finiteness checks' v.dot(v) on.
+# validate each input once; the oracles run through core's stack helpers, once
+# per stack for a problem that takes stacks and else once per point, and every
+# other formula, the set's maps included, runs once per stack in the float order
+# of the one-point formula; np.vecdot gives each row ndarray.dot's bits, and
+# np.matmul each item's (np.matvec would too, but came after numpy 2.0). The
+# one-point formulas computed Python floats, which never warn, hence one errstate
+# around each function's arrays, from the finiteness checks' v.dot(v) on.
 
 
 def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
@@ -85,15 +97,12 @@ def kkt_residual(prob: ProblemInstance, x, lam, eta_probe: float = 1e-3):
     fixed selection pair certifies stationarity; at smooth points it tends to
     the norm of the gradient of the Lagrangian as ``eta_probe`` shrinks.
     """
-    if not eta_probe > 0:
-        raise ValueError("eta_probe must be positive")
+    _check_probe(eta_probe)
     with np.errstate(over="ignore", invalid="ignore"):
         X, point = as_stack(x, prob.dim_primal)
         LAM = _matched(lam, prob.dim_constraint, "lam", X)
-        D, G = np.empty_like(X), np.empty_like(X)
-        for j, xj in enumerate(X):
-            D[j] = as_vector(prob.objective_subgradient(xj), prob.dim_primal, "subgradient")
-            G[j] = _jacobian_at(prob, xj).dot(LAM[j])
+        D = _subgradient_stack(prob, X)
+        G = np.matmul(_jacobian_stack(prob, X), LAM[:, :, None])[:, :, 0]
         R = X - prob.feasible_set.project(X - eta_probe * (D + G))
         res = np.sqrt(np.vecdot(R, R)) / eta_probe
     return float(res[0]) if point else res
@@ -228,11 +237,12 @@ def assemble_record(
     ``g_val``. Stacks of ``x``, ``lam``, ``w`` (and ``c``) with a sequence of
     iteration counts ``k`` give a list of records.
 
-    The objective and constraint oracles run point by point, each once, and
-    then the KKT probe's ``kkt_residual`` on the stack; the first error they
-    raise comes out of the whole stack."""
-    if kkt_probe is not None and not kkt_probe > 0:
-        raise ValueError("eta_probe must be positive")
+    The objective oracle runs on the stack, then the constraint oracle (unless
+    ``c`` is given), then the KKT probe's ``kkt_residual``: each oracle once per
+    stack for a problem that takes stacks, and else once per point. The first
+    error they raise comes out of the whole stack."""
+    if kkt_probe is not None:
+        _check_probe(kkt_probe)
     with np.errstate(over="ignore", invalid="ignore"):
         X, point = as_stack(x, prob.dim_primal)
         m, p = len(X), prob.dim_constraint
@@ -243,12 +253,8 @@ def assemble_record(
         # the KKT probe checks lam as kkt_residual does, before any oracle runs
         LAM = (_shaped(lam, shape, "lam").reshape(m, p) if kkt_probe is None
                else _matched(lam, p, "lam", X))
-        F = np.empty(m)
-        C = np.empty((m, p)) if c is None else _shaped(c, shape, "c").reshape(m, p)
-        for j, xj in enumerate(X):
-            F[j] = _objective_at(prob, xj)
-            if c is None:
-                C[j] = _constraints_at(prob, xj)
+        F = _objective_stack(prob, X)
+        C = _constraints_stack(prob, X) if c is None else _shaped(c, shape, "c").reshape(m, p)
         kkt = np.full(m, np.nan) if kkt_probe is None else kkt_residual(prob, X, LAM, kkt_probe)
         # the squared norms of c, lam and the tracker error, and then the norms,
         # each in one call over the three stacks

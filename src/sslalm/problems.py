@@ -24,7 +24,6 @@ import numpy as np
 from .core import ProblemInstance, StochasticProblemInstance
 from .core import _check_integer, _check_value, _field_types
 from .geometry import MEMBERSHIP_TOL, Box, _shaped
-from .lagrangian import NOISE_CHUNK
 
 
 @dataclass(frozen=True)
@@ -285,6 +284,11 @@ def make_stochastic_affine(
     return ProblemRecipe(instance=inst, start=np.zeros(n), oracle_solution=solution, metadata=data)
 
 
+# points of a stack the network's full-batch pass holds at a time: larger chunks
+# let the pass's intermediates fall out of cache
+NET_CHUNK = 8
+
+
 def _blob_dataset(rng, dim_in, n_points):
     """Two Gaussian blobs on opposite diagonal corners."""
     center = np.full(dim_in, 1.5)
@@ -332,20 +336,28 @@ def make_slack_l1_net(
     rng = np.random.default_rng(dataset_seed)
     train_x, train_y = _blob_dataset(rng, widths[0], n_train)
     test_x, test_y = _blob_dataset(rng, widths[0], n_test)
-    train_t = np.eye(widths[-1])[train_y]
+    # one-hot targets; a single output's target is the indicator of class 0
+    train_t = np.eye(2, widths[-1])[train_y]
 
     layer_slices = [slice(offsets[i], offsets[i + 1]) for i in range(L)]
 
     def unpack(x):
         return [x[s].reshape(shape) for s, shape in zip(layer_slices, shapes)]
 
-    # ndarray.dot gives matmul's bits for these 2-D products, at less call cost
-    def forward(weights, inputs):
+    def unpack_stack(X):
+        # each layer's weights of each point, as C-contiguous (r, c) items
+        return [np.ascontiguousarray(X[:, s]).reshape(len(X), *shape)
+                for s, shape in zip(layer_slices, shapes)]
+
+    # ndarray.dot gives matmul's bits for these 2-D products, at less call cost;
+    # on stacked weights np.matmul multiplies item by item, each item meeting BLAS
+    # as the point's 2-D product does, so each item has its point's bits
+    def forward(weights, inputs, product=np.ndarray.dot):
         pre = []
         acts = [inputs]
         a = inputs
         for i in range(L):
-            z = a.dot(weights[i])
+            z = product(a, weights[i])
             pre.append(z)
             a = np.maximum(z, 0.0) if i < L - 1 else z
             acts.append(a)
@@ -366,6 +378,24 @@ def make_slack_l1_net(
                 delta = delta.dot(weights[i].T) * (pre[i - 1] > 0.0)
         return resid, grad
 
+    def full_batch_stack(X):
+        # the full-batch pass at each point of the stack X, NET_CHUNK points at a
+        # time, in residual_and_grad's float order item by item
+        F, G = np.empty(len(X)), np.zeros(X.shape)
+        for start in range(0, len(X), NET_CHUNK):
+            rows = slice(start, start + NET_CHUNK)
+            weights = unpack_stack(X[rows])
+            pre, acts = forward(weights, train_x, np.matmul)
+            resid = acts[-1] - train_t
+            delta = np.sign(resid) / n_train
+            for i in range(L - 1, -1, -1):
+                G[rows, layer_slices[i]] = np.matmul(acts[i].mT, delta).reshape(len(delta), -1)
+                if i > 0:
+                    delta = np.matmul(delta, weights[i].mT) * (pre[i - 1] > 0.0)
+            # each point's loss sums its own residuals, a row as loss() sums them
+            F[rows] = np.abs(resid).reshape(len(resid), -1).sum(axis=1) / n_train
+        return F, G
+
     def loss(resid):
         return float(np.abs(resid).sum()) / resid.shape[0]
 
@@ -378,7 +408,11 @@ def make_slack_l1_net(
         return np.array([w[s].sum() for s in layer_slices])
 
     def constraint(x):
-        return layer_norms(x) + x[n_w:] - radius
+        if x.ndim == 1:
+            return layer_norms(x) + x[n_w:] - radius
+        # a row's sum of each layer's block, for each point of the stack
+        w = np.abs(x[:, :n_w])
+        return np.stack([w[:, s].sum(axis=1) for s in layer_slices], axis=1) + x[:, n_w:] - radius
 
     # J[j, i] = sign(x_j) for the weights j of layer i and J[n_w + i, i] = 1;
     # the slack entries are fixed, the weight entries sit at fixed flat indices
@@ -387,20 +421,33 @@ def make_slack_l1_net(
     weight_cells = np.arange(n_w) * L + np.repeat(np.arange(L), sizes)
 
     def jacobian(x):
-        J = slack_jacobian.copy()
-        J.reshape(-1)[weight_cells] = np.sign(x[:n_w])
+        if x.ndim == 1:
+            J = slack_jacobian.copy()
+            J.reshape(-1)[weight_cells] = np.sign(x[:n_w])
+            return J
+        J = np.empty((len(x), n, L))
+        J[:] = slack_jacobian
+        J.reshape(len(x), -1)[:, weight_cells] = np.sign(x[:, :n_w])
         return J
 
-    # a record stack asks for the full-batch loss and its gradient at each of its
-    # points, at most one block's; a cache keyed on the bytes of x computes both
-    # in one pass, whatever the order of the calls (its size only sets the speed)
-    @functools.lru_cache(maxsize=NOISE_CHUNK)
-    def full_batch_at(key):
-        resid, grad = residual_and_grad(np.frombuffer(key), train_x, train_t)
-        return loss(resid), grad
+    # the full-batch loss and gradient of the last point or stack asked for, keyed
+    # on its shape and bytes: a record stack asks for the loss and then for the
+    # gradient at the same stack, and gets both from one pass
+    last = [None, None]
 
     def full_batch_loss_and_grad(x):
-        return full_batch_at(np.asarray(x, dtype=np.float64).tobytes())
+        x = np.asarray(x, dtype=np.float64)
+        key = (x.shape, x.tobytes())
+        if key != last[0]:
+            if x.ndim == 1:
+                resid, grad = residual_and_grad(x, train_x, train_t)
+                value = loss(resid), grad
+            else:
+                value = full_batch_stack(x)
+                # the objective hands out the cached losses, read-only
+                value[0].flags.writeable = False
+            last[:] = key, value
+        return last[1]
 
     fset = Box(np.r_[np.full(n_w, -1.0), np.zeros(L)], np.r_[np.full(n_w, 1.0), np.full(L, np.inf)])
     mean = ProblemInstance(
@@ -411,6 +458,7 @@ def make_slack_l1_net(
         constraint=constraint,
         constraint_jacobian=jacobian,
         feasible_set=fset,
+        stacks=True,
     )
 
     inst = StochasticProblemInstance(
@@ -428,7 +476,11 @@ def make_slack_l1_net(
 
     def accuracy(x):
         _, acts = forward(unpack(x), test_x)
-        return float(np.mean(np.argmax(acts[-1], axis=1) == test_y))
+        out = acts[-1]
+        if out.shape[1] == 1:
+            # a single output predicts class 0 from 1/2 up
+            return float(np.mean((out[:, 0] < 0.5) == test_y))
+        return float(np.mean(np.argmax(out, axis=1) == test_y))
 
     return ProblemRecipe(
         instance=inst,

@@ -1,13 +1,21 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sslalm.core import (
     NoiseModel,
+    NonFiniteError,
     OracleError,
     ProblemInstance,
+    _constraints_stack,
+    _jacobian_stack,
+    _objective_at,
+    _objective_stack,
+    _subgradient_stack,
     as_stochastic,
     eval_constraints,
-    eval_objective,
 )
 from sslalm.geometry import Box, WholeSpace
 from sslalm.problems import make_affine_l1, make_slack_l1_net, make_stochastic_affine
@@ -27,9 +35,9 @@ def l1_problem(n=2, anchor=None):
     )
 
 
-class TestEvalObjective:
+class TestObjectiveAt:
     def test_l1_value(self):
-        assert eval_objective(l1_problem(), [1.0, -2.0]) == pytest.approx(3.0)
+        assert _objective_at(l1_problem(), np.array([1.0, -2.0])) == pytest.approx(3.0)
 
     def test_zero_objective(self):
         prob = ProblemInstance(
@@ -41,16 +49,12 @@ class TestEvalObjective:
             constraint_jacobian=lambda x: np.zeros((2, 1)),
             feasible_set=WholeSpace(2),
         )
-        assert eval_objective(prob, [5.0, -3.0]) == 0.0
+        assert _objective_at(prob, np.array([5.0, -3.0])) == 0.0
 
     def test_affine_recipe_roundtrip_through_oracle(self):
         rec = make_affine_l1(n=3, p=1, seed=2)
         sol = rec.oracle_solution
-        assert eval_objective(rec.instance, sol.x) == pytest.approx(sol.f, abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_objective(l1_problem(), [1.0, 2.0, 3.0])
+        assert _objective_at(rec.instance, sol.x) == pytest.approx(sol.f, abs=1e-9)
 
     def test_nonfinite_rejected(self):
         prob = ProblemInstance(
@@ -63,7 +67,86 @@ class TestEvalObjective:
             feasible_set=WholeSpace(1),
         )
         with pytest.raises(OracleError):
-            eval_objective(prob, [0.0])
+            _objective_at(prob, np.array([0.0]))
+
+
+def stacked_l1_problem(n=2):
+    """``l1_problem`` with anchor 0, declared to take stacks: each oracle is
+    written on the last axis, so a point and a stack share one formula."""
+    return replace(
+        l1_problem(n),
+        objective=lambda x: np.abs(x).sum(axis=-1),
+        constraint=lambda x: x.sum(axis=-1, keepdims=True) - 1.0,
+        constraint_jacobian=lambda x: np.ones(x.shape + (1,)),
+        stacks=True,
+    )
+
+
+class TestStackHelpers:
+    """core's four stack helpers: one oracle call per stack for a problem that
+    takes stacks, else one per row, with the point's messages either way."""
+
+    HELPERS = {"objective": _objective_stack, "objective_subgradient": _subgradient_stack,
+               "constraint": _constraints_stack, "constraint_jacobian": _jacobian_stack}
+
+    @pytest.mark.parametrize("stacks", [False, True])
+    def test_rows_are_the_point_values(self, stacks):
+        prob = stacked_l1_problem(3) if stacks else l1_problem(3)
+        X = np.array([[1.0, -2.0, 0.5], [0.0, 0.25, -0.75]])
+        calls = {name: 0 for name in self.HELPERS}
+
+        def counted(name):
+            oracle = getattr(prob, name)
+
+            def call(x):
+                calls[name] += 1
+                return oracle(x)
+            return call
+
+        counting = replace(prob, **{name: counted(name) for name in self.HELPERS})
+        for name, helper in self.HELPERS.items():
+            out = helper(counting, X)
+            for j, x in enumerate(X):
+                assert np.asarray(out[j]).tobytes() == np.float64(getattr(prob, name)(x)).tobytes()
+        assert calls == dict.fromkeys(self.HELPERS, 1 if stacks else len(X))
+        assert _objective_stack(prob, X).tolist() == [3.5, 1.0]
+
+    @pytest.mark.parametrize("name, shape, message", [
+        ("objective", (2, 1), "objective oracle returned shape (2, 1) on a stack, expected (2,)"),
+        ("objective_subgradient", (2,),
+         "subgradient oracle returned shape (2,) on a stack, expected (2, 2)"),
+        ("constraint", (2,), "constraint oracle returned shape (2,) on a stack, expected (2, 1)"),
+        ("constraint_jacobian", (2, 2),
+         "jacobian oracle returned shape (2, 2) on a stack, expected (2, 2, 1)"),
+    ])
+    def test_stack_of_the_wrong_shape_names_both_shapes(self, name, shape, message):
+        prob = replace(stacked_l1_problem(), **{name: lambda x: np.zeros(shape)})
+        with pytest.raises(OracleError, match=f"^{re.escape(message)}$"):
+            self.HELPERS[name](prob, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("stacks", [False, True])
+    @pytest.mark.parametrize("name, message", [
+        ("objective", "objective oracle returned a non-finite value"),
+        ("objective_subgradient", "subgradient contains non-finite entries"),
+        ("constraint", "constraint value contains non-finite entries"),
+        ("constraint_jacobian", "jacobian oracle returned non-finite entries"),
+    ])
+    def test_nonfinite_row_raises_the_point_message(self, stacks, name, message):
+        prob = stacked_l1_problem() if stacks else l1_problem()
+        oracle = getattr(prob, name)
+
+        def nan_at_positive(x):
+            # NaN values at each point whose first coordinate is positive
+            value = np.array(oracle(x), dtype=np.float64)
+            if x.ndim == 1:
+                return value * np.nan if x[0] > 0 else value
+            value[x[:, 0] > 0] = np.nan
+            return value
+
+        prob = replace(prob, **{name: nan_at_positive})
+        X = np.array([[-1.0, 0.5], [1.0, 0.5]])
+        with pytest.raises(NonFiniteError, match=f"^{message}$"):
+            self.HELPERS[name](prob, X)
 
 
 class TestSubgradientOracle:

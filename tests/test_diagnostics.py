@@ -589,6 +589,18 @@ class TestPublicChecks:
         with pytest.raises(ValueError, match="^eps must be positive$"):
             u_adam(prob.feasible_set, x, y, v, 1.0, value)
 
+    @pytest.mark.parametrize("probe", [math.inf, np.float64(np.inf)])
+    def test_infinite_probe_rejected(self, probe):
+        # an infinite probe would read a residual of 0 at every point
+        rec = make_affine_l1(n=4, p=2, seed=0)
+        prob, x, lam = rec.instance, rec.start, np.zeros(2)
+        with pytest.raises(ValueError, match="^eta_probe must be finite$"):
+            kkt_residual(prob, x, lam, probe)
+        with pytest.raises(ValueError, match="^eta_probe must be finite$"):
+            assemble_record(prob, 0, x, lam, np.zeros(2), 1.0, 0.0, probe)
+        with pytest.raises(ValueError, match="^eta_probe must be finite$"):
+            run(prob, SolverConfig(max_iters=5), x0=x, kkt_probe=probe)
+
     @pytest.mark.parametrize("subgrad, err", [
         (lambda x: np.array([1.0, np.inf]), "non-finite"),
         (lambda x: np.array([np.nan, 1.0]), "non-finite"),

@@ -1607,3 +1607,106 @@ class TestDeferredRecordOutcomes:
         # the record of k = 0 is evaluated once; those of k = 10 and 20 in the
         # block's stack, which raises at k = 20, and then again one at a time
         assert calls[0] == 5
+
+
+def _user_problem(stacks: bool, bad_x=None, objective_shape=None):
+    """A user-written problem whose oracles take a point or an ``(m, n)`` stack
+    through one formula on the last axis, so each stack row is bitwise its
+    point's value: an L1 objective, two affine equalities, the unit box. Its
+    objective is inf at the point ``bad_x``, and a stack's objective has the
+    shape ``objective_shape`` when one is given."""
+    rng = np.random.default_rng(11)
+    n, p = 4, 2
+    A, b, anchor = rng.standard_normal((p, n)), rng.uniform(-0.2, 0.2, p), rng.uniform(-1, 1, n)
+    AT = A.T.copy()
+
+    def objective(x):
+        f = np.abs(x - anchor).sum(axis=-1)
+        if bad_x is not None:
+            f = np.where((x == bad_x).all(axis=-1), np.inf, f)
+        if objective_shape is not None and x.ndim == 2:
+            f = np.zeros(objective_shape)
+        return f
+
+    return ProblemInstance(
+        dim_primal=n,
+        dim_constraint=p,
+        objective=objective,
+        objective_subgradient=lambda x: np.sign(x - anchor),
+        # a matrix times each point's column, one gemv an item, as A.dot(x) is
+        constraint=lambda x: np.matmul(A, x[..., None])[..., 0] - b,
+        constraint_jacobian=lambda x: np.broadcast_to(AT, x.shape[:-1] + AT.shape),
+        feasible_set=Box(np.full(n, -1.0), np.full(n, 1.0)),
+        stacks=stacks,
+    )
+
+
+class TestStackedProblemRuns:
+    """A problem that takes stacks gets one oracle call per record stack, and
+    the same run() outcome as the same problem called point by point: its
+    records, final state and abort reason, bit for bit."""
+
+    CONFIG = SolverConfig(
+        method=MethodConfig(kind="prox_sgdm", alpha=0.2), rho=0.5, beta=1.0,
+        theta=StepSchedule("constant", 0.5), eta=StepSchedule("inv_sqrt_epoch", 0.3),
+        tracker="correction", noise=NoiseModel("uniform_box", 0.1),
+        max_iters=2 * NOISE_CHUNK + 40, seed=4,
+    )
+
+    def run_both(self, record_every=1, max_iters=None, **kwargs):
+        cfg = replace(self.CONFIG, max_iters=max_iters or self.CONFIG.max_iters)
+        return [run(_user_problem(stacks, **kwargs), cfg, record_every=record_every)
+                for stacks in (True, False)]
+
+    def test_same_outcome_and_one_call_per_record_stack(self):
+        calls = {"objective": [], "constraint": []}
+        prob = _user_problem(True)
+
+        def counted(name):
+            oracle = getattr(prob, name)
+
+            def call(x):
+                calls[name].append(x.shape)
+                return oracle(x)
+            return call
+
+        counting = replace(prob, **{name: counted(name) for name in calls})
+        cfg = self.CONFIG
+        stacked = run(counting, cfg, record_every=1)
+        points = run(_user_problem(False), cfg, record_every=1)
+        assert not stacked.aborted and stacked.state.k == cfg.max_iters
+        assert _record_bits(stacked.records) == _record_bits(points.records)
+        assert _state_bits(stacked) == _state_bits(points)
+        # the k = 0 record, then one stack per block of NOISE_CHUNK steps; the
+        # correction tracker's steps call the constraint at single points
+        stacks = [(1, 4), (NOISE_CHUNK, 4), (NOISE_CHUNK, 4), (40, 4)]
+        assert calls["objective"] == stacks
+        assert [shape for shape in calls["constraint"] if len(shape) == 2] == stacks
+
+    def test_nonfinite_objective_at_a_mid_block_record(self):
+        bad_x = self.run_both(max_iters=130)[0].state.x
+        stacked, points = self.run_both(bad_x=bad_x)
+        for res in (stacked, points):
+            assert res.abort_reason == "non-finite metrics" and res.state.k == 130
+            assert [r.k for r in res.records] == list(range(130))
+        assert _record_bits(stacked.records) == _record_bits(points.records)
+        assert _state_bits(stacked) == _state_bits(points)
+
+    def test_stacked_objective_of_the_wrong_shape_names_it(self):
+        with pytest.raises(OracleError, match=re.escape(
+                "objective oracle returned shape (1, 1) on a stack, expected (1,)")):
+            run(_user_problem(True, objective_shape=(1, 1)), self.CONFIG)
+        # a block's stack that raises is recorded again point by point, and the
+        # first of those stacks of one raises in turn
+        cfg = replace(self.CONFIG, max_iters=20)
+        prob = _user_problem(True)
+        calls = []
+
+        def objective(x):
+            calls.append(x.shape)
+            return np.zeros(3) if len(calls) > 1 else prob.objective(x)
+
+        with pytest.raises(OracleError, match=re.escape(
+                "objective oracle returned shape (3,) on a stack, expected (1,)")):
+            run(replace(prob, objective=objective), cfg, record_every=1)
+        assert calls == [(1, 4), (20, 4), (1, 4)]

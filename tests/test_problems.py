@@ -7,12 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from sslalm.core import as_stochastic, eval_constraints, eval_objective
+from sslalm.core import _objective_at, as_stochastic, eval_constraints
 from sslalm.diagnostics import estimate_regularity
 from sslalm.geometry import MEMBERSHIP_TOL, Box, NonnegativeOrthant
+from sslalm import problems
 from sslalm.problems import (
+    NET_CHUNK,
     _blob_dataset,
     _certify_multiplier,
     l1_affine_oracle,
@@ -313,7 +317,7 @@ class TestAffineL1Recipe:
             sol = rec.oracle_solution
             assert rec.instance.feasible_set.contains(sol.x)
             assert np.linalg.norm(eval_constraints(rec.instance, sol.x)) <= 1e-9
-            assert eval_objective(rec.instance, sol.x) == pytest.approx(sol.f, abs=1e-9)
+            assert _objective_at(rec.instance, sol.x) == pytest.approx(sol.f, abs=1e-9)
 
     def test_orthonormal_rows(self):
         rec = make_affine_l1(n=6, p=3, seed=1)
@@ -529,6 +533,98 @@ class TestSlackL1NetRecipe:
         assert 0.0 <= acc <= 1.0
 
 
+class _CountingNumpy:
+    """numpy, with a count of its ``matmul`` calls."""
+
+    def __init__(self):
+        self.matmuls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        self.matmuls += 1
+        return np.matmul(*args, **kwargs)
+
+
+def _net_stack(widths, m, seed, zero_rate, n_train=16):
+    """The mean problem of a small net and ``m`` points in its box: weights at
+    exactly 0 (some -0.0) at ``zero_rate``, and in every other point one hidden
+    unit of the first layer with an all-zero column, so that its pre-activations
+    are exactly 0."""
+    rec = make_slack_l1_net(layer_widths=widths, n_train=n_train, n_test=4, batch_size=4)
+    mean, n_w = rec.instance.mean, rec.metadata["n_weights"]
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, (m, mean.dim_primal))
+    X[:, n_w:] = rng.uniform(0.0, 2.0, (m, len(widths) - 1))
+    W = X[:, :n_w]
+    W[rng.random(W.shape) < zero_rate] = 0.0
+    W[rng.random(W.shape) < zero_rate / 2] = -0.0
+    r, c = widths[0], widths[1]
+    for j in range(0, m, 2):
+        W[j, : r * c].reshape(r, c)[:, rng.integers(c)] = 0.0
+    return mean, X
+
+
+class TestNetStacks:
+    """``slack_l1_net`` takes stacks: each row of each oracle's value on a stack
+    is bitwise the oracle's value at that row's point."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(widths=st.lists(st.integers(1, 5), min_size=2, max_size=4).map(tuple),
+           m=st.integers(1, 2 * NET_CHUNK + 1), seed=st.integers(0, 2**32 - 1),
+           zero_rate=st.sampled_from([0.0, 0.3]), n_train=st.sampled_from([16, 256]))
+    @example(widths=(3, 4, 2, 1), m=2 * NET_CHUNK + 1, seed=0, zero_rate=0.3, n_train=256)
+    @example(widths=(2, 8, 2), m=NET_CHUNK, seed=1, zero_rate=0.0, n_train=256)
+    def test_stack_rows_equal_point_calls_bitwise(self, widths, m, seed, zero_rate, n_train):
+        mean, X = _net_stack(widths, m, seed, zero_rate, n_train)
+        assert mean.stacks
+        F, D = mean.objective(X), mean.objective_subgradient(X)
+        C, J = mean.constraint(X), mean.constraint_jacobian(X)
+        n, p = mean.dim_primal, mean.dim_constraint
+        assert (F.shape, D.shape, C.shape, J.shape) == ((m,), (m, n), (m, p), (m, n, p))
+        for j, x in enumerate(X):
+            x = x.copy()
+            f, d = mean.objective(x), mean.objective_subgradient(x)
+            assert np.ndim(f) == 0 and d.shape == (n,)
+            assert F[j].tobytes() == np.float64(f).tobytes()
+            assert D[j].tobytes() == d.tobytes()
+            assert C[j].tobytes() == mean.constraint(x).tobytes()
+            assert J[j].tobytes() == mean.constraint_jacobian(x).tobytes()
+
+    @pytest.mark.parametrize("m", [1, NET_CHUNK, 2 * NET_CHUNK + 1])
+    def test_objective_then_subgradient_make_one_pass(self, monkeypatch, m):
+        widths = (2, 3, 4, 1)
+        mean, X = _net_stack(widths, m, seed=5, zero_rate=0.0)
+        counting = _CountingNumpy()
+        monkeypatch.setattr(problems, "np", counting)
+        # a pass over a chunk of the stack makes 3 L - 1 products: L forward,
+        # L for the gradient blocks and L - 1 back through the layers
+        one_pass = -(-m // NET_CHUNK) * (3 * (len(widths) - 1) - 1)
+        F = mean.objective(X)
+        assert counting.matmuls == one_pass
+        D = mean.objective_subgradient(X)
+        assert counting.matmuls == one_pass
+        monkeypatch.undo()
+        assert D.tobytes() == mean.objective_subgradient(X.copy()).tobytes()
+        assert F.tobytes() == mean.objective(X.copy()).tobytes()
+        # another stack is a new pass
+        monkeypatch.setattr(problems, "np", counting)
+        mean.objective_subgradient(0.5 * X)
+        assert counting.matmuls == 2 * one_pass
+
+    def test_one_output(self):
+        # a single output's target is the indicator of class 0, which it
+        # predicts from 1/2 up: the zero net misses every class-0 point
+        rec = make_slack_l1_net(layer_widths=(2, 3, 1), n_train=16, n_test=8, batch_size=4)
+        rng = np.random.default_rng(0)
+        train_y = _blob_dataset(rng, 2, 16)[1]
+        test_y = _blob_dataset(rng, 2, 8)[1]
+        zero = np.zeros(rec.instance.dim_primal)
+        assert rec.instance.mean.objective(zero) == np.mean(train_y == 0)
+        assert rec.metadata["accuracy"](zero) == np.mean(test_y == 1)
+
+
 class TestStochasticAffineRecipe:
     def test_zero_noise_degenerates_to_mean(self):
         rec = make_stochastic_affine(n=4, p=2, noise_scale=0.0, seed=7)
@@ -636,7 +732,7 @@ class TestExactness1d:
         inst = rec.instance
         assert inst.lipschitz_bound_f == 2.0
         assert inst.regularity_constant == 1.0
-        assert eval_objective(inst, [0.5]) == -1.0
+        assert _objective_at(inst, np.array([0.5])) == -1.0
         assert eval_constraints(inst, [0.5]) == pytest.approx([0.5])
         sol = rec.oracle_solution
         assert sol.x == pytest.approx([0.0])
