@@ -82,6 +82,14 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
     size or one slice of a larger grid. The first minimizer in that order is
     kept. Returns ``(x_star, f_star)``. Intended purely as an acceptance
     oracle; shares no code with the solver.
+
+    The free coordinates ``x_free = c0 - M v`` are linear in the fixings ``v``:
+    one stacked solve of ``A_free [c0 | M] = [b | A_fixed]`` over all kept free
+    sets gives every ``(c0, M)``, and each block is then one stacked product.
+    Near the ``cond`` cap of 1e10, ``c0 - M v`` can lose accuracy to
+    cancellation; its error is of the order ``cond * eps`` that solving for
+    each ``v`` would leave too. Raises ``ValueError`` when no free set passes
+    that cap (``A`` of less than full row rank) or no candidate is feasible.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or not 1 <= A.shape[0] <= A.shape[1]:
@@ -93,15 +101,21 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
     if n > 12:
         raise ValueError("brute-force oracle is capped at n <= 12")
     free = np.array(list(itertools.combinations(range(n), p)), dtype=np.intp).reshape(-1, p)
-    # each item of the stacks is laid out as A[:, free] and A[:, fixed] are,
-    # so that it meets LAPACK and BLAS as that 2-d array would
+    # each item of the stacks is laid out as the 2-d A[:, free], [b | A[:, fixed]]
+    # and the solution's M are, so that it meets LAPACK and BLAS as those would
     A_free = A.T[free].transpose(0, 2, 1)
     keep = np.linalg.cond(A_free) <= 1e10
+    if not keep.any():
+        raise ValueError("brute-force oracle needs A of full row rank: "
+                         "no p of its columns have cond <= 1e10")
     free, A_free = free[keep], A_free[keep]
     is_fixed = np.ones((len(free), n), dtype=bool)
     is_fixed[np.arange(len(free))[:, None], free] = False
     fixed = np.nonzero(is_fixed)[1].reshape(len(free), n - p)
-    A_fixed = A.T[fixed].transpose(0, 2, 1)
+    # column 0 of [b | A] is b, column 1 + i is A's column i
+    rhs = np.column_stack([b, A]).T[np.column_stack([np.zeros(len(free), np.intp), fixed + 1])]
+    sol = np.linalg.solve(A_free, rhs.transpose(0, 2, 1))
+    c0, M = sol[..., :1], sol[..., 1:]
     # a fixed coordinate sits on a bound or strictly inside the box, so only
     # the free rows can leave it
     lo, hi = lower[free][..., None] - MEMBERSHIP_TOL, upper[free][..., None] + MEMBERSHIP_TOL
@@ -154,7 +168,7 @@ def l1_affine_oracle(A, b, anchor, lower, upper):
     best_x = None
     for k, V in blocks():
         K, m = V.shape[0], V.shape[2]
-        X_free = np.linalg.solve(A_free[k : k + K], b[:, None] - A_fixed[k : k + K] @ V)
+        X_free = c0[k : k + K] - np.matmul(M[k : k + K], V)
         ok = np.all((X_free >= lo[k : k + K]) & (X_free <= hi[k : k + K]), axis=1)
         cols = np.flatnonzero(ok)
         if cols.size == 0:

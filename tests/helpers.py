@@ -1,6 +1,7 @@
 """Test-only helpers: a stateful perturbed-oracle wrapper for stress runs, the
 embedded methods' per-step displacement bound, sample tokens as comparable
-bytes, a step's step sizes, and a loader for the repo's scripts. Nothing in the package calls them."""
+bytes, a step's step sizes, a loader for the repo's scripts and criterion 1's
+affine instances. Nothing in the package calls them."""
 from __future__ import annotations
 
 import importlib.util
@@ -100,3 +101,14 @@ def token_bytes(tok):
         return tuple(token_bytes(part) for part in tok)
     tok = np.asarray(tok)
     return tok.shape, tok.dtype.str, tok.tobytes()
+
+
+def affine_instances() -> list[tuple[int, int, int]]:
+    """Criterion 1's ten ``affine_l1`` instances as ``(n, p, seed)``."""
+    rng = np.random.default_rng(20260808)
+    out = []
+    for i in range(10):
+        n = int(rng.integers(4, 11))
+        p = int(rng.integers(1, min(4, n)))
+        out.append((n, p, i))
+    return out

@@ -116,6 +116,9 @@ def meshgrid_l1_affine_oracle(A, b, anchor, lower, upper, tol=1e-9):
         A_free = A[:, free]
         if np.linalg.cond(A_free) > 1e10:
             continue
+        # x_free = c0 - M v, with A_free [c0 | M] = [b | A[:, fixed]]
+        sol = np.linalg.solve(A_free, np.column_stack([b, A[:, fixed]]))
+        c0, M = sol[:, :1], sol[:, 1:]
         if fixed:
             cands = []
             for i in fixed:
@@ -125,12 +128,11 @@ def meshgrid_l1_affine_oracle(A, b, anchor, lower, upper, tol=1e-9):
                 cands.append(vals)
             grids = np.meshgrid(*cands, indexing="ij")
             V = np.stack([g.ravel() for g in grids])  # (n-p, M)
-            X_free = np.linalg.solve(A_free, b[:, None] - A[:, fixed] @ V)
-            X = np.empty((n, V.shape[1]))
-            X[fixed, :] = V
-            X[list(free), :] = X_free
         else:
-            X = np.linalg.solve(A_free, b).reshape(n, 1)
+            V = np.empty((0, 1))
+        X = np.empty((n, V.shape[1]))
+        X[fixed, :] = V
+        X[list(free), :] = c0 - M @ V
         ok = np.all((X >= lo) & (X <= hi), axis=0)
         if not ok.any():
             continue

@@ -17,7 +17,7 @@ import pytest
 import sslalm as m
 from sslalm.cli import build_recipe, cmd_compare, parse_config
 from sslalm.diagnostics import lyapunov_adam, lyapunov_momentum, u_adam
-from helpers import ROOT, load_script
+from helpers import ROOT, affine_instances, load_script
 
 convergence = load_script("affine_l1_convergence")
 protocol = load_script("net_training_protocol")
@@ -39,16 +39,6 @@ def records_blob(res) -> bytes:
 
 def report(criterion, ok, detail):
     print(f"\n[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}")
-
-
-def affine_instances():
-    rng = np.random.default_rng(20260808)
-    out = []
-    for i in range(10):
-        n = int(rng.integers(4, 11))
-        p = int(rng.integers(1, min(4, n)))
-        out.append((n, p, i))
-    return out
 
 
 def criterion_1_runs(add):

@@ -26,7 +26,7 @@ from sslalm.problems import (
     make_slack_l1_net,
     make_stochastic_affine,
 )
-from helpers import token_bytes
+from helpers import affine_instances, token_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,6 +77,23 @@ class TestL1AffineOracle:
             _, f = l1_affine_oracle(G, b, anchor, lower, upper)
             assert f == pytest.approx(lp_reference(G, b, anchor, lower, upper), abs=1e-8)
 
+    def test_matches_scipy_at_recipe_sizes(self):
+        # criterion 1's ten recipes, then random instances up to the size cap
+        for n, p, seed in affine_instances():
+            rec = make_affine_l1(n=n, p=p, seed=seed)
+            box = rec.instance.feasible_set
+            want = lp_reference(rec.metadata["A"], rec.metadata["b"], rec.metadata["anchor"],
+                                box.lower, box.upper)
+            assert rec.oracle_solution.f == pytest.approx(want, abs=1e-8), (n, p, seed)
+        rng = np.random.default_rng(1)
+        for _ in range(30):
+            n, p = int(rng.integers(7, 13)), int(rng.integers(1, 4))
+            A = rng.standard_normal((p, n))
+            b, anchor = A @ rng.uniform(-0.5, 0.5, n), rng.uniform(-1, 1, n)
+            lower, upper = np.full(n, -1.0), np.full(n, 1.0)
+            _, f = l1_affine_oracle(A, b, anchor, lower, upper)
+            assert f == pytest.approx(lp_reference(A, b, anchor, lower, upper), abs=1e-8), (n, p)
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             l1_affine_oracle(
@@ -88,6 +105,14 @@ class TestL1AffineOracle:
         with pytest.raises(ValueError, match="^constraint system admits no feasible candidate"):
             l1_affine_oracle(np.ones((1, 2)), np.array([5.0]), np.zeros(2), np.full(2, -1.0),
                              np.full(2, 1.0))
+
+    @pytest.mark.parametrize("A", [np.zeros((1, 3)), np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5]])],
+                             ids=["zero", "repeated_row"])
+    def test_rank_deficient_A_raises(self, A):
+        # A x = 0 has solutions in the box (every box point, for the zero A),
+        # but no p columns of A are invertible
+        with pytest.raises(ValueError, match="^brute-force oracle needs A of full row rank"):
+            l1_affine_oracle(A, np.zeros(len(A)), np.zeros(3), np.full(3, -1.0), np.full(3, 1.0))
 
     @pytest.mark.parametrize("shapes, message", [
         # b broadcast across both rows: an answer for b = (0.3, 0.3)
@@ -139,7 +164,7 @@ class TestL1AffineOracle:
 
 # ``l1_affine_oracle`` against ``reference.meshgrid_l1_affine_oracle`` on five
 # instance families, printing the instances whose (x*, f*) bits differ and
-# counting those that solved several free sets in one call
+# counting those whose blocks stacked the grids of several free sets in one product
 ORACLE_SPREAD = """
 import itertools, json
 import numpy as np
@@ -180,24 +205,25 @@ cases = [*itertools.product([(9, 1)], kinds, range(2)),
          # by row, as in a wider block, to give these minimizers' bits
          ((8, 4), "integer", 128), ((9, 5), "integer", 214),
          ((12, 6), "orthonormal", 0), ((11, 4), "orthonormal", 0)]
-solve = np.linalg.solve
+matmul = np.matmul
 
-def watched_solve(a, b):
+def watched_matmul(a, b):
+    # a block's product stacks several whole grids when it holds K > 1 items
     global ran_stacked
     ran_stacked |= a.ndim == 3 and len(a) > 1
-    return solve(a, b)
+    return matmul(a, b)
 
 mismatches, multi_block, square, stacked, solved = [], 0, 0, 0, 0
 for (n, p), kind, seed in cases:
     args = instance(n, p, kind, seed)
     x_want, f_want = meshgrid_l1_affine_oracle(*args)
-    ran_stacked, np.linalg.solve = False, watched_solve
+    ran_stacked, np.matmul = False, watched_matmul
     try:
         x_got, f_got = l1_affine_oracle(*args)
     except ValueError:  # no candidate point: the restatement returns (None, inf)
         x_got, f_got = None, np.inf
     finally:
-        np.linalg.solve = solve
+        np.matmul = matmul
     if (x_want is None) != (x_got is None) or (
             x_want is not None and x_want.tobytes() != x_got.tobytes()) or f_want != f_got:
         mismatches.append([n, p, kind, seed])
