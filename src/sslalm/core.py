@@ -254,69 +254,56 @@ def _jacobian_at(prob: ProblemInstance, x: Array) -> Array:
     return J
 
 
-# The stack helpers are the one place that tells a problem that takes stacks
-# from one that does not: the first gets one oracle call on the whole stack, the
-# second one call per row, in row order.
+# _stack is the one place that tells a problem that takes stacks from one that
+# does not: the first gets one oracle call on the whole stack, the second one call
+# per row, in row order.
 
 
-def _stacked(oracle, X: Array, shape: tuple, name: str, nonfinite: str) -> Array:
-    """``oracle(X)`` as a C-ordered float64 array of ``shape``, as the per-row
-    stacks are, checked for its shape and then for finiteness, which raises
-    ``NonFiniteError(nonfinite)``."""
-    V = np.ascontiguousarray(oracle(X), dtype=np.float64)
-    if V.shape != shape:
-        raise OracleError(f"{name} oracle returned shape {V.shape} on a stack, expected {shape}")
-    if not _all_finite(V.ravel()):
-        raise NonFiniteError(nonfinite)
+def _stack(prob: ProblemInstance, oracle, at, X: Array, shape: tuple, name: str,
+           nonfinite: str) -> Array:
+    """The oracle's values at the rows of ``X`` as a C-ordered float64 array of
+    ``shape``: ``oracle(X)`` checked for its shape and then for finiteness, which
+    raises ``NonFiniteError(nonfinite)``, or else ``at(prob, x)``, the checked
+    value at one point, row by row."""
+    if prob.stacks:
+        V = np.ascontiguousarray(oracle(X), dtype=np.float64)
+        if V.shape != shape:
+            raise OracleError(
+                f"{name} oracle returned shape {V.shape} on a stack, expected {shape}")
+        if not _all_finite(V.ravel()):
+            raise NonFiniteError(nonfinite)
+        return V
+    V = np.empty(shape)
+    for j, x in enumerate(X):
+        V[j] = at(prob, x)
     return V
 
 
 def _objective_stack(prob: ProblemInstance, X: Array) -> Array:
-    if prob.stacks:
-        return _stacked(prob.objective, X, (len(X),), "objective",
-                        "objective oracle returned a non-finite value")
-    return np.array([_objective_at(prob, x) for x in X], dtype=np.float64)
+    return _stack(prob, prob.objective, _objective_at, X, (len(X),), "objective",
+                  "objective oracle returned a non-finite value")
 
 
 def _subgradient_stack(prob: ProblemInstance, X: Array) -> Array:
-    if prob.stacks:
-        return _stacked(prob.objective_subgradient, X, X.shape, "subgradient",
-                        "subgradient contains non-finite entries")
-    D = np.empty_like(X)
-    for j, x in enumerate(X):
-        D[j] = as_vector(prob.objective_subgradient(x), prob.dim_primal, "subgradient")
-    return D
+    return _stack(prob, prob.objective_subgradient,
+                  lambda p, x: as_vector(p.objective_subgradient(x), p.dim_primal, "subgradient"),
+                  X, X.shape, "subgradient", "subgradient contains non-finite entries")
 
 
 def _constraints_stack(prob: ProblemInstance, X: Array) -> Array:
-    if prob.stacks:
-        return _stacked(prob.constraint, X, (len(X), prob.dim_constraint), "constraint",
-                        "constraint value contains non-finite entries")
-    C = np.empty((len(X), prob.dim_constraint))
-    for j, x in enumerate(X):
-        C[j] = _constraints_at(prob, x)
-    return C
+    return _stack(prob, prob.constraint, _constraints_at, X, (len(X), prob.dim_constraint),
+                  "constraint", "constraint value contains non-finite entries")
 
 
 def _jacobian_stack(prob: ProblemInstance, X: Array) -> Array:
-    shape = (len(X), prob.dim_primal, prob.dim_constraint)
-    if prob.stacks:
-        return _stacked(prob.constraint_jacobian, X, shape, "jacobian",
-                        "jacobian oracle returned non-finite entries")
-    J = np.empty(shape)
-    for j, x in enumerate(X):
-        J[j] = _jacobian_at(prob, x)
-    return J
+    return _stack(prob, prob.constraint_jacobian, _jacobian_at, X,
+                  (len(X), prob.dim_primal, prob.dim_constraint), "jacobian",
+                  "jacobian oracle returned non-finite entries")
 
 
 def eval_constraints(prob: ProblemInstance, x) -> Array:
     """Constraint value ``c(x)`` in R^p."""
     return _constraints_at(prob, as_vector(x, prob.dim_primal))
-
-
-def eval_constraint_jacobian(prob: ProblemInstance, x) -> Array:
-    """One Jacobian selection at ``x``, shape ``(n, p)``."""
-    return _jacobian_at(prob, as_vector(x, prob.dim_primal))
 
 
 def as_stochastic(prob) -> StochasticProblemInstance:

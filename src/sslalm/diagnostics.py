@@ -15,12 +15,12 @@ import numpy as np
 from .core import (
     ProblemInstance,
     _constraints_stack,
+    _jacobian_at,
     _jacobian_stack,
     _objective_stack,
     _subgradient_stack,
     as_stack,
-    as_vector,  # unused here, but the layer tracer wraps it in each namespace that imports it
-    eval_constraint_jacobian,
+    as_vector,
     eval_constraints,
 )
 from .geometry import FeasibleSet, _prox_positive, _shaped, normal_cone_distance
@@ -154,6 +154,8 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
 def _certificate(h_x, u, tau: float):
     """Descent certificate ``h(x) - u/tau`` from the penalty values ``h_x`` and the
     auxiliary values ``u``, one per point of x: a float for one point."""
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau!r}")
     U = np.asarray(u)
     H = _shaped(h_x, U.shape, "h_x")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -202,16 +204,19 @@ def estimate_regularity(prob: ProblemInstance, sample_points) -> float:
     """Smallest observed ratio ``dist(-J c(x), N(x)) / ||c(x)||`` over the
     sample, an upper bound on the best constant certifiable from these points.
 
-    Feasible points carry no information and are skipped; raises if every
-    sample is feasible.
+    Feasible points carry no information and are skipped; raises if the
+    sample is empty or every sample point is feasible.
     """
+    points = [as_vector(x, prob.dim_primal) for x in sample_points]
+    if not points:
+        raise ValueError("the sample is empty; ratio undefined")
     ratios = []
-    for x in sample_points:
+    for x in points:
         c = eval_constraints(prob, x)
         nrm = float(np.linalg.norm(c))
         if nrm <= 1e-12:
             continue
-        J = eval_constraint_jacobian(prob, x)
+        J = _jacobian_at(prob, x)
         ratios.append(normal_cone_distance(prob.feasible_set, x, J @ c) / nrm)
     if not ratios:
         raise ValueError("all sample points are feasible; ratio undefined")

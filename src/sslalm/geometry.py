@@ -220,20 +220,9 @@ def _shaped(a, shape: tuple, name: str) -> np.ndarray:
     return a
 
 
-def prox_preconditioned(fset: FeasibleSet, x, y, v) -> np.ndarray:
-    """Minimize ``<y, z - x> + 0.5 * <v * (z - x), z - x>`` over ``z`` in the set.
-
-    ``v`` must be positive coordinatewise. With ``v`` identically one this is
-    the Euclidean projection of ``x - y``.
-    """
-    shape = (fset.dim,)
-    x, y, v = _shaped(x, shape, "x"), _shaped(y, shape, "y"), _shaped(v, shape, "v")
-    return _prox_positive(fset, x, y, v)
-
-
 def _prox_positive(fset: FeasibleSet, x, y, v) -> np.ndarray:
-    """``prox_preconditioned`` for ``x``, ``y`` and ``v`` whose shapes the
-    caller has checked: only the weights are checked here."""
+    """``fset.prox_weighted(x, y, v)`` for arrays whose shapes the caller has
+    checked, once the weights ``v`` are checked to be positive."""
     if not (v > 0.0).all():
         raise ValueError("preconditioning weights must be positive")
     return fset.prox_weighted(x, y, v)

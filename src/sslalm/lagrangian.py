@@ -260,18 +260,13 @@ def track_correction(w, c_at_x, c_at_xnext, tau_tilde: float, eta: float) -> np.
     w = np.asarray(w, dtype=np.float64)
     c_at_x = np.asarray(c_at_x, dtype=np.float64)
     c_at_xnext = np.asarray(c_at_xnext, dtype=np.float64)
-    if not w.shape == c_at_x.shape == c_at_xnext.shape:
-        raise ValueError("correction tracker requires w, c_at_x and c_at_xnext of one shape, "
-                         f"got shapes {w.shape}, {c_at_x.shape} and {c_at_xnext.shape}")
-    shape = w.shape
-    if len(shape) != 1:
-        # a stack's entries, or a single value, in C order
-        w, c_at_x, c_at_xnext = w.ravel(), c_at_x.ravel(), c_at_xnext.ravel()
+    if w.ndim != 1 or not w.shape == c_at_x.shape == c_at_xnext.shape:
+        raise ValueError("correction tracker requires w, c_at_x and c_at_xnext as 1-d arrays of "
+                         f"one length, got shapes {w.shape}, {c_at_x.shape} and {c_at_xnext.shape}")
     # entry by entry on Python floats, as in dual_step_regu
     step = float(tau_tilde * eta)
-    w_next = np.array([wi - step * (wi - ci) + ni - ci
-                       for wi, ci, ni in zip(w.tolist(), c_at_x.tolist(), c_at_xnext.tolist())])
-    return w_next if len(shape) == 1 else w_next.reshape(shape)
+    return np.array([wi - step * (wi - ci) + ni - ci
+                     for wi, ci, ni in zip(w.tolist(), c_at_x.tolist(), c_at_xnext.tolist())])
 
 
 def _draw(draw, gen, size: int, source: str):

@@ -417,16 +417,11 @@ def make_slack_l1_net(
         # take() gathers the same rows as fancy indexing, at less call cost
         return train_x.take(idx, axis=0), train_t.take(idx, axis=0)
 
-    def layer_norms(x):
-        w = np.abs(x[:n_w])
-        return np.array([w[s].sum() for s in layer_slices])
-
     def constraint(x):
-        if x.ndim == 1:
-            return layer_norms(x) + x[n_w:] - radius
-        # a row's sum of each layer's block, for each point of the stack
-        w = np.abs(x[:, :n_w])
-        return np.stack([w[:, s].sum(axis=1) for s in layer_slices], axis=1) + x[:, n_w:] - radius
+        # the sum of each layer's block of |weights|, at a point or each point of a
+        # stack; .T puts the layers last, at less call cost than np.stack
+        w = np.abs(x[..., :n_w])
+        return np.array([w[..., s].sum(axis=-1) for s in layer_slices]).T + x[..., n_w:] - radius
 
     # J[j, i] = sign(x_j) for the weights j of layer i and J[n_w + i, i] = 1;
     # the slack entries are fixed, the weight entries sit at fixed flat indices
@@ -446,21 +441,18 @@ def make_slack_l1_net(
 
     # the full-batch loss and gradient of the last point or stack asked for, keyed
     # on its shape and bytes: a record stack asks for the loss and then for the
-    # gradient at the same stack, and gets both from one pass
+    # gradient at the same stack, and gets both from one pass; a point is a stack
+    # of one, and [()] makes its 0-d loss a float
     last = [None, None]
 
     def full_batch_loss_and_grad(x):
         x = np.asarray(x, dtype=np.float64)
         key = (x.shape, x.tobytes())
         if key != last[0]:
-            if x.ndim == 1:
-                resid, grad = residual_and_grad(x, train_x, train_t)
-                value = loss(resid), grad
-            else:
-                value = full_batch_stack(x)
-                # the objective hands out the cached losses, read-only
-                value[0].flags.writeable = False
-            last[:] = key, value
+            F, G = full_batch_stack(x.reshape(-1, n))
+            # the objective hands out the cached losses, read-only
+            F.flags.writeable = False
+            last[:] = key, (F.reshape(x.shape[:-1])[()], G.reshape(x.shape))
         return last[1]
 
     fset = Box(np.r_[np.full(n_w, -1.0), np.zeros(L)], np.r_[np.full(n_w, 1.0), np.full(L, np.inf)])

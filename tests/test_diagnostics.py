@@ -197,8 +197,6 @@ class TestAuxAdam:
         assert np.array_equal(gv, np.zeros(1))
 
     def test_grad_y_matches_prox_displacement_bitwise(self):
-        from sslalm.geometry import prox_preconditioned
-
         fset = Ball(np.zeros(3), 1.0)
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -207,7 +205,7 @@ class TestAuxAdam:
             v = rng.uniform(0, 2, 3)
             alpha, eps = 0.8, 0.6
             _, _, gy, _ = u_adam(fset, x, y, v, alpha, eps)
-            z = prox_preconditioned(fset, x, y, np.sqrt(v + eps) / alpha)
+            z = fset.prox_weighted(x, y, np.sqrt(v + eps) / alpha)
             assert np.array_equal(gy, z - x)
 
     @pytest.mark.parametrize("set_kind", ["box", "ball"])
@@ -323,8 +321,11 @@ class TestEstimateRegularity:
     def test_all_feasible_raises(self):
         rec = make_affine_l1(n=3, p=1, seed=11)
         sol = rec.oracle_solution
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^all sample points are feasible"):
             estimate_regularity(rec.instance, [sol.x])
+        # a sample without points used to get the all-feasible message
+        with pytest.raises(ValueError, match="^the sample is empty"):
+            estimate_regularity(rec.instance, [])
 
 
 def test_exact_penalty_threshold_demonstration():
@@ -577,6 +578,19 @@ class TestPublicChecks:
             u_adam(fset, x, y, v, alpha, 1e-8)
         with pytest.raises(ValueError, match="alpha must be positive"):
             lyapunov_adam(0.0, fset, x, y, v, 1.0, alpha, 1e-8)
+
+    @pytest.mark.parametrize("tau", [0.0, -0.0, -1.0, np.nan])
+    def test_nonpositive_tau(self, tau):
+        # tau = 0 used to warn and return inf, NaN to return NaN and -1 to flip
+        # the certificate's sign
+        fset = self.problem().feasible_set
+        x, y, v = np.zeros(2), np.ones(2), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^tau must be positive"):
+                lyapunov_momentum(0.0, fset, x, y, tau, 1.0)
+            with pytest.raises(ValueError, match="^tau must be positive"):
+                lyapunov_adam(0.0, fset, x, y, v, tau, 1.0, 1e-8)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
     def test_nonpositive_probe_and_eps(self, value):

@@ -9,8 +9,8 @@ from sslalm.geometry import (
     Box,
     NonnegativeOrthant,
     WholeSpace,
+    _prox_positive,
     normal_cone_distance,
-    prox_preconditioned,
 )
 
 
@@ -87,13 +87,13 @@ def test_box_projection_idempotent_hypothesis(vals):
     assert np.array_equal(fset.project(once), once)
 
 
-class TestProxPreconditioned:
+class TestProxWeighted:
     def test_whole_space_closed_form(self):
-        z = prox_preconditioned(WholeSpace(1), [0.0], [0.5], [1.0])
+        z = WholeSpace(1).prox_weighted(np.array([0.0]), np.array([0.5]), np.array([1.0]))
         assert z == pytest.approx([-0.5])
 
     def test_box_clamps_unconstrained_minimizer(self):
-        z = prox_preconditioned(unit_box(1), [0.0], [2.0], [1.0])
+        z = unit_box(1).prox_weighted(np.array([0.0]), np.array([2.0]), np.array([1.0]))
         assert z == pytest.approx([-1.0])
 
     def test_ball_matches_grid_oracle(self):
@@ -103,7 +103,7 @@ class TestProxPreconditioned:
         x = np.zeros(2)
         y = np.array([3.0, 0.0])
         v = np.array([1.0, 4.0])
-        z = prox_preconditioned(fset, x, y, v)
+        z = fset.prox_weighted(x, y, v)
 
         def objective(pts):
             d = pts - x
@@ -123,7 +123,7 @@ class TestProxPreconditioned:
             for _ in range(50):
                 x = rng.standard_normal(fset.dim)
                 y = rng.standard_normal(fset.dim)
-                lhs = prox_preconditioned(fset, x, y, np.ones(fset.dim))
+                lhs = fset.prox_weighted(x, y, np.ones(fset.dim))
                 rhs = fset.project(x - y)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -133,7 +133,7 @@ class TestProxPreconditioned:
         x = fset.sample(rng)
         y = rng.standard_normal(fset.dim)
         v = rng.uniform(0.5, 3.0, fset.dim)
-        z = prox_preconditioned(fset, x, y, v)
+        z = fset.prox_weighted(x, y, v)
 
         def objective(pt):
             d = pt - x
@@ -148,8 +148,8 @@ class TestProxPreconditioned:
             assert float(grad @ (w - z)) >= -1e-8
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError):
-            prox_preconditioned(unit_box(1), [0.0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="weights must be positive"):
+            _prox_positive(unit_box(1), np.array([0.0]), np.array([1.0]), np.array([0.0]))
 
 
 class TestNormalConeDistance:
@@ -212,15 +212,9 @@ def test_sample_points_are_feasible():
         (lambda: Ball(np.zeros(2), np.nan), "radius must be positive"),
         (lambda: Ball(np.zeros((2, 1)), 1.0), "finite 1-d array"),
         (lambda: Ball(np.array([np.nan, 0.0]), 1.0), "finite 1-d array"),
-        (lambda: prox_preconditioned(unit_box(2), np.zeros(3), np.zeros(2), np.ones(2)),
-         r"x has shape \(3,\), expected \(2,\)"),
         (lambda: normal_cone_distance(unit_box(2), np.zeros(2), np.zeros((2, 1))),
          r"v has shape \(2, 1\), expected \(2,\)"),
         # each argument keeps its own name in the one shape check
-        (lambda: prox_preconditioned(unit_box(2), np.zeros(2), np.zeros(1), np.ones(2)),
-         r"^y has shape \(1,\), expected \(2,\)"),
-        (lambda: prox_preconditioned(unit_box(2), np.zeros(2), np.zeros(2), np.ones((1, 2))),
-         r"^v has shape \(1, 2\), expected \(2,\)"),
         (lambda: normal_cone_distance(unit_box(2), np.zeros(3), np.zeros(2)),
          r"^x has shape \(3,\), expected \(2,\)"),
         # a point of another length once broadcast against the set's arrays
@@ -249,7 +243,7 @@ def test_ball_prox_interior_shortcut():
     x = np.array([1.0, 2.0])
     y = np.array([0.5, -0.5])
     v = np.array([2.0, 4.0])
-    z = prox_preconditioned(fset, x, y, v)
+    z = fset.prox_weighted(x, y, v)
     assert z == pytest.approx(x - y / v)
 
 
@@ -361,7 +355,7 @@ def test_prox_weighted_matches_scipy(data):
     x = data.draw(_vectors(n))
     y = data.draw(_vectors(n))
     v = data.draw(_vectors(n, 0.1, 10.0))
-    z = prox_preconditioned(fset, x, y, v)
+    z = fset.prox_weighted(x, y, v)
     reference, model = _scipy_prox(fset, x, y, v)
     assert fset.contains(z)
     # the reference is feasible, so it cannot beat the minimizer

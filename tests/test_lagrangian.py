@@ -348,11 +348,9 @@ class TestDualSideFormulas:
         assert_same_bits(got, expected)
 
     @settings(max_examples=500, deadline=None)
-    @given(same_vectors(3, VECTOR_SHAPES | st.tuples(st.integers(1, 4), CONSTRAINT_DIM)),
-           POSITIVE, POSITIVE)
-    def test_correction_tracker_is_its_numpy_formula_bitwise(self, arrays, tau_tilde, eta):
-        # one constraint vector or a (B, p) stack of them
-        w, c, c_next = arrays
+    @given(same_vectors(3), POSITIVE, POSITIVE)
+    def test_correction_tracker_is_its_numpy_formula_bitwise(self, vectors, tau_tilde, eta):
+        w, c, c_next = vectors
         assume(tau_tilde * eta <= 1.0)
         with np.errstate(all="ignore"):
             expected = w - tau_tilde * eta * (w - c) + c_next - c
@@ -404,6 +402,10 @@ class TestDualSideFormulas:
         pytest.param(lambda: track_correction(np.zeros((3, 2)), np.ones((3, 2)), np.ones(2),
                                               1.0, 0.1),
                      r"got shapes \(3, 2\), \(3, 2\) and \(2,\)$", id="tracker-stack"),
+        # a stack of one shape is not a vector either
+        pytest.param(lambda: track_correction(np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)),
+                                              1.0, 0.1),
+                     r"got shapes \(3, 2\), \(3, 2\) and \(3, 2\)$", id="tracker-equal-stack"),
         pytest.param(lambda: dual_step_ialm(np.zeros(1), np.ones(3), 1.0, 1.0, 2.0, 0),
                      r"got shapes \(1,\) and \(3,\)$", id="ialm-lengths"),
         # the zero-norm branch returns lam: it is checked all the same
