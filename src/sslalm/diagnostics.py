@@ -79,6 +79,13 @@ def _check_probe(eta_probe: float) -> None:
         raise ValueError("eta_probe must be finite")
 
 
+def _check_scale(name: str, value: float, why: str = "") -> None:
+    """A rate or prox scale of the certificates is positive and finite: an
+    infinite one makes u NaN, or the certificate's u/tau 0."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}{why}")
+
+
 # The functions below take one point or a stack of points along a leading axis
 # through one code path: a point is a stack of one and gives a float. They
 # validate each input once; the oracles run through core's stack helpers, once
@@ -114,8 +121,7 @@ def u_momentum(fset: FeasibleSet, x, y, alpha: float):
     Nonpositive whenever ``x`` is feasible; zero only when the momentum has no
     feasible descent direction left.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    _check_scale("alpha", alpha)
     with np.errstate(over="ignore", invalid="ignore"):
         X, point = as_stack(x, fset.dim)
         Y = _matched(y, fset.dim, "y", X)
@@ -138,8 +144,9 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
             raise ValueError("second-moment entries must be nonnegative")
         if not eps > 0:
             raise ValueError("eps must be positive")
-        if not alpha > 0:
-            raise ValueError(f"alpha must be positive, got {alpha!r}: prox weights must be positive")
+        if eps == math.inf:
+            raise ValueError(f"eps must be finite, got {eps!r}")
+        _check_scale("alpha", alpha, ": prox weights must be positive")
         R = np.sqrt(V + eps)
         Z = _prox_positive(fset, X, Y, R / alpha)
         D = Z - X
@@ -154,8 +161,7 @@ def u_adam(fset: FeasibleSet, x, y, v, alpha: float, eps: float):
 def _certificate(h_x, u, tau: float):
     """Descent certificate ``h(x) - u/tau`` from the penalty values ``h_x`` and the
     auxiliary values ``u``, one per point of x: a float for one point."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau!r}")
+    _check_scale("tau", tau)
     U = np.asarray(u)
     H = _shaped(h_x, U.shape, "h_x")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -168,8 +174,9 @@ def lyapunov_momentum(h_x, fset: FeasibleSet, x, y, tau: float, alpha: float):
     runs, given the penalty value ``h_x = h(x)``. ``alpha`` is the step's prox
     scale: the SGDM step moves toward ``P(x - alpha*y)``, the minimizer of
     ``u_momentum`` at scale ``1/alpha``."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    _check_scale("alpha", alpha)
+    # a subnormal alpha's 1/alpha overflows
+    _check_scale("1/alpha", 1.0 / float(alpha))
     return _certificate(h_x, u_momentum(fset, x, y, 1.0 / alpha), tau)
 
 

@@ -363,33 +363,41 @@ def make_slack_l1_net(
         return [np.ascontiguousarray(X[:, s]).reshape(len(X), *shape)
                 for s, shape in zip(layer_slices, shapes)]
 
+    # the recipe's constants as 0-d arrays: a ufunc reads the same double from
+    # one as from a Python float, at less call cost
+    zero, bound, train_count = np.array(0.0), np.array(float(radius)), np.array(float(n_train))
+
     # ndarray.dot gives matmul's bits for these 2-D products, at less call cost;
     # on stacked weights np.matmul multiplies item by item, each item meeting BLAS
-    # as the point's 2-D product does, so each item has its point's bits
+    # as the point's 2-D product does, so each item has its point's bits. A
+    # hidden layer's ReLU runs in place on its product; np.maximum(z, 0) turns -0
+    # into +0, so a hidden activation is +0, positive, +inf or NaN
     def forward(weights, inputs, product=np.ndarray.dot):
-        pre = []
         acts = [inputs]
-        a = inputs
         for i in range(L):
-            z = product(a, weights[i])
-            pre.append(z)
-            a = np.maximum(z, 0.0) if i < L - 1 else z
-            acts.append(a)
-        return pre, acts
+            z = product(acts[-1], weights[i])
+            acts.append(np.maximum(z, zero, out=z) if i < L - 1 else z)
+        return acts
 
+    # in the backward passes, sign(r) * fl(1/n) is fl(sign(r) / n), since sign
+    # gives only +-1, +-0 or NaN; and sign(act) is the ReLU mask (pre > 0) as a
+    # float, 1 or +0, on every finite input. A NaN activation gives a NaN mask
+    # entry only in a row whose delta is NaN already
     def residual_and_grad(x, inputs, targets):
         # the forward/backward pass: the output residual and the gradient of
         # the mean absolute residual; loss(resid) is the value, computed
         # only where it is read
         weights = unpack(x)
-        pre, acts = forward(weights, inputs)
+        acts = forward(weights, inputs)
         resid = acts[-1] - targets
-        delta = np.sign(resid) / inputs.shape[0]
+        delta = np.sign(resid)
+        delta *= 1.0 / inputs.shape[0]
         grad = np.zeros(n)
         for i in range(L - 1, -1, -1):
             grad[layer_slices[i]] = acts[i].T.dot(delta).ravel()
             if i > 0:
-                delta = delta.dot(weights[i].T) * (pre[i - 1] > 0.0)
+                delta = delta.dot(weights[i].T)
+                delta *= np.sign(acts[i])
         return resid, grad
 
     def full_batch_stack(X):
@@ -399,19 +407,22 @@ def make_slack_l1_net(
         for start in range(0, len(X), NET_CHUNK):
             rows = slice(start, start + NET_CHUNK)
             weights = unpack_stack(X[rows])
-            pre, acts = forward(weights, train_x, np.matmul)
+            acts = forward(weights, train_x, np.matmul)
             resid = acts[-1] - train_t
-            delta = np.sign(resid) / n_train
+            delta = np.sign(resid)
+            delta *= 1.0 / n_train
             for i in range(L - 1, -1, -1):
                 G[rows, layer_slices[i]] = np.matmul(acts[i].mT, delta).reshape(len(delta), -1)
                 if i > 0:
-                    delta = np.matmul(delta, weights[i].mT) * (pre[i - 1] > 0.0)
-            # each point's loss sums its own residuals, a row as loss() sums them
-            F[rows] = np.abs(resid).reshape(len(resid), -1).sum(axis=1) / n_train
+                    delta = np.matmul(delta, weights[i].mT)
+                    delta *= np.sign(acts[i])
+            # each point's loss sums its own residuals, a row as loss() sums them;
+            # np.add.reduce is ndarray.sum without its Python frame
+            F[rows] = np.add.reduce(np.abs(resid).reshape(len(resid), -1), axis=1) / train_count
         return F, G
 
     def loss(resid):
-        return float(np.abs(resid).sum()) / resid.shape[0]
+        return float(np.add.reduce(np.abs(resid), axis=None)) / resid.shape[0]
 
     def minibatch(idx):
         # take() gathers the same rows as fancy indexing, at less call cost
@@ -421,7 +432,8 @@ def make_slack_l1_net(
         # the sum of each layer's block of |weights|, at a point or each point of a
         # stack; .T puts the layers last, at less call cost than np.stack
         w = np.abs(x[..., :n_w])
-        return np.array([w[..., s].sum(axis=-1) for s in layer_slices]).T + x[..., n_w:] - radius
+        sums = np.array([np.add.reduce(w[..., s], axis=-1) for s in layer_slices])
+        return sums.T + x[..., n_w:] - bound
 
     # J[j, i] = sign(x_j) for the weights j of layer i and J[n_w + i, i] = 1;
     # the slack entries are fixed, the weight entries sit at fixed flat indices
@@ -481,8 +493,7 @@ def make_slack_l1_net(
     start = np.concatenate([w0, np.zeros(L)])
 
     def accuracy(x):
-        _, acts = forward(unpack(x), test_x)
-        out = acts[-1]
+        out = forward(unpack(x), test_x)[-1]
         if out.shape[1] == 1:
             # a single output predicts class 0 from 1/2 up
             return float(np.mean((out[:, 0] < 0.5) == test_y))

@@ -592,6 +592,35 @@ class TestPublicChecks:
             with pytest.raises(ValueError, match="^tau must be positive"):
                 lyapunov_adam(0.0, fset, x, y, v, tau, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("inf", [math.inf, np.float64(np.inf)])
+    def test_infinite_rates_and_scales_rejected(self, inf):
+        # an infinite tau used to return the penalty itself (u/inf is 0), an
+        # infinite alpha or eps a NaN u, and lyapunov_momentum's infinite alpha
+        # to be reported as 0.0, the 1/alpha it passed on
+        fset = Box(-np.ones(2), np.ones(2))
+        x, y, v = np.zeros(2), np.ones(2), np.ones(2)
+        INF = r"(inf|np\.float64\(inf\))"
+        with pytest.raises(ValueError, match=f"^tau must be positive and finite, got {INF}$"):
+            lyapunov_momentum(1.5, fset, x, y, inf, 1.0)
+        with pytest.raises(ValueError, match=f"^tau must be positive and finite, got {INF}$"):
+            lyapunov_adam(1.5, fset, x, y, v, inf, 1.0, 1e-8)
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {INF}$"):
+            u_momentum(fset, x, y, inf)
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {INF}$"):
+            lyapunov_momentum(1.5, fset, x, y, 1.0, inf)
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {INF}: "):
+            u_adam(fset, x, y, v, inf, 1e-8)
+        with pytest.raises(ValueError, match=f"^eps must be finite, got {INF}$"):
+            u_adam(fset, x, y, v, 1.0, inf)
+        with pytest.raises(ValueError, match=f"^eps must be finite, got {INF}$"):
+            lyapunov_adam(1.5, fset, x, y, v, 1.0, 1.0, inf)
+
+    def test_subnormal_momentum_scale_rejected(self):
+        # 1/alpha overflows: the message names the overflowed scale as 1/alpha
+        fset = Box(-np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match="^1/alpha must be positive and finite, got inf$"):
+            lyapunov_momentum(1.5, fset, np.zeros(2), np.ones(2), 1.0, 5e-324)
+
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
     def test_nonpositive_probe_and_eps(self, value):
         prob = self.problem()
